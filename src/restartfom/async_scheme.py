@@ -35,7 +35,7 @@ from restartfom.errors import ParameterError
 from restartfom.methods import MethodState, method_init, method_restart, prime, step
 from restartfom.problems import ProblemInstance
 from restartfom.sync_scheme import coerce_method_spec
-from restartfom.traces import Message, SchemeTrace, Task, TraceEvent, fulfills
+from restartfom.traces import Message, SchemeTrace, Task, TraceEvent, fulfills, point_tuple
 
 DEFAULT_TIME_BUDGET = 100_000.0
 
@@ -130,7 +130,6 @@ class ServerQueue:
         self.service_time = service_time
         self.pending: list[Message] = []
         self.in_service: Message | None = None
-        self.busy_until = -math.inf
 
     def submit(self, message: Message, now: float) -> list[tuple[float, Message]]:
         """Queue a message; returns any service completion to schedule."""
@@ -151,8 +150,7 @@ class ServerQueue:
         if not self.pending:
             return []
         self.in_service = self.pending.pop(0)
-        self.busy_until = now + self.service_time
-        return [(self.busy_until, self.in_service)]
+        return [(now + self.service_time, self.in_service)]
 
 
 @dataclass
@@ -163,7 +161,6 @@ class AsyncCopy:
     task: Task
     method: MethodState
     phase: str = "iterating"  # iterating | paused | idle
-    epoch_index: int = 0
     restart_count: int = 0
     inflight_state: MethodState | None = None
     inflight_remaining: float = 0.0
@@ -174,10 +171,6 @@ class AsyncCopy:
     pause_candidate: Message | None = None
     pending_epoch: bool = False
     coincident: bool = False
-
-
-def _point_tuple(point) -> tuple[float, ...]:
-    return tuple(float(v) for v in point)
 
 
 class _AsyncEngine:
@@ -246,7 +239,7 @@ class _AsyncEngine:
                   copy_index=copy.index, version=copy.call_version)
 
     def send_down(self, copy: AsyncCopy, point, value: float, now: float) -> None:
-        message = Message(_point_tuple(point), value, copy.index, now)
+        message = Message(point_tuple(point), value, copy.index, now)
         self.messages_sent += 1
         self.trace.append(TraceEvent(
             now, copy.index, "send", value,
@@ -272,14 +265,14 @@ class _AsyncEngine:
         copy.task = Task(value, copy.task.decrement)
         copy.method = method_restart(copy.method, self.problem, point, value, known_grad)
         copy.restart_count += 1
-        copy.epoch_index += 1
         copy.inflight_state = None
         copy.pause_candidate = None
         copy.pending_epoch = False
         copy.coincident = False
+        point = point_tuple(point)
         self.trace.append(TraceEvent(
             now, copy.index, "restart", value,
-            point=_point_tuple(point), source=source,
+            point=point, source=source,
         ))
         if copy.index > -1:
             self.send_down(copy, point, value, now)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from typing import Callable
 
 from restartfom.errors import ParameterError, UnsupportedQueryError
@@ -46,6 +47,8 @@ __all__ = [
     "n_bar",
     "t_univ",
 ]
+
+EPS_MIN = sys.float_info.min  # the smallest normal float; 1/eps can overflow below it
 
 REGIME_STAGED = "below-5-2^N"
 REGIME_ADD_ON = "add-on"
@@ -163,14 +166,16 @@ def l0_admissible(M_nu: float, nu: float, eps_bar: float, L0: float) -> bool:
 
 def default_N(eps: float) -> int:
     """Default ladder height ``max(-1, ceil(log2(1/eps)))``."""
-    _check_positive(eps=eps)
-    # Integer-exact: the smallest k with 2**(-k) <= eps, robust to log rounding.
-    k = math.ceil(math.log2(1.0 / eps))
+    if not (EPS_MIN <= eps < math.inf):
+        raise ParameterError(f"eps must be finite and at least {EPS_MIN!r}, got {eps!r}")
+    # Integer-exact: the smallest k >= -1 with 2**(-k) <= eps, robust to log
+    # rounding; starting at -1 or above keeps 2**(-k) from overflowing.
+    k = max(-1, math.ceil(math.log2(1.0 / eps)))
     while 2.0 ** (-k) > eps:
         k += 1
-    while k > -10_000 and 2.0 ** (-(k - 1)) <= eps:
+    while k > -1 and 2.0 ** (-(k - 1)) <= eps:
         k -= 1
-    return max(-1, k)
+    return k
 
 
 def n_bar(f_x0_gap: float, eps: float) -> int:

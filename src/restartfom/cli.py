@@ -10,15 +10,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
 from restartfom.errors import ConfigError, ParameterError
 from restartfom.harness import (
-    DEFAULT_OUTPUT_DIR,
     FIT_FIELDS,
-    OUTPUT_DIR_ENV,
     fit_rate,
     load_summaries,
     parse_config,
@@ -61,16 +58,7 @@ def _load_config(args):
 
 
 def _output_dir(args) -> Path:
-    if args.out:
-        return Path(args.out)
-    env = os.environ.get(OUTPUT_DIR_ENV)
-    if env:
-        return Path(env)
-    if args.config:
-        config = parse_config(Path(args.config).read_text())
-        if config.out:
-            return Path(config.out)
-    return Path(DEFAULT_OUTPUT_DIR)
+    return resolve_output_dir(_load_config(args) if args.config else None, args.out)
 
 
 def _report_exit(report) -> int:

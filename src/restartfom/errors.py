@@ -19,6 +19,10 @@ class NonFiniteInputError(RestartFomError, ValueError):
     """A point contains NaN or infinite coordinates."""
 
 
+class NonFiniteValueError(RestartFomError, ValueError):
+    """A finite point gave a NaN or infinite value, or a trace record holds one."""
+
+
 class UnsupportedQueryError(RestartFomError, RuntimeError):
     """The instance lacks the analytic structure needed to answer the query."""
 

@@ -20,6 +20,7 @@ import numpy as np
 
 from restartfom.async_scheme import DelayModel, run_async
 from restartfom.bounds import (
+    EPS_MIN,
     bound_async_theorem,
     bound_cor_accel,
     bound_cor_subgrad,
@@ -245,6 +246,9 @@ def parse_config(document) -> ExperimentConfig:
                 for i, value in enumerate(raw_eps))
     if len(set(eps)) != len(eps):
         raise ConfigError("eps", "accuracies must be distinct")
+    for i, value in enumerate(eps):
+        if value < EPS_MIN:
+            raise ConfigError(f"eps[{i}]", f"expected at least {EPS_MIN!r}, got {value!r}")
 
     N: int | None = None
     if "N" in document and document["N"] != "default":
@@ -532,7 +536,7 @@ def _compliance(time_to_eps: float | None, complete: bool, budget: float,
 # Grid execution
 # ---------------------------------------------------------------------------
 
-def resolve_output_dir(config: ExperimentConfig, override: str | None = None) -> Path:
+def resolve_output_dir(config: ExperimentConfig | None, override: str | None = None) -> Path:
     """Output directory precedence: explicit override, environment, config, default."""
 
     if override:
@@ -540,7 +544,7 @@ def resolve_output_dir(config: ExperimentConfig, override: str | None = None) ->
     env = os.environ.get(OUTPUT_DIR_ENV)
     if env:
         return Path(env)
-    if config.out:
+    if config is not None and config.out:
         return Path(config.out)
     return Path(DEFAULT_OUTPUT_DIR)
 

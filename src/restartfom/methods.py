@@ -79,10 +79,6 @@ class MethodSpec:
             raise ParameterError(f"curvature guess L0 must be positive, got {self.L0}")
 
 
-# Alias kept for callers that refer to the (tag, parameters) pair by this name.
-MethodKind = MethodSpec
-
-
 @dataclasses.dataclass(frozen=True)
 class StepOutcome:
     """What one step produced and what it cost."""

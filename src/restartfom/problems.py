@@ -29,6 +29,7 @@ import numpy as np
 from restartfom.errors import (
     DimensionMismatchError,
     NonFiniteInputError,
+    NonFiniteValueError,
     ParameterError,
     UnsupportedQueryError,
 )
@@ -205,9 +206,10 @@ class GrowthMetadata:
 class ProblemInstance:
     """A convex objective over a closed convex domain, with oracles.
 
-    Subclasses implement :meth:`value` and :meth:`_subgradient`; everything
-    else (validation, projection, metadata plumbing) lives here.  Instances
-    are immutable after construction and safe to share between copies.
+    Subclasses implement :meth:`_value` and :meth:`_subgradient`, and may
+    override :meth:`_oracle` to compute both in one pass; everything else
+    (validation, projection, metadata plumbing) lives here.  Instances are
+    immutable after construction and safe to share between copies.
     """
 
     def __init__(
@@ -233,18 +235,30 @@ class ProblemInstance:
                 f"{self.name}: expected a point of shape ({self.dimension},), "
                 f"got {x.shape}"
             )
+        return x
+
+    def _check_value(self, x: np.ndarray, value: float) -> float:
+        if math.isfinite(value):  # only a non-finite value pays for a scan of x
+            return value
         if not np.all(np.isfinite(x)):
             raise NonFiniteInputError(f"{self.name}: point has non-finite coordinates")
-        return x
+        raise NonFiniteValueError(f"{self.name}: finite point gave the value {value!r}")
 
     def value(self, x) -> float:
         """Objective value alone (a free read in the oracle accounting)."""
-        return self._value(self._check_point(x))
+        x = self._check_point(x)
+        return self._check_value(x, self._value(x))
 
     def evaluate(self, x) -> OracleOutput:
         """Full oracle: objective value and one subgradient."""
         x = self._check_point(x)
-        return OracleOutput(self._value(x), self._subgradient(x))
+        value, subgradient = self._oracle(x)
+        return OracleOutput(self._check_value(x, value), subgradient)
+
+    def _oracle(self, x: np.ndarray) -> tuple[float, np.ndarray | None]:
+        """Value and subgradient; no subgradient when the value is not finite."""
+        value = self._value(x)
+        return value, self._subgradient(x) if math.isfinite(value) else None
 
     def _value(self, x: np.ndarray) -> float:
         raise NotImplementedError
@@ -397,6 +411,11 @@ class PiecewiseMaxProblem(ProblemInstance):
         idx = int(np.argmax(self.A @ x + self.b))
         return self.A[idx].copy()
 
+    def _oracle(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        z = self.A @ x + self.b
+        idx = int(np.argmax(z))
+        return float(z[idx]), self.A[idx].copy()
+
     def distance_to_opt(self, x) -> float:
         return float(np.linalg.norm(self._check_point(x) - self.minimizer))
 
@@ -464,6 +483,11 @@ class LeastSquaresProblem(ProblemInstance):
 
     def _subgradient(self, x: np.ndarray) -> np.ndarray:
         return self.A.T @ (self.A @ x - self.b)
+
+    def _oracle(self, x: np.ndarray) -> tuple[float, np.ndarray | None]:
+        r = self.A @ x - self.b
+        value = 0.5 * float(r @ r)
+        return value, self.A.T @ r if math.isfinite(value) else None
 
     def distance_to_opt(self, x) -> float:
         x = self._check_point(x)

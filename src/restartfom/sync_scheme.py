@@ -24,7 +24,7 @@ from restartfom.bounds import default_N, n_bar
 from restartfom.errors import ParameterError
 from restartfom.methods import MethodSpec, MethodState, method_init, method_restart, prime, step
 from restartfom.problems import ProblemInstance
-from restartfom.traces import Message, SchemeTrace, Task, TraceEvent, fulfills
+from restartfom.traces import Message, SchemeTrace, Task, TraceEvent, fulfills, point_tuple
 
 DEFAULT_PERIOD_BUDGET = 100_000
 
@@ -58,10 +58,6 @@ def coerce_method_spec(method_kind) -> MethodSpec:
     return MethodSpec(str(method_kind))
 
 
-def _point_tuple(point) -> tuple[float, ...]:
-    return tuple(float(v) for v in point)
-
-
 class _SyncEngine:
     """Shared bookkeeping for the lockstep and sequential modes."""
 
@@ -90,7 +86,7 @@ class _SyncEngine:
 
     def send_down(self, copy: SyncCopy, point, value: float, now: float,
                   readable_at: float) -> None:
-        message = Message(_point_tuple(point), value, copy.index, now)
+        message = Message(point_tuple(point), value, copy.index, now)
         self.copies[copy.index - 1].pending.append((readable_at, message))
         self.messages_sent += 1
         self.trace.append(TraceEvent(
@@ -134,9 +130,10 @@ class _SyncEngine:
                 copy.method, self.problem, point, candidate_value, known_grad
             )
             copy.restart_count += 1
+            point = point_tuple(point)
             self.trace.append(TraceEvent(
                 now, copy.index, "restart", candidate_value,
-                point=_point_tuple(point), source=source,
+                point=point, source=source,
             ))
             if copy.index > -1:
                 self.send_down(copy, point, candidate_value, now, readable_at)

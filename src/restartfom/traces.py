@@ -1,9 +1,12 @@
 """Trace records shared by both scheme engines, plus invariant checkers.
 
 Every engine emits a flat, time-ordered list of :class:`TraceEvent` records.
-The JSON-lines export writes one object per event followed by a single
-``{"summary": {...}}`` record, and the checkers in this module validate the
-messaging and restart discipline of a finished run from its trace alone.
+The JSON-lines export (format 2) writes a header holding the distinct points
+as one base64 little-endian float64 table, one object per event naming its
+point by ``point_id`` (its table row), and a ``{"summary": {...}}`` record;
+format-1 files (points inline, no header) still read.  The checkers in this
+module validate the messaging and restart discipline of a finished run from
+its trace alone.
 
 Event kinds
 -----------
@@ -29,18 +32,30 @@ Event kinds
 
 from __future__ import annotations
 
+import binascii
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from restartfom.errors import ParameterError
+import numpy as np
 
-SYNC_EVENT_KINDS = frozenset({"init", "iterate", "restart", "send", "task-update"})
-ASYNC_EVENT_KINDS = SYNC_EVENT_KINDS | frozenset(
-    {"arrival", "pause-begin", "pause-end", "epoch-begin"}
-)
+from restartfom.errors import NonFiniteValueError, ParameterError
 
-_OPTIONAL_FIELDS = ("point", "sender", "receiver", "source")
+_OPTIONAL_FIELDS = ("sender", "receiver", "source")
+_ENCODER = json.JSONEncoder(allow_nan=False)
+
+
+def point_tuple(point) -> tuple[float, ...]:
+    """The immutable copy of a point that trace events and messages share."""
+
+    return point if isinstance(point, tuple) else tuple(point.tolist())
+
+
+def _dumps(record: dict) -> str:
+    try:
+        return _ENCODER.encode(record)
+    except ValueError as exc:  # NaN and infinities are not JSON
+        raise NonFiniteValueError(f"trace record {record!r}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -54,24 +69,29 @@ class TraceEvent:
     receiver: int | None = None
     source: str | None = None
 
-    def to_json(self) -> str:
+    def to_record(self, point_id: int | None) -> dict:
         record = {"t": self.t, "copy": self.copy, "kind": self.kind, "value": self.value}
+        if point_id is not None:
+            record["point_id"] = point_id
         for name in _OPTIONAL_FIELDS:
             item = getattr(self, name)
             if item is not None:
-                record[name] = list(item) if name == "point" else item
-        return json.dumps(record)
+                record[name] = item
+        return record
 
     @classmethod
-    def from_json(cls, line: str) -> "TraceEvent":
-        record = json.loads(line)
-        point = record.get("point")
+    def from_record(cls, record: dict, points: list[tuple[float, ...]]) -> "TraceEvent":
+        point = record.get("point")  # format 1 stores the point inline
+        if "point_id" in record:
+            point = points[record["point_id"]]
+        elif point is not None:
+            point = tuple(float(v) for v in point)
         return cls(
             t=float(record["t"]),
             copy=int(record["copy"]),
             kind=str(record["kind"]),
             value=float(record["value"]),
-            point=None if point is None else tuple(float(v) for v in point),
+            point=point,
             sender=record.get("sender"),
             receiver=record.get("receiver"),
             source=record.get("source"),
@@ -136,14 +156,8 @@ class SchemeTrace:
             raise ParameterError("trace has no init events")
         return inits[0].value
 
-    def restart_values(self, copy: int) -> list[float]:
-        return [e.value for e in self.of_kind("restart", copy)]
-
     def restart_points(self, copy: int) -> list[tuple[float, ...]]:
         return [e.point for e in self.of_kind("restart", copy)]
-
-    def restart_times(self, copy: int) -> list[float]:
-        return [e.t for e in self.of_kind("restart", copy)]
 
     def first_time_to(self, gap: float, f_star: float) -> float | None:
         """Earliest time a computed point had objective ≤ f_star + gap."""
@@ -155,26 +169,40 @@ class SchemeTrace:
         return None
 
     def write_jsonl(self, path, summary: dict | None = None) -> None:
+        """Write the format-2 file: point table header, events, summary."""
+
+        rows: dict[tuple[float, ...], int] = {}
+        ids = iter([rows.setdefault(e.point, len(rows))
+                    for e in self.events if e.point is not None])
+        table = np.array(list(rows), dtype="<f8")
+        b64 = binascii.b2a_base64(table.tobytes(), newline=False).decode()
+        header = {"format": 2, "points": {"dtype": "<f8", "shape": list(table.shape), "b64": b64}}
         with open(path, "w", encoding="utf-8") as handle:
+            handle.write(_dumps(header) + "\n")
             for event in self.events:
-                handle.write(event.to_json() + "\n")
+                point_id = None if event.point is None else next(ids)
+                handle.write(_dumps(event.to_record(point_id)) + "\n")
             if summary is not None:
-                handle.write(json.dumps({"summary": summary}) + "\n")
+                handle.write(_dumps({"summary": summary}) + "\n")
 
     @classmethod
     def read_jsonl(cls, path) -> tuple["SchemeTrace", dict | None]:
         trace = cls()
         summary = None
+        points: list[tuple[float, ...]] = []
         with open(path, "r", encoding="utf-8") as handle:
             for line in handle:
-                line = line.strip()
-                if not line:
+                if line.isspace():
                     continue
                 record = json.loads(line)
                 if "summary" in record:
                     summary = record["summary"]
+                elif "points" in record:
+                    table = record["points"]
+                    rows = np.frombuffer(binascii.a2b_base64(table["b64"]), dtype=table["dtype"])
+                    points = list(map(tuple, rows.reshape(table["shape"]).tolist()))
                 else:
-                    trace.append(TraceEvent.from_json(line))
+                    trace.append(TraceEvent.from_record(record, points))
         return trace, summary
 
 

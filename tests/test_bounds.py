@@ -2,12 +2,14 @@
 
 import dataclasses
 import math
+import sys
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from restartfom.bounds import (
+    EPS_MIN,
     REGIME_ADD_ON,
     REGIME_STAGED,
     bound_async_theorem,
@@ -421,3 +423,15 @@ def test_report_serialization_uses_stable_names():
     assert blob["which"] == "cor_subgrad"
     assert blob["n_bar"] == 0
     assert blob["terms"][0] == ["startup", 1.0]
+
+
+def test_default_N_rejects_infinite_and_subnormal_eps():
+    for eps in (math.inf, 5e-324, EPS_MIN / 2.0):
+        with pytest.raises(ParameterError):
+            default_N(eps)
+    assert default_N(EPS_MIN) == 1022
+
+
+def test_default_N_huge_eps_is_minus_one():
+    assert default_N(1e308) == -1
+    assert default_N(sys.float_info.max) == -1

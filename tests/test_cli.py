@@ -187,3 +187,10 @@ def test_module_entry_point_runs_in_subprocess(tmp_path):
     assert "wrote 1 cells" in result.stdout
     rows = read_summaries_csv(out / "summary.csv")
     assert rows[0]["compliant"] is True
+
+
+def test_subnormal_eps_is_a_config_error(tmp_path, capsys):
+    config = write_config(tmp_path, eps=[5e-324])
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert "error: eps[0]:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

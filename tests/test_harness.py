@@ -665,3 +665,11 @@ def test_fit_result_line_is_readable():
                        exponent=None, n_points=10)
     line = result.line()
     assert "log model" in line and "R^2 = 0.9750" in line and "10 points" in line
+
+
+def test_parse_eps_must_be_a_normal_float():
+    with pytest.raises(ConfigError) as err:
+        parse_config(minimal_config(eps=[0.5, 5e-324]))
+    assert err.value.path == "eps[1]"
+    assert parse_config(minimal_config(eps=[2.2250738585072014e-308])).eps == (
+        2.2250738585072014e-308,)

@@ -1,6 +1,7 @@
 """Problem instances: oracle correctness, projections, growth certificates."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from restartfom.errors import (
     DimensionMismatchError,
     NonFiniteInputError,
+    NonFiniteValueError,
     ParameterError,
     UnsupportedQueryError,
 )
@@ -470,3 +472,86 @@ def test_describe_round_trips_basic_fields():
     assert d["dimension"] == 2
     assert d["pieces"] == 5
     assert d["domain"]["kind"] == "all-space"
+
+
+# ---------------------------------------------------------------------------
+# One-pass oracle and validation at the boundary
+# ---------------------------------------------------------------------------
+
+
+def _one_of_each_family():
+    return [
+        make_norm_power_problem(5, mu=1.5, d=1.5, center=np.arange(5.0)),
+        make_piecewise_max_problem(6, 20, seed=3),
+        make_least_squares_problem(6, 9, seed=4),
+    ]
+
+
+@pytest.mark.parametrize("family", range(3))
+def test_oracle_is_bitwise_equal_to_value_and_subgradient(family):
+    p = _one_of_each_family()[family]
+    rng = np.random.default_rng(family)
+    for _ in range(50):
+        x = rng.normal(scale=3.0, size=p.dimension)
+        value, grad = p._oracle(x)
+        assert value.hex() == p._value(x).hex()
+        assert grad.dtype == np.float64
+        assert grad.tobytes() == p._subgradient(x).tobytes()
+        out = p.evaluate(x)
+        assert out.value.hex() == value.hex()
+        assert out.subgradient.tobytes() == grad.tobytes()
+
+
+def test_oracle_tie_resolves_to_lowest_index():
+    # f(x) = ||x||_inf; at (-1, 1) pieces 1 (-x1) and 2 (x2) tie at 1.
+    A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    p = PiecewiseMaxProblem(A, np.zeros(4), np.zeros(2), mu=1.0 / math.sqrt(2.0))
+    x = np.array([-1.0, 1.0])
+    value, grad = p._oracle(x)
+    assert value == 1.0 == p._value(x)
+    assert grad.tobytes() == A[1].tobytes() == p._subgradient(x).tobytes()
+
+
+@pytest.mark.parametrize("family", range(3))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_public_oracles_reject_non_finite_points_without_warnings(family, bad):
+    p = _one_of_each_family()[family]
+    x = np.arange(float(p.dimension))
+    x[1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteInputError):
+            p.evaluate(x)
+        with pytest.raises(NonFiniteInputError):
+            p.value(x)
+        with pytest.raises(DimensionMismatchError):
+            p.evaluate(np.zeros(p.dimension + 1))
+        with pytest.raises(DimensionMismatchError):
+            p.project(np.zeros(p.dimension - 1))
+
+
+class _NanOracle(ProblemInstance):
+    """An oracle that answers NaN at every point."""
+
+    def __init__(self):
+        super().__init__("nan-oracle", 2)
+
+    def _value(self, x):
+        return math.nan
+
+    def _subgradient(self, x):
+        return np.zeros(2)
+
+
+def test_finite_point_with_non_finite_value_raises():
+    p = _NanOracle()
+    with pytest.raises(NonFiniteValueError):
+        p.evaluate(np.zeros(2))
+    with pytest.raises(NonFiniteValueError):
+        p.value(np.zeros(2))
+    with pytest.raises(NonFiniteInputError):
+        p.evaluate(np.array([0.0, np.inf]))
+    # A real family: the residual's squared norm overflows at a finite point.
+    lsq = make_least_squares_problem(6, 9, seed=4)
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteValueError):
+        lsq.evaluate(np.full(6, 1e200))
