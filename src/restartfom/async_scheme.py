@@ -30,12 +30,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from restartfom.bounds import default_N, n_bar
 from restartfom.errors import ParameterError
-from restartfom.methods import MethodState, method_init, method_restart, prime, step
+# method_init and method_restart run in the shared Ladder; they stay bound here
+# because bench/layers.py wraps the same four method names in both engines.
+from restartfom.methods import MethodState, method_init, method_restart, prime, step  # noqa: F401
 from restartfom.problems import ProblemInstance
-from restartfom.sync_scheme import coerce_method_spec
-from restartfom.traces import Message, SchemeTrace, Task, TraceEvent, fulfills, point_tuple
+from restartfom.sync_scheme import Ladder, LadderCopy
+from restartfom.traces import Message, SchemeTrace, TraceEvent, fulfills
 
 DEFAULT_TIME_BUDGET = 100_000.0
 
@@ -154,14 +155,10 @@ class ServerQueue:
 
 
 @dataclass
-class AsyncCopy:
-    """One copy of the method inside the event loop."""
+class AsyncCopy(LadderCopy):
+    """A ladder copy plus its place in the event loop."""
 
-    index: int
-    task: Task
-    method: MethodState
     phase: str = "iterating"  # iterating | paused | idle
-    restart_count: int = 0
     inflight_state: MethodState | None = None
     inflight_remaining: float = 0.0
     inflight_completes_at: float = 0.0
@@ -173,48 +170,26 @@ class AsyncCopy:
     coincident: bool = False
 
 
-class _AsyncEngine:
-    def __init__(self, problem: ProblemInstance, spec, eps: float, N: int,
-                 delay_model: DelayModel):
-        self.problem = problem
-        self.spec = spec
-        self.eps = eps
-        self.N = N
+class _AsyncEngine(Ladder):
+    copy_class = AsyncCopy
+
+    def __init__(self, problem: ProblemInstance, method_kind, eps: float,
+                 N: int | None, budget: float, delay_model: DelayModel):
+        super().__init__(problem, method_kind, eps, N, budget)
         self.delay_model = delay_model
         self.rng = np.random.default_rng(delay_model.seed)
         self.server = (
             ServerQueue(delay_model.service_time)
             if delay_model.transit_kind == "single-server" else None
         )
-        self.trace = SchemeTrace()
-        self.copies: dict[int, AsyncCopy] = {}
         self.heap: list = []
         self.last_arrival: dict[int, float] = {}
         self.seq = 0
-        self.oracle_calls = 0
-        self.messages_sent = 0
-        self.f_star = problem.metadata.f_star if problem.metadata is not None else None
-        self.halted_at: float | None = None
         self.sim_time = 0.0
-
-    # -- event plumbing ----------------------------------------------------
 
     def push(self, t: float, prio: int, kind: str, **payload) -> None:
         heapq.heappush(self.heap, (t, prio, self.seq, kind, payload))
         self.seq += 1
-
-    # -- setup ---------------------------------------------------------------
-
-    def spin_up(self, x0, n: int) -> AsyncCopy:
-        decrement = (2.0 ** n) * self.eps
-        state = method_init(self.spec, self.problem, x0, decrement)
-        self.oracle_calls += 1
-        copy = AsyncCopy(index=n, task=Task(state.best_value, decrement), method=state)
-        self.copies[n] = copy
-        self.trace.append(TraceEvent(0.0, n, "init", state.best_value))
-        return copy
-
-    # -- core actions --------------------------------------------------------
 
     def begin_iteration(self, copy: AsyncCopy, now: float) -> None:
         if copy.method.converged:
@@ -238,13 +213,7 @@ class _AsyncEngine:
         self.push(copy.inflight_completes_at, _PRIO_COMPLETE, "complete",
                   copy_index=copy.index, version=copy.call_version)
 
-    def send_down(self, copy: AsyncCopy, point, value: float, now: float) -> None:
-        message = Message(point_tuple(point), value, copy.index, now)
-        self.messages_sent += 1
-        self.trace.append(TraceEvent(
-            now, copy.index, "send", value,
-            point=message.point, receiver=copy.index - 1,
-        ))
+    def deliver(self, copy: AsyncCopy, message: Message, now: float) -> None:
         if self.server is not None:
             started = self.server.submit(message, now)
         else:
@@ -260,32 +229,17 @@ class _AsyncEngine:
             self.push(arrive_at, _PRIO_ARRIVAL, "arrival",
                       copy_index=msg.sender - 1, message=msg)
 
-    def do_restart(self, copy: AsyncCopy, point, value: float, known_grad,
-                   source: str, now: float) -> None:
-        copy.task = Task(value, copy.task.decrement)
-        copy.method = method_restart(copy.method, self.problem, point, value, known_grad)
-        copy.restart_count += 1
+    def restart(self, copy: AsyncCopy, point, value: float, known_grad,
+                source: str, now: float) -> None:
+        """Begin a new epoch at ``point``: log it, restart, resume iterating."""
+
+        self.trace.append(TraceEvent(now, copy.index, "epoch-begin", value))
         copy.inflight_state = None
         copy.pause_candidate = None
         copy.pending_epoch = False
         copy.coincident = False
-        point = point_tuple(point)
-        self.trace.append(TraceEvent(
-            now, copy.index, "restart", value,
-            point=point, source=source,
-        ))
-        if copy.index > -1:
-            self.send_down(copy, point, value, now)
+        super().restart(copy, point, value, known_grad, source, now)
         self.begin_iteration(copy, now)
-
-    def check_halt(self, now: float) -> bool:
-        if self.f_star is None:
-            return False
-        best = min(c.method.best_value for c in self.copies.values())
-        if best - self.f_star <= self.eps:
-            self.halted_at = now
-            return True
-        return False
 
     # -- handlers --------------------------------------------------------------
 
@@ -298,18 +252,12 @@ class _AsyncEngine:
         self.trace.append(TraceEvent(
             now, copy.index, "iterate", copy.method.best_value,
         ))
-        if self.check_halt(now):
+        if self.solved(now):
             return
         if copy.index == self.N:
-            if fulfills(copy.task, copy.method.best_value):
-                value = copy.method.best_value
-                copy.task = Task(value, copy.task.decrement)
-                self.trace.append(TraceEvent(now, copy.index, "task-update", value))
-                if copy.index > -1:
-                    self.send_down(copy, copy.method.best_point, value, now)
+            self.update_top(copy, now)
             self.begin_iteration(copy, now)
-            return
-        if fulfills(copy.task, copy.method.best_value):
+        elif fulfills(copy.task, copy.method.best_value):
             copy.pending_epoch = True
             copy.epoch_version += 1
             self.push(now, _PRIO_EPOCH, "epoch-begin",
@@ -360,84 +308,47 @@ class _AsyncEngine:
             copy.coincident = False
             own_value = copy.method.best_value
             if candidate.value < own_value:
-                self.trace.append(TraceEvent(
-                    now, copy_index, "epoch-begin", candidate.value,
-                ))
-                self.do_restart(copy, candidate.point, candidate.value, None,
-                                "inbox", now)
+                self.restart(copy, candidate.point, candidate.value, None, "inbox", now)
             else:
-                self.trace.append(TraceEvent(
-                    now, copy_index, "epoch-begin", own_value,
-                ))
-                self.do_restart(copy, copy.method.best_point, own_value,
-                                copy.method.best_grad, "own", now)
-            return
-        if fulfills(copy.task, candidate.value):
-            copy.inflight_state = None  # discard the suspended call outright
-            self.trace.append(TraceEvent(
-                now, copy_index, "epoch-begin", candidate.value,
-            ))
-            self.do_restart(copy, candidate.point, candidate.value, None,
-                            "inbox", now)
-            return
-        # The epoch survives: resume the suspended call with what remains.
-        copy.phase = "iterating"
-        if copy.inflight_state is not None:
-            copy.call_version += 1
-            copy.inflight_completes_at = now + copy.inflight_remaining
-            self.push(copy.inflight_completes_at, _PRIO_COMPLETE, "complete",
-                      copy_index=copy_index, version=copy.call_version)
+                self.restart(copy, copy.method.best_point, own_value,
+                             copy.method.best_grad, "own", now)
+        elif fulfills(copy.task, candidate.value):
+            # The suspended call is discarded outright.
+            self.restart(copy, candidate.point, candidate.value, None, "inbox", now)
         else:
-            self.begin_iteration(copy, now)
+            # The epoch survives: resume the suspended call with what remains.
+            copy.phase = "iterating"
+            if copy.inflight_state is not None:
+                copy.call_version += 1
+                copy.inflight_completes_at = now + copy.inflight_remaining
+                self.push(copy.inflight_completes_at, _PRIO_COMPLETE, "complete",
+                          copy_index=copy_index, version=copy.call_version)
+            else:
+                self.begin_iteration(copy, now)
 
     def on_epoch_begin(self, now: float, copy_index: int, version: int) -> None:
         copy = self.copies[copy_index]
         if not copy.pending_epoch or version != copy.epoch_version:
             return
-        copy.pending_epoch = False
-        value = copy.method.best_value
-        self.trace.append(TraceEvent(now, copy_index, "epoch-begin", value))
-        self.do_restart(copy, copy.method.best_point, value,
-                        copy.method.best_grad, "own", now)
+        self.restart(copy, copy.method.best_point, copy.method.best_value,
+                     copy.method.best_grad, "own", now)
 
-    # -- main loop -----------------------------------------------------------
-
-    def run(self, budget: float) -> bool:
+    def run(self) -> None:
         handlers = {
             "complete": self.on_complete,
             "arrival": self.on_arrival,
             "pause-end": self.on_pause_end,
             "epoch-begin": self.on_epoch_begin,
         }
-        while self.heap and self.halted_at is None:
+        for n in range(self.N, -2, -1):
+            self.begin_iteration(self.copies[n], 0.0)
+        while self.heap and self.time_to_eps is None:
             t, _prio, _seq, kind, payload = self.heap[0]
-            if t > budget:
-                return False
+            if t > self.budget:
+                return
             heapq.heappop(self.heap)
             self.sim_time = max(self.sim_time, t)
             handlers[kind](t, **payload)
-        return self.halted_at is not None
-
-    def summary(self, f_x0: float, complete: bool) -> dict:
-        gap = None if self.f_star is None else f_x0 - self.f_star
-        return {
-            "scheme": "async",
-            "method": self.spec.kind,
-            "eps": self.eps,
-            "N": self.N,
-            "n_bar": n_bar(gap, self.eps) if gap is not None and gap > 0.0 else None,
-            "periods": None,
-            "sim_time": self.sim_time,
-            "time_to_eps": self.halted_at,
-            "oracle_calls_total": self.oracle_calls,
-            "restarts_per_copy": {
-                str(n): self.copies[n].restart_count for n in sorted(self.copies)
-            },
-            "messages_total": self.messages_sent,
-            "complete": complete,
-            "f_x0": f_x0,
-            "delay_model": self.delay_model.describe(self.N),
-        }
 
 
 def run_async(
@@ -457,30 +368,12 @@ def run_async(
     value within eps of f_star (when metadata provides f_star).
     """
 
-    if not (eps > 0.0):
-        raise ParameterError(f"eps must be positive, got {eps}")
-    if budget < 0.0:
-        raise ParameterError(f"budget must be nonnegative, got {budget}")
-    if N is None:
-        N = default_N(eps)
-    if N < -1:
-        raise ParameterError(f"N must be at least -1, got {N}")
-    if delay_model is None:
-        delay_model = DelayModel()
-
-    spec = coerce_method_spec(method_kind)
-    engine = _AsyncEngine(problem, spec, eps, N, delay_model)
-
-    top = engine.spin_up(x0, N)
-    f_x0 = top.method.best_value
-    if engine.f_star is not None and f_x0 - engine.f_star <= eps:
-        engine.halted_at = 0.0
-        return engine.trace, engine.summary(f_x0, complete=True)
-    for n in range(N - 1, -2, -1):
-        engine.spin_up(x0, n)
-
-    for n in range(N, -2, -1):
-        engine.begin_iteration(engine.copies[n], 0.0)
-
-    complete = engine.run(budget)
-    return engine.trace, engine.summary(f_x0, complete=complete)
+    engine = _AsyncEngine(problem, method_kind, eps, N, budget,
+                          delay_model if delay_model is not None else DelayModel())
+    engine.spin_up(x0)
+    if engine.time_to_eps is None:
+        engine.run()
+    return engine.trace, engine.summary(
+        "async", engine.delay_model.describe(engine.N),
+        periods=None, sim_time=engine.sim_time,
+    )

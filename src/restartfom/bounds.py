@@ -84,7 +84,7 @@ def k_accel(L: float, delta: float, eps_bar: float) -> int:
     _check_positive(L=L, eps_bar=eps_bar)
     if delta < 0:
         raise ParameterError(f"delta must be nonnegative, got {delta}")
-    return math.floor(2.0 * delta * math.sqrt(L / eps_bar))
+    return _k_fast_gradient(2.0, L, 1.0, delta, eps_bar)
 
 
 def k_univ(M_nu: float, nu: float, delta: float, eps_bar: float) -> int:
@@ -98,7 +98,19 @@ def k_univ(M_nu: float, nu: float, delta: float, eps_bar: float) -> int:
     if delta < 0:
         raise ParameterError(f"delta must be nonnegative, got {delta}")
     lead = 2.0 ** ((3.0 + 5.0 * nu) / (1.0 + 3.0 * nu))
-    return math.floor(lead * (M_nu * delta ** (1.0 + nu) / eps_bar) ** (2.0 / (1.0 + 3.0 * nu)))
+    return _k_fast_gradient(lead, M_nu, nu, delta, eps_bar)
+
+
+def _k_fast_gradient(lead: float, M: float, nu: float, delta: float, eps_bar: float) -> int:
+    """``floor(lead * delta**((1+nu)*p) * (M/eps_bar)**p)`` with ``p = 2/(1+3*nu)``.
+
+    :func:`k_accel` and :func:`k_univ` share this one expression so that at
+    ``nu == 1`` the universal budget is exactly ``floor(2*y)`` where the
+    accelerated one is ``floor(y)``: their leads differ by a factor of 2,
+    which scales every rounding step exactly.
+    """
+    p = 2.0 / (1.0 + 3.0 * nu)
+    return math.floor(lead * delta ** ((1.0 + nu) * p) * (M / eps_bar) ** p)
 
 
 def _log2_or_zero(coefficient: float, base: float) -> float:

@@ -27,25 +27,33 @@ from restartfom.harness import (
 from restartfom.traces import SchemeTrace
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
+def _add_location_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH",
                         help="JSON experiment configuration file")
     parser.add_argument("--out", metavar="DIR",
                         help="output directory (beats RESTARTFOM_OUT and the config)")
+
+
+def _add_run_flags(parser: argparse.ArgumentParser) -> None:
+    _add_location_flags(parser)
     parser.add_argument("--seed", type=int, metavar="INT",
                         help="replace the config's seed list with this one seed")
     parser.add_argument("--budget", type=int, metavar="INT",
                         help="replace the config's period/time budget")
 
 
-def _load_config(args):
-    if not args.config:
+def _read_config(path):
+    if not path:
         raise ConfigError("--config", "this command requires a configuration file")
     try:
-        text = Path(args.config).read_text()
+        text = Path(path).read_text()
     except OSError as exc:
-        raise ConfigError(str(args.config), f"cannot read config: {exc}") from exc
-    config = parse_config(text)
+        raise ConfigError(str(path), f"cannot read config: {exc}") from exc
+    return parse_config(text)
+
+
+def _load_config(args):
+    config = _read_config(args.config)
     if args.seed is not None:
         if args.seed < 0:
             raise ConfigError("--seed", f"expected a nonnegative seed, got {args.seed}")
@@ -58,7 +66,7 @@ def _load_config(args):
 
 
 def _output_dir(args) -> Path:
-    return resolve_output_dir(_load_config(args) if args.config else None, args.out)
+    return resolve_output_dir(_read_config(args.config) if args.config else None, args.out)
 
 
 def _report_exit(report) -> int:
@@ -131,27 +139,26 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     run = commands.add_parser("run", help="run a single (eps, seed) cell")
-    _add_common_flags(run)
+    _add_run_flags(run)
     run.set_defaults(handler=cmd_run)
 
     grid = commands.add_parser("grid", help="run every (eps, seed) cell of a config")
-    _add_common_flags(grid)
+    _add_run_flags(grid)
     grid.set_defaults(handler=cmd_grid)
 
     verify = commands.add_parser("verify", help="check stored summaries against bounds")
-    _add_common_flags(verify)
+    _add_location_flags(verify)
     verify.set_defaults(handler=cmd_verify)
 
     fit = commands.add_parser("fit", help="fit a summary column against a scaling model")
     fit.add_argument("model", choices=("log", "power"))
     fit.add_argument("--field", default="time_to_eps", choices=FIT_FIELDS,
                      help="summary column to fit (default: measured time)")
-    _add_common_flags(fit)
+    _add_location_flags(fit)
     fit.set_defaults(handler=cmd_fit)
 
     dump = commands.add_parser("trace-dump", help="print a JSONL trace readably")
     dump.add_argument("trace", metavar="PATH")
-    _add_common_flags(dump)
     dump.set_defaults(handler=cmd_trace_dump)
 
     return parser

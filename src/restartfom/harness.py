@@ -817,9 +817,25 @@ def fit_rate(summaries, model: str, field: str = "time_to_eps") -> FitResult:
 
 
 def load_summaries(out_dir) -> list[RunSummary]:
-    """Read back the full per-cell records written by run_grid."""
+    """Read back the full per-cell records written by run_grid.
+
+    A record that is not an object or lacks a required field raises
+    :class:`ConfigError` located as ``path:summaries[i]``.
+    """
 
     path = Path(out_dir) / "summaries.json"
     with open(path) as handle:
         document = json.load(handle)
-    return [RunSummary.from_json(record) for record in document["summaries"]]
+    records = document.get("summaries") if isinstance(document, dict) else None
+    if not isinstance(records, list):
+        raise ConfigError(str(path), "expected an object with a 'summaries' list")
+    summaries = []
+    for index, record in enumerate(records):
+        where = f"{path}:summaries[{index}]"
+        if not isinstance(record, dict):
+            raise ConfigError(where, f"expected an object, got {record!r}")
+        try:
+            summaries.append(RunSummary.from_json(record))
+        except TypeError as exc:  # a required field is missing
+            raise ConfigError(where, str(exc)) from exc
+    return summaries

@@ -19,12 +19,12 @@ gradient nobody has computed yet.  Each step reports its own consumption in
     total evaluate() calls == inits + primings + sum(outcome.oracle_calls).
 
 States are exclusively owned by one scheme copy; ``clone()`` supports the
-asynchronous engine's discard-on-restart semantics.
+asynchronous engine's discard-on-restart semantics.  No step writes into an
+array, so a clone may share its arrays with the original.
 """
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import math
 
@@ -111,7 +111,9 @@ class MethodState:
         return self.spec.kind
 
     def clone(self) -> "MethodState":
-        return copy.deepcopy(self)
+        # Shallow is enough: steps rebind arrays and internal entries and
+        # never write into an array.
+        return dataclasses.replace(self, internal=dict(self.internal))
 
     def _offer(self, point: np.ndarray, value: float, grad: np.ndarray | None) -> bool:
         """Consider an evaluated point for best-since-restart; True if strictly better."""
@@ -121,6 +123,11 @@ class MethodState:
             self.best_grad = None if grad is None else grad.copy()
             return True
         return False
+
+
+def _is_zero(g: np.ndarray) -> bool:
+    """Whether a subgradient vanishes; the same test as a zero 2-norm."""
+    return float(g @ g) == 0.0
 
 
 def _resolve_L(spec: MethodSpec, problem: ProblemInstance) -> float:
@@ -146,7 +153,7 @@ def method_init(
         raise UnsupportedQueryError("accel supports unconstrained problems only")
     out = problem.evaluate(start)
     grad = out.subgradient
-    converged = float(np.linalg.norm(grad)) == 0.0
+    converged = _is_zero(grad)
     if kind.kind == "subgrad":
         internal = {"grad": grad.copy()}
     elif kind.kind == "accel":
@@ -198,7 +205,7 @@ def method_restart(
     """
     new_start = problem.project(np.asarray(new_start, dtype=float))
     grad = None if known_grad is None else np.asarray(known_grad, dtype=float).copy()
-    converged = grad is not None and float(np.linalg.norm(grad)) == 0.0
+    converged = grad is not None and _is_zero(grad)
     spec = state.spec
     if spec.kind == "subgrad":
         internal = {"grad": grad}
@@ -249,7 +256,7 @@ def prime(state: MethodState, problem: ProblemInstance) -> int:
         state.internal["grad_y"] = grad
     state.best_grad = grad if out.value <= state.best_value else state.best_grad
     state.needs_prime = False
-    if float(np.linalg.norm(grad)) == 0.0:
+    if _is_zero(grad):
         state.converged = True
     return 1
 
@@ -282,7 +289,7 @@ def subgrad_step(state: MethodState, problem: ProblemInstance) -> StepOutcome:
     state.internal["grad"] = out.subgradient.copy()
     state.iterate_index += 1
     improved = state._offer(x_new, out.value, out.subgradient)
-    if float(np.linalg.norm(out.subgradient)) == 0.0:
+    if _is_zero(out.subgradient):
         state.converged = True
     return StepOutcome(x_new.copy(), out.value, 1, improved, state.converged)
 
@@ -311,7 +318,7 @@ def accel_step(state: MethodState, problem: ProblemInstance) -> StepOutcome:
     state.current_iterate = x_new
     state.iterate_index += 1
     improved = state._offer(x_new, f_x, None)
-    if float(np.linalg.norm(out.subgradient)) == 0.0:
+    if _is_zero(out.subgradient):
         state.converged = True
     return StepOutcome(x_new.copy(), f_x, 1, improved, state.converged)
 
@@ -344,7 +351,7 @@ def univ_step(state: MethodState, problem: ProblemInstance) -> StepOutcome:
         calls += 1
         improved = state._offer(x_t, out_x.value, out_x.subgradient) or improved
         g = out_x.subgradient
-        if float(np.linalg.norm(g)) == 0.0:
+        if _is_zero(g):
             # x_t is optimal; commit to it and idle from here on.
             state.internal.update(L_hat=L_hat, A=A_plus, y=x_t.copy())
             state.current_iterate = x_t.copy()
@@ -364,7 +371,7 @@ def univ_step(state: MethodState, problem: ProblemInstance) -> StepOutcome:
                 L_hat=L_hat / 2.0, A=A_plus, lsum=lsum + a * g, y=y_t.copy())
             state.current_iterate = y_t.copy()
             state.iterate_index += 1
-            if float(np.linalg.norm(out_y.subgradient)) == 0.0:
+            if _is_zero(out_y.subgradient):
                 state.converged = True
             return StepOutcome(y_t.copy(), out_y.value, calls, improved, state.converged)
         L_hat *= 2.0

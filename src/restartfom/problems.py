@@ -345,7 +345,14 @@ class NormPowerProblem(ProblemInstance):
         self.d = float(d)
 
     def _value(self, x: np.ndarray) -> float:
-        return self.mu * float(np.linalg.norm(x - self.center)) ** self.d
+        # A far-away finite point overflows: the norm to inf, or the power
+        # to a Python OverflowError; either way the value is inf.
+        with np.errstate(over="ignore"):
+            r = float(np.linalg.norm(x - self.center))
+        try:
+            return self.mu * r ** self.d
+        except OverflowError:
+            return math.inf
 
     def _subgradient(self, x: np.ndarray) -> np.ndarray:
         offset = x - self.center

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from restartfom.errors import NonFiniteValueError, ParameterError
+from restartfom.errors import ConfigError, NonFiniteValueError, ParameterError
 
 _OPTIONAL_FIELDS = ("sender", "receiver", "source")
 _ENCODER = json.JSONEncoder(allow_nan=False)
@@ -83,7 +83,10 @@ class TraceEvent:
     def from_record(cls, record: dict, points: list[tuple[float, ...]]) -> "TraceEvent":
         point = record.get("point")  # format 1 stores the point inline
         if "point_id" in record:
-            point = points[record["point_id"]]
+            point_id = record["point_id"]
+            if not (isinstance(point_id, int) and 0 <= point_id < len(points)):
+                raise IndexError(f"point_id {point_id!r} is not a row of the point table")
+            point = points[point_id]
         elif point is not None:
             point = tuple(float(v) for v in point)
         return cls(
@@ -187,22 +190,33 @@ class SchemeTrace:
 
     @classmethod
     def read_jsonl(cls, path) -> tuple["SchemeTrace", dict | None]:
+        """Read a format-2 or format-1 file; a malformed line raises
+        :class:`ConfigError` located as ``path:line``."""
+
         trace = cls()
         summary = None
         points: list[tuple[float, ...]] = []
         with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
+            for number, line in enumerate(handle, 1):
                 if line.isspace():
                     continue
-                record = json.loads(line)
-                if "summary" in record:
-                    summary = record["summary"]
-                elif "points" in record:
-                    table = record["points"]
-                    rows = np.frombuffer(binascii.a2b_base64(table["b64"]), dtype=table["dtype"])
-                    points = list(map(tuple, rows.reshape(table["shape"]).tolist()))
-                else:
-                    trace.append(TraceEvent.from_record(record, points))
+                try:
+                    record = json.loads(line)
+                    if not isinstance(record, dict):
+                        raise TypeError(f"expected a JSON object, got {line.strip()[:40]!r}")
+                    if "summary" in record:
+                        summary = record["summary"]
+                    elif "points" in record:
+                        table = record["points"]
+                        rows = np.frombuffer(binascii.a2b_base64(table["b64"]),
+                                             dtype=table["dtype"])
+                        points = list(map(tuple, rows.reshape(table["shape"]).tolist()))
+                    else:
+                        trace.append(TraceEvent.from_record(record, points))
+                except (KeyError, IndexError, TypeError, ValueError) as exc:
+                    # binascii.Error and JSONDecodeError are ValueErrors
+                    raise ConfigError(f"{path}:{number}",
+                                      f"malformed trace record: {exc}") from exc
         return trace, summary
 
 

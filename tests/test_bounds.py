@@ -5,7 +5,7 @@ import math
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from restartfom.bounds import (
@@ -59,6 +59,7 @@ def test_k_univ_examples():
 
 
 @given(st.floats(0.1, 50), st.floats(0.1, 20), st.floats(0.01, 10))
+@example(L=9.999999999999998, delta=0.1, eps_bar=0.1)
 def test_k_univ_smooth_case_is_twice_k_accel_up_to_floor(L, delta, eps_bar):
     # With nu = 1 and M_1 = L the universal budget is floor(4*delta*sqrt(L/e)),
     # which is twice the accelerated budget up to floor rounding.

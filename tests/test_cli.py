@@ -194,3 +194,34 @@ def test_subnormal_eps_is_a_config_error(tmp_path, capsys):
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
     assert "error: eps[0]:" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("record", [{}, [1, 2]], ids=["empty-object", "list"])
+@pytest.mark.parametrize("command", [["verify"], ["fit", "log"]])
+def test_malformed_summary_record_exits_two(tmp_path, capsys, record, command):
+    config = write_config(tmp_path, eps=[0.5, 0.25, 0.125, 0.0625])
+    out = tmp_path / "out"
+    main(["grid", "--config", str(config), "--out", str(out)])
+    document = json.loads((out / "summaries.json").read_text())
+    document["summaries"][1] = record
+    (out / "summaries.json").write_text(json.dumps(document))
+    capsys.readouterr()
+    assert main(command + ["--out", str(out)]) == 2
+    assert "summaries.json:summaries[1]:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["trace-dump", "t.jsonl", "--config", "c.json"],
+    ["trace-dump", "t.jsonl", "--out", "o"],
+    ["trace-dump", "t.jsonl", "--seed", "1"],
+    ["trace-dump", "t.jsonl", "--budget", "5"],
+    ["verify", "--seed", "1"],
+    ["verify", "--budget", "5"],
+    ["fit", "log", "--seed", "1"],
+    ["fit", "log", "--budget", "5"],
+])
+def test_commands_reject_flags_they_would_ignore(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -146,6 +146,35 @@ def test_clone_is_independent():
     assert state.iterate_index == 1
 
 
+def _array_bytes(state) -> dict:
+    fields = {name: getattr(state, name)
+              for name in ("restart_point", "current_iterate", "best_point", "best_grad")}
+    fields.update(state.internal)
+    return {name: value.tobytes() for name, value in fields.items()
+            if isinstance(value, np.ndarray)}
+
+
+@pytest.mark.parametrize("spec, problem", [
+    (MethodSpec("subgrad"), make_norm_power_problem(3, 1.0, 1.0, domain=Ball(np.zeros(3), 2.0))),
+    (MethodSpec("accel"), make_least_squares_problem(4, 6, seed=2)),
+    (MethodSpec("univ", L0=1.0), make_norm_power_problem(3, 1.0, 1.5)),
+])
+def test_stepping_a_clone_leaves_the_original_arrays_untouched(spec, problem):
+    # clone() shares arrays with the original; no step may write into them.
+    state = method_init(spec, problem, np.array([1.5, -0.5, 1.0, 0.25][:problem.dimension]), 0.25)
+    for _ in range(3):
+        step(state, problem)
+    before = _array_bytes(state)
+    assert len(before) >= 4
+    scalars = (state.best_value, state.iterate_index, state.converged)
+    clone = state.clone()
+    for _ in range(5):
+        step(clone, problem)
+    assert clone.iterate_index == state.iterate_index + 5
+    assert _array_bytes(state) == before
+    assert (state.best_value, state.iterate_index, state.converged) == scalars
+
+
 # ---------------------------------------------------------------------------
 # Projected subgradient
 # ---------------------------------------------------------------------------

@@ -530,6 +530,19 @@ def test_public_oracles_reject_non_finite_points_without_warnings(family, bad):
             p.project(np.zeros(p.dimension - 1))
 
 
+@pytest.mark.parametrize("dimension, d, scale", [(2, 2.0, 1e200), (3, 3.0, 1e120),
+                                                  (3, 1.0, 1e308)])
+def test_norm_power_far_finite_point_is_a_typed_error_without_warnings(dimension, d, scale):
+    p = make_norm_power_problem(dimension, 1.0, d)
+    x = np.full(dimension, scale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteValueError):
+            p.evaluate(x)
+        with pytest.raises(NonFiniteValueError):
+            p.value(x)
+
+
 class _NanOracle(ProblemInstance):
     """An oracle that answers NaN at every point."""
 

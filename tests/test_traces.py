@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from restartfom.cli import main
-from restartfom.errors import NonFiniteValueError
+from restartfom.errors import ConfigError, NonFiniteValueError
 from restartfom.problems import make_piecewise_max_problem
 from restartfom.sync_scheme import run_sync
 from restartfom.traces import SchemeTrace, TraceEvent
@@ -110,3 +110,46 @@ def test_trace_dump_prints_points_of_a_format_two_file(tmp_path, capsys):
     assert main(["trace-dump", str(path)]) == 0
     restart = next(e for e in trace.events if e.kind == "restart")
     assert f"point={list(restart.point)!r}" in capsys.readouterr().out
+
+
+def _set_point_id(lines, value):
+    index = next(i for i, line in enumerate(lines) if '"point_id"' in line)
+    record = json.loads(lines[index])
+    record["point_id"] = value
+    lines[index] = json.dumps(record)
+    return index + 1
+
+
+def _edit_table(lines, key, value):
+    header = json.loads(lines[0])
+    header["points"][key] = value
+    lines[0] = json.dumps(header)
+    return 1
+
+
+def _edit_event(lines, text):
+    lines[1] = text
+    return 2
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda lines: _set_point_id(lines, 10**6), id="point-id-out-of-range"),
+    pytest.param(lambda lines: _set_point_id(lines, -1), id="point-id-negative"),
+    pytest.param(lambda lines: _edit_table(lines, "b64", "not base64!"), id="bad-base64"),
+    pytest.param(lambda lines: _edit_table(lines, "shape", [3, 3, 3]), id="wrong-shape"),
+    pytest.param(lambda lines: _edit_event(lines, "[1, 2, 3]"), id="non-object-line"),
+    pytest.param(lambda lines: _edit_event(
+        lines, '{"t": "abc", "copy": 0, "kind": "init", "value": 1.0}'), id="bad-time"),
+])
+def test_malformed_trace_is_a_located_config_error(tmp_path, capsys, edit):
+    trace, summary = lockstep_run()
+    path = tmp_path / "trace.jsonl"
+    trace.write_jsonl(path, summary)
+    lines = path.read_text().splitlines()
+    number = edit(lines)  # the 1-based line the edit broke
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError) as err:
+        SchemeTrace.read_jsonl(path)
+    assert err.value.path == f"{path}:{number}"
+    assert main(["trace-dump", str(path)]) == 2
+    assert f"error: {path}:{number}: malformed trace record" in capsys.readouterr().err
