@@ -26,13 +26,9 @@ from restartfom.problems import (
     GrowthMetadata,
     OracleOutput,
     ProblemInstance,
-    distance_to_opt,
-    evaluate,
-    growth_envelope,
     make_least_squares_problem,
     make_norm_power_problem,
     make_piecewise_max_problem,
-    project,
 )
 from restartfom.methods import MethodSpec, method_init, method_restart
 from restartfom.sync_scheme import run_sync
@@ -54,10 +50,7 @@ __all__ = [
     "bound_sync_theorem",
     "c_const",
     "default_N",
-    "distance_to_opt",
-    "evaluate",
     "fit_rate",
-    "growth_envelope",
     "k_accel",
     "k_subgrad",
     "k_univ",
@@ -68,7 +61,6 @@ __all__ = [
     "method_restart",
     "n_bar",
     "parse_config",
-    "project",
     "run_async",
     "run_grid",
     "run_sync",

@@ -158,15 +158,14 @@ class ServerQueue:
 class AsyncCopy(LadderCopy):
     """A ladder copy plus its place in the event loop."""
 
-    phase: str = "iterating"  # iterating | paused | idle
+    phase: str = "iterating"  # iterating | restarting | paused | idle
     inflight_state: MethodState | None = None
     inflight_remaining: float = 0.0
     inflight_completes_at: float = 0.0
-    call_version: int = 0
-    pause_version: int = 0
-    epoch_version: int = 0
+    # Stamps the copy's one live complete, pause-end or epoch-begin event;
+    # scheduling the next one bumps it, which voids the one before.
+    version: int = 0
     pause_candidate: Message | None = None
-    pending_epoch: bool = False
     coincident: bool = False
 
 
@@ -209,9 +208,9 @@ class _AsyncEngine(Ladder):
         copy.inflight_state = nxt
         copy.inflight_remaining = duration
         copy.inflight_completes_at = now + duration
-        copy.call_version += 1
+        copy.version += 1
         self.push(copy.inflight_completes_at, _PRIO_COMPLETE, "complete",
-                  copy_index=copy.index, version=copy.call_version)
+                  copy_index=copy.index, version=copy.version)
 
     def deliver(self, copy: AsyncCopy, message: Message, now: float) -> None:
         if self.server is not None:
@@ -234,10 +233,6 @@ class _AsyncEngine(Ladder):
         """Begin a new epoch at ``point``: log it, restart, resume iterating."""
 
         self.trace.append(TraceEvent(now, copy.index, "epoch-begin", value))
-        copy.inflight_state = None
-        copy.pause_candidate = None
-        copy.pending_epoch = False
-        copy.coincident = False
         super().restart(copy, point, value, known_grad, source, now)
         self.begin_iteration(copy, now)
 
@@ -245,7 +240,7 @@ class _AsyncEngine(Ladder):
 
     def on_complete(self, now: float, copy_index: int, version: int) -> None:
         copy = self.copies[copy_index]
-        if version != copy.call_version or copy.phase != "iterating":
+        if version != copy.version:
             return
         copy.method = copy.inflight_state
         copy.inflight_state = None
@@ -258,10 +253,10 @@ class _AsyncEngine(Ladder):
             self.update_top(copy, now)
             self.begin_iteration(copy, now)
         elif fulfills(copy.task, copy.method.best_value):
-            copy.pending_epoch = True
-            copy.epoch_version += 1
+            copy.phase = "restarting"
+            copy.version += 1
             self.push(now, _PRIO_EPOCH, "epoch-begin",
-                      copy_index=copy.index, version=copy.epoch_version)
+                      copy_index=copy.index, version=copy.version)
         else:
             self.begin_iteration(copy, now)
 
@@ -276,28 +271,26 @@ class _AsyncEngine(Ladder):
         copy = self.copies[copy_index]
         if copy.phase == "idle" or copy_index == self.N:
             return
-        if copy.pending_epoch:
+        if copy.phase == "restarting":
             # The copy fulfilled its own task this very instant: the pause
             # becomes a comparison between its point and the message's.
-            copy.pending_epoch = False
-            copy.epoch_version += 1
             copy.coincident = True
-        elif copy.phase == "iterating" and copy.inflight_state is not None:
+        elif copy.phase == "iterating":
+            # Suspend: the pause-end scheduled below voids the completion.
             copy.inflight_remaining = copy.inflight_completes_at - now
-            copy.call_version += 1  # suspend: the scheduled completion is stale
         copy.phase = "paused"
         copy.pause_candidate = message
-        copy.pause_version += 1
+        copy.version += 1
         duration = self.delay_model.sample_pause(self.rng)
         self.trace.append(TraceEvent(
             now, copy_index, "pause-begin", message.value, sender=message.sender,
         ))
         self.push(now + duration, _PRIO_PAUSE_END, "pause-end",
-                  copy_index=copy_index, version=copy.pause_version)
+                  copy_index=copy_index, version=copy.version)
 
     def on_pause_end(self, now: float, copy_index: int, version: int) -> None:
         copy = self.copies[copy_index]
-        if version != copy.pause_version or copy.phase != "paused":
+        if version != copy.version:
             return
         candidate = copy.pause_candidate
         copy.pause_candidate = None
@@ -318,17 +311,14 @@ class _AsyncEngine(Ladder):
         else:
             # The epoch survives: resume the suspended call with what remains.
             copy.phase = "iterating"
-            if copy.inflight_state is not None:
-                copy.call_version += 1
-                copy.inflight_completes_at = now + copy.inflight_remaining
-                self.push(copy.inflight_completes_at, _PRIO_COMPLETE, "complete",
-                          copy_index=copy_index, version=copy.call_version)
-            else:
-                self.begin_iteration(copy, now)
+            copy.version += 1
+            copy.inflight_completes_at = now + copy.inflight_remaining
+            self.push(copy.inflight_completes_at, _PRIO_COMPLETE, "complete",
+                      copy_index=copy_index, version=copy.version)
 
     def on_epoch_begin(self, now: float, copy_index: int, version: int) -> None:
         copy = self.copies[copy_index]
-        if not copy.pending_epoch or version != copy.epoch_version:
+        if version != copy.version:
             return
         self.restart(copy, copy.method.best_point, copy.method.best_value,
                      copy.method.best_grad, "own", now)

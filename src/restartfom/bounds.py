@@ -233,31 +233,56 @@ class BoundReport:
         }
 
 
-def _finish(which: str, nb: int, terms: list[tuple[str, float]], regime: str,
-            assumptions_ok: bool) -> BoundReport:
-    total = float(sum(value for _, value in terms))
-    return BoundReport(which, nb, total, terms, regime, assumptions_ok)
-
-
-def _require_metadata(metadata: GrowthMetadata | None, which: str) -> GrowthMetadata:
+def _require_metadata(metadata: GrowthMetadata | None, eps: float,
+                      which: str) -> GrowthMetadata:
+    """``metadata`` once it is present and ``eps`` is positive."""
     if metadata is None:
-        raise UnsupportedQueryError(f"{which}: problem carries no growth metadata")
+        raise UnsupportedQueryError(f"bound_{which}: problem carries no growth metadata")
+    _check_positive(eps=eps)
     return metadata
 
 
-def _gap(metadata: GrowthMetadata, f_x0: float, which: str) -> float:
+def _ladder(metadata: GrowthMetadata, f_x0: float, eps: float, N: int,
+            which: str) -> tuple[float, int, bool, int]:
+    """The initial gap, ``n_bar``, whether the staged regime applies, and the
+    top rung the sums run to (``n_bar`` when staged, else ``N``)."""
     gap = f_x0 - metadata.f_star
     if gap <= 0:
-        raise ParameterError(f"{which}: f(x0) = {f_x0} does not exceed f_star = {metadata.f_star}")
-    return gap
+        raise ParameterError(
+            f"bound_{which}: f(x0) = {f_x0} does not exceed f_star = {metadata.f_star}")
+    nb = n_bar(gap, eps)
+    staged = gap < 5.0 * 2.0 ** N * eps
+    return gap, nb, staged, nb if staged else N
 
 
-def _dist_or_raise(metadata: GrowthMetadata, which: str) -> float:
-    if metadata.dist_x0_to_opt is None:
-        raise UnsupportedQueryError(
-            f"{which}: large-gap regime needs dist_x0_to_opt in the metadata"
-        )
-    return metadata.dist_x0_to_opt
+def _report(which: str, metadata: GrowthMetadata, nb: int, staged: bool,
+            terms: list[tuple[str, float]], add_on: Callable[[float], float],
+            assumptions_ok: bool) -> BoundReport:
+    """The report, with ``add_on(dist_x0_to_opt)`` appended in the large-gap regime."""
+    if not staged:
+        if metadata.dist_x0_to_opt is None:
+            raise UnsupportedQueryError(
+                f"bound_{which}: large-gap regime needs dist_x0_to_opt in the metadata"
+            )
+        terms.append(("initial-distance add-on", add_on(metadata.dist_x0_to_opt)))
+    total = float(sum(value for _, value in terms))
+    return BoundReport(which, nb, total, terms,
+                       REGIME_STAGED if staged else REGIME_ADD_ON, assumptions_ok)
+
+
+def _theorem(which: str, metadata: GrowthMetadata, f_x0: float, eps: float, N: int,
+             budget: Callable[[float, float], float],
+             overheads: Callable[[int], list[tuple[str, float]]]) -> BoundReport:
+    """The per-rung sum both theorems share; they differ in ``overheads(top)`` only."""
+    gap, nb, staged, top = _ladder(metadata, f_x0, eps, N, which)
+    terms = overheads(top)
+    for n in range(-1, top + 1):
+        eps_n = 2.0 ** n * eps
+        D_n = metadata.envelope(metadata.f_star + min(5.0 * eps_n, gap))
+        terms.append((f"copy[n={n}]", 3.0 * budget(D_n, eps_n)))
+    return _report(which, metadata, nb, staged, terms,
+                   lambda dist: float(budget(dist, 2.0 ** N * eps)),
+                   assumptions_ok=gap > eps)
 
 
 def bound_sync_theorem(
@@ -276,23 +301,9 @@ def bound_sync_theorem(
     regime: same shape with ``N`` in place of ``n_bar``, plus one epoch budget
     for closing the initial distance at the top rung.
     """
-    metadata = _require_metadata(metadata, "bound_sync_theorem")
-    _check_positive(eps=eps)
-    gap = _gap(metadata, f_x0, "bound_sync_theorem")
-    nb = n_bar(gap, eps)
-    staged = gap < 5.0 * 2.0 ** N * eps
-    top = nb if staged else N
-    terms: list[tuple[str, float]] = [("startup", float(top + 1))]
-    for n in range(-1, top + 1):
-        eps_n = 2.0 ** n * eps
-        D_n = metadata.envelope(metadata.f_star + min(5.0 * eps_n, gap))
-        terms.append((f"copy[n={n}]", 3.0 * method_k(D_n, eps_n)))
-    if not staged:
-        dist = _dist_or_raise(metadata, "bound_sync_theorem")
-        terms.append(("initial-distance add-on", float(method_k(dist, 2.0 ** N * eps))))
-    return _finish("sync_theorem", nb, terms,
-                   REGIME_STAGED if staged else REGIME_ADD_ON,
-                   assumptions_ok=gap > eps)
+    metadata = _require_metadata(metadata, eps, "sync_theorem")
+    return _theorem("sync_theorem", metadata, f_x0, eps, N, method_k,
+                    lambda top: [("startup", float(top + 1))])
 
 
 def bound_cor_subgrad(metadata: GrowthMetadata, f_x0: float, eps: float, N: int) -> BoundReport:
@@ -302,15 +313,11 @@ def bound_cor_subgrad(metadata: GrowthMetadata, f_x0: float, eps: float, N: int)
     Sharp growth (``d == 1``) gives a rung-independent epoch cost; ``d > 1``
     gives a geometric sum capped by ``n_bar + 5`` rungs.
     """
-    metadata = _require_metadata(metadata, "bound_cor_subgrad")
-    _check_positive(eps=eps)
+    metadata = _require_metadata(metadata, eps, "cor_subgrad")
     if metadata.M is None:
         raise UnsupportedQueryError("bound_cor_subgrad: metadata lacks the Lipschitz bound M")
-    gap = _gap(metadata, f_x0, "bound_cor_subgrad")
+    gap, nb, staged, top = _ladder(metadata, f_x0, eps, N, "cor_subgrad")
     M, mu, d = metadata.M, metadata.mu, metadata.d
-    nb = n_bar(gap, eps)
-    staged = gap < 5.0 * 2.0 ** N * eps
-    top = nb if staged else N
     terms: list[tuple[str, float]] = [("startup", float(top + 1))]
     if d == 1.0:
         terms.append(("epochs", 3.0 * (top + 2) * (5.0 * M / mu) ** 2))
@@ -318,11 +325,8 @@ def bound_cor_subgrad(metadata: GrowthMetadata, f_x0: float, eps: float, N: int)
         e = 1.0 - 1.0 / d
         lead = 3.0 * (5.0 ** (1.0 / d) * M / (mu ** (1.0 / d) * eps ** e)) ** 2
         terms.append(("epochs", lead * min(16.0 ** e / (4.0 ** e - 1.0), top + 5.0)))
-    if not staged:
-        dist = _dist_or_raise(metadata, "bound_cor_subgrad")
-        terms.append(("initial-distance add-on", (M * dist / (2.0 ** N * eps)) ** 2))
-    return _finish("cor_subgrad", nb, terms,
-                   REGIME_STAGED if staged else REGIME_ADD_ON,
+    return _report("cor_subgrad", metadata, nb, staged, terms,
+                   lambda dist: (M * dist / (2.0 ** N * eps)) ** 2,
                    assumptions_ok=gap > eps)
 
 
@@ -331,19 +335,15 @@ def bound_cor_accel(metadata: GrowthMetadata, f_x0: float, eps: float, N: int) -
 
     Requires smoothness, hence growth degree ``d >= 2``.
     """
-    metadata = _require_metadata(metadata, "bound_cor_accel")
-    _check_positive(eps=eps)
+    metadata = _require_metadata(metadata, eps, "cor_accel")
     if metadata.L is None:
         raise UnsupportedQueryError("bound_cor_accel: metadata lacks the smoothness constant L")
     if metadata.d < 2.0:
         raise ParameterError(
             f"bound_cor_accel: smooth objectives have growth degree >= 2, got {metadata.d}"
         )
-    gap = _gap(metadata, f_x0, "bound_cor_accel")
+    gap, nb, staged, top = _ladder(metadata, f_x0, eps, N, "cor_accel")
     L, mu, d = metadata.L, metadata.mu, metadata.d
-    nb = n_bar(gap, eps)
-    staged = gap < 5.0 * 2.0 ** N * eps
-    top = nb if staged else N
     terms: list[tuple[str, float]] = [("startup", float(top + 1))]
     if d == 2.0:
         terms.append(("epochs", 6.0 * (top + 2) * math.sqrt(5.0 * L / mu)))
@@ -351,12 +351,8 @@ def bound_cor_accel(metadata: GrowthMetadata, f_x0: float, eps: float, N: int) -
         e = 0.5 - 1.0 / d
         lead = 6.0 * (5.0 / mu) ** (1.0 / d) * math.sqrt(L) / eps ** e
         terms.append(("epochs", lead * min(4.0 ** e / (2.0 ** e - 1.0), top + 3.0)))
-    if not staged:
-        dist = _dist_or_raise(metadata, "bound_cor_accel")
-        terms.append(("initial-distance add-on",
-                      2.0 * dist * math.sqrt(L / (2.0 ** N * eps))))
-    return _finish("cor_accel", nb, terms,
-                   REGIME_STAGED if staged else REGIME_ADD_ON,
+    return _report("cor_accel", metadata, nb, staged, terms,
+                   lambda dist: 2.0 * dist * math.sqrt(L / (2.0 ** N * eps)),
                    assumptions_ok=gap > eps)
 
 
@@ -376,28 +372,12 @@ def bound_async_theorem(
     the large-gap regime substitutes ``N`` for ``n_bar`` throughout and adds
     one top-rung budget for the initial distance.
     """
-    metadata = _require_metadata(metadata, "bound_async_theorem")
-    _check_positive(eps=eps)
+    metadata = _require_metadata(metadata, eps, "async_theorem")
     if tau_transit < 0 or tau_pause < 0:
         raise ParameterError("delay bounds must be nonnegative")
-    gap = _gap(metadata, f_x0, "bound_async_theorem")
-    nb = n_bar(gap, eps)
-    staged = gap < 5.0 * 2.0 ** N * eps
-    top = nb if staged else N
-    terms: list[tuple[str, float]] = [
-        ("transit", (top + 1) * tau_transit),
-        ("pauses", 2.0 * (top + 2) * tau_pause),
-    ]
-    for n in range(-1, top + 1):
-        eps_n = 2.0 ** n * eps
-        D_n = metadata.envelope(metadata.f_star + min(5.0 * eps_n, gap))
-        terms.append((f"copy[n={n}]", 3.0 * method_t(D_n, eps_n)))
-    if not staged:
-        dist = _dist_or_raise(metadata, "bound_async_theorem")
-        terms.append(("initial-distance add-on", float(method_t(dist, 2.0 ** N * eps))))
-    return _finish("async_theorem", nb, terms,
-                   REGIME_STAGED if staged else REGIME_ADD_ON,
-                   assumptions_ok=gap > eps)
+    return _theorem("async_theorem", metadata, f_x0, eps, N, method_t,
+                    lambda top: [("transit", (top + 1) * tau_transit),
+                                 ("pauses", 2.0 * (top + 2) * tau_pause)])
 
 
 def bound_cor_univ(
@@ -416,8 +396,8 @@ def bound_cor_univ(
     sum capped at ``n_bar + 5`` rungs).  ``assumptions_ok`` additionally
     checks that ``L0`` is admissible at the tightest rung target ``eps/2``.
     """
-    metadata = _require_metadata(metadata, "bound_cor_univ")
-    _check_positive(eps=eps, L0=L0)
+    metadata = _require_metadata(metadata, eps, "cor_univ")
+    _check_positive(L0=L0)
     if tau_transit < 0 or tau_pause < 0:
         raise ParameterError("delay bounds must be nonnegative")
     if metadata.M_nu is None or metadata.nu is None:
@@ -425,10 +405,7 @@ def bound_cor_univ(
     M_nu, nu, mu, d = metadata.M_nu, metadata.nu, metadata.mu, metadata.d
     if d < 1.0 + nu - 1e-15:
         raise ParameterError(f"bound_cor_univ: requires d >= 1 + nu, got d={d}, nu={nu}")
-    gap = _gap(metadata, f_x0, "bound_cor_univ")
-    nb = n_bar(gap, eps)
-    staged = gap < 5.0 * 2.0 ** N * eps
-    top = nb if staged else N
+    gap, nb, staged, top = _ladder(metadata, f_x0, eps, N, "cor_univ")
     q = 1.0 + 3.0 * nu
     lead = 2.0 ** ((3.0 + 5.0 * nu) / q)
     delta0 = metadata.envelope(f_x0)
@@ -443,13 +420,8 @@ def bound_cor_univ(
         e = (1.0 - (1.0 + nu) / d) * 2.0 / q
         body = (M_nu * (5.0 / mu) ** ((1.0 + nu) / d) / eps ** (1.0 - (1.0 + nu) / d)) ** (2.0 / q)
         terms.append(("epochs", 12.0 * lead * body * min(4.0 ** e / (2.0 ** e - 1.0), top + 5.0)))
-    if not staged:
-        dist = _dist_or_raise(metadata, "bound_cor_univ")
-        eps_N = 2.0 ** N * eps
-        add_on = (4.0 * lead * (M_nu * dist ** (1.0 + nu) / eps_N) ** (2.0 / q)
-                  + c_const(dist, eps_N, nu, M_nu, L0))
-        terms.append(("initial-distance add-on", add_on))
-    ok = gap > eps and l0_admissible(M_nu, nu, 0.5 * eps, L0)
-    return _finish("cor_univ", nb, terms,
-                   REGIME_STAGED if staged else REGIME_ADD_ON,
-                   assumptions_ok=ok)
+    eps_N = 2.0 ** N * eps
+    return _report("cor_univ", metadata, nb, staged, terms,
+                   lambda dist: (4.0 * lead * (M_nu * dist ** (1.0 + nu) / eps_N) ** (2.0 / q)
+                                 + c_const(dist, eps_N, nu, M_nu, L0)),
+                   assumptions_ok=gap > eps and l0_admissible(M_nu, nu, 0.5 * eps, L0))

@@ -14,6 +14,7 @@ import dataclasses
 import json
 import math
 import os
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -816,11 +817,21 @@ def fit_rate(summaries, model: str, field: str = "time_to_eps") -> FitResult:
                      n_points=len(points), field=field)
 
 
+def _has_json_type(value, annotation) -> bool:
+    """Whether a JSON value fits a field's annotation: an int is also a
+    float, and a bool is neither."""
+    return any(isinstance(value, bool) == (kind is bool)
+               and isinstance(value, (int, float) if kind is float else kind)
+               for kind in typing.get_args(annotation) or (annotation,))
+
+
 def load_summaries(out_dir) -> list[RunSummary]:
     """Read back the full per-cell records written by run_grid.
 
     A record that is not an object or lacks a required field raises
-    :class:`ConfigError` located as ``path:summaries[i]``.
+    :class:`ConfigError` located as ``path:summaries[i]``; a field whose
+    JSON type does not fit its :class:`RunSummary` annotation, as
+    ``path:summaries[i].field``.
     """
 
     path = Path(out_dir) / "summaries.json"
@@ -829,11 +840,17 @@ def load_summaries(out_dir) -> list[RunSummary]:
     records = document.get("summaries") if isinstance(document, dict) else None
     if not isinstance(records, list):
         raise ConfigError(str(path), "expected an object with a 'summaries' list")
+    annotations = typing.get_type_hints(RunSummary)
     summaries = []
     for index, record in enumerate(records):
         where = f"{path}:summaries[{index}]"
         if not isinstance(record, dict):
             raise ConfigError(where, f"expected an object, got {record!r}")
+        for field in dataclasses.fields(RunSummary):
+            value = record.get(field.name)
+            if field.name in record and not _has_json_type(value, annotations[field.name]):
+                raise ConfigError(f"{where}.{field.name}",
+                                  f"expected {field.type}, got {value!r}")
         try:
             summaries.append(RunSummary.from_json(record))
         except TypeError as exc:  # a required field is missing

@@ -18,13 +18,18 @@ gradient nobody has computed yet.  Each step reports its own consumption in
 
     total evaluate() calls == inits + primings + sum(outcome.oracle_calls).
 
-States are exclusively owned by one scheme copy; ``clone()`` supports the
-asynchronous engine's discard-on-restart semantics.  No step writes into an
-array, so a clone may share its arrays with the original.
+State is typed: :class:`MethodState` holds what every method keeps, and
+:class:`SubgradState`, :class:`AccelState` and :class:`UnivState` add each
+method's own recursion; one constructor builds the state of every (re)start.
+Ownership rule: an array a caller passes in is copied once on entry, and no
+step writes into an array, so states, their shallow ``clone()`` (for the
+asynchronous engine's discard-on-restart) and step outcomes share arrays.
+Each state is exclusively owned by one scheme copy.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import math
 
@@ -40,9 +45,12 @@ from restartfom.errors import (
 from restartfom.problems import AllSpace, ProblemInstance
 
 __all__ = [
+    "AccelState",
     "MethodSpec",
     "MethodState",
     "StepOutcome",
+    "SubgradState",
+    "UnivState",
     "accel_step",
     "method_init",
     "method_restart",
@@ -92,7 +100,7 @@ class StepOutcome:
 
 @dataclasses.dataclass
 class MethodState:
-    """Mutable per-copy method state between (re)starts."""
+    """Per-copy method state between (re)starts: the fields every method keeps."""
 
     spec: MethodSpec
     restart_point: np.ndarray
@@ -104,25 +112,48 @@ class MethodState:
     iterate_index: int
     converged: bool
     needs_prime: bool
-    internal: dict
-
-    @property
-    def kind(self) -> str:
-        return self.spec.kind
 
     def clone(self) -> "MethodState":
-        # Shallow is enough: steps rebind arrays and internal entries and
-        # never write into an array.
-        return dataclasses.replace(self, internal=dict(self.internal))
+        # Shallow is enough: steps rebind fields and never write into an array.
+        return copy.copy(self)
 
     def _offer(self, point: np.ndarray, value: float, grad: np.ndarray | None) -> bool:
         """Consider an evaluated point for best-since-restart; True if strictly better."""
         if value < self.best_value:
-            self.best_point = point.copy()
+            self.best_point = point
             self.best_value = value
-            self.best_grad = None if grad is None else grad.copy()
+            self.best_grad = grad
             return True
         return False
+
+
+@dataclasses.dataclass
+class SubgradState(MethodState):
+    """Projected subgradient: the subgradient at the current iterate."""
+
+    grad: np.ndarray | None
+
+
+@dataclasses.dataclass
+class AccelState(MethodState):
+    """Accelerated gradient: momentum weight t, previous iterate, extrapolated point y."""
+
+    L: float
+    t: float
+    x_prev: np.ndarray
+    y: np.ndarray
+    grad_y: np.ndarray | None
+
+
+@dataclasses.dataclass
+class UnivState(MethodState):
+    """Universal fast gradient: curvature estimate, weight sum, weighted gradient sum."""
+
+    L_hat: float
+    A: float
+    lsum: np.ndarray
+    y: np.ndarray
+    prox_center: np.ndarray
 
 
 def _is_zero(g: np.ndarray) -> bool:
@@ -139,6 +170,33 @@ def _resolve_L(spec: MethodSpec, problem: ProblemInstance) -> float:
                             "spec or the problem metadata)")
 
 
+def _fresh_epoch(spec: MethodSpec, problem: ProblemInstance, start: np.ndarray,
+                 value: float, grad: np.ndarray | None, target_accuracy: float) -> MethodState:
+    """The state of every (re)start: ``start`` is the state's own array, its
+    value is known, and ``grad`` is None when nobody has computed its gradient."""
+    common = dict(
+        spec=spec,
+        restart_point=start,
+        current_iterate=start,
+        best_point=start,
+        best_value=value,
+        best_grad=grad,
+        target_accuracy=target_accuracy,
+        iterate_index=0,
+        converged=grad is not None and _is_zero(grad),
+        needs_prime=grad is None and spec.kind != "univ",
+    )
+    if spec.kind == "subgrad":
+        return SubgradState(**common, grad=grad)
+    if spec.kind == "accel":
+        return AccelState(**common, L=_resolve_L(spec, problem), t=1.0, x_prev=start,
+                          y=start, grad_y=grad)
+    if spec.L0 is None:
+        raise ParameterError("univ needs an initial curvature guess L0")
+    return UnivState(**common, L_hat=spec.L0, A=0.0, lsum=np.zeros(problem.dimension),
+                     y=start, prox_center=start)
+
+
 def method_init(
     kind: MethodSpec,
     problem: ProblemInstance,
@@ -148,45 +206,11 @@ def method_init(
     """Fresh state at ``start``; makes exactly one oracle call there."""
     if not (target_accuracy > 0):
         raise ParameterError(f"target accuracy must be positive, got {target_accuracy}")
-    start = problem.project(np.asarray(start, dtype=float))
+    start = problem.project(np.asarray(start, dtype=float)).copy()
     if kind.kind == "accel" and not isinstance(problem.domain, AllSpace):
         raise UnsupportedQueryError("accel supports unconstrained problems only")
     out = problem.evaluate(start)
-    grad = out.subgradient
-    converged = _is_zero(grad)
-    if kind.kind == "subgrad":
-        internal = {"grad": grad.copy()}
-    elif kind.kind == "accel":
-        internal = {
-            "L": _resolve_L(kind, problem),
-            "t": 1.0,
-            "x_prev": start.copy(),
-            "y": start.copy(),
-            "grad_y": grad.copy(),
-        }
-    else:
-        if kind.L0 is None:
-            raise ParameterError("univ needs an initial curvature guess L0")
-        internal = {
-            "L_hat": kind.L0,
-            "A": 0.0,
-            "lsum": np.zeros(problem.dimension),
-            "y": start.copy(),
-            "prox_center": start.copy(),
-        }
-    return MethodState(
-        spec=kind,
-        restart_point=start.copy(),
-        current_iterate=start.copy(),
-        best_point=start.copy(),
-        best_value=out.value,
-        best_grad=grad.copy(),
-        target_accuracy=target_accuracy,
-        iterate_index=0,
-        converged=converged,
-        needs_prime=False,
-        internal=internal,
-    )
+    return _fresh_epoch(kind, problem, start, out.value, out.subgradient, target_accuracy)
 
 
 def method_restart(
@@ -203,44 +227,10 @@ def method_restart(
     ``needs_prime`` when ``known_grad`` is not supplied; :func:`prime` then
     spends the one call.
     """
-    new_start = problem.project(np.asarray(new_start, dtype=float))
-    grad = None if known_grad is None else np.asarray(known_grad, dtype=float).copy()
-    converged = grad is not None and _is_zero(grad)
-    spec = state.spec
-    if spec.kind == "subgrad":
-        internal = {"grad": grad}
-        needs_prime = grad is None
-    elif spec.kind == "accel":
-        internal = {
-            "L": state.internal["L"],
-            "t": 1.0,
-            "x_prev": new_start.copy(),
-            "y": new_start.copy(),
-            "grad_y": grad,
-        }
-        needs_prime = grad is None
-    else:
-        internal = {
-            "L_hat": spec.L0,
-            "A": 0.0,
-            "lsum": np.zeros(problem.dimension),
-            "y": new_start.copy(),
-            "prox_center": new_start.copy(),
-        }
-        needs_prime = False
-    return MethodState(
-        spec=spec,
-        restart_point=new_start.copy(),
-        current_iterate=new_start.copy(),
-        best_point=new_start.copy(),
-        best_value=float(known_value),
-        best_grad=grad,
-        target_accuracy=state.target_accuracy,
-        iterate_index=0,
-        converged=converged,
-        needs_prime=needs_prime,
-        internal=internal,
-    )
+    start = problem.project(np.asarray(new_start, dtype=float)).copy()
+    grad = None if known_grad is None else np.array(known_grad, dtype=float)
+    return _fresh_epoch(state.spec, problem, start, float(known_value), grad,
+                        state.target_accuracy)
 
 
 def prime(state: MethodState, problem: ProblemInstance) -> int:
@@ -249,11 +239,11 @@ def prime(state: MethodState, problem: ProblemInstance) -> int:
         state.needs_prime = False
         return 0
     out = problem.evaluate(state.current_iterate)
-    grad = out.subgradient.copy()
-    if state.spec.kind == "subgrad":
-        state.internal["grad"] = grad
-    elif state.spec.kind == "accel":
-        state.internal["grad_y"] = grad
+    grad = out.subgradient
+    if isinstance(state, SubgradState):
+        state.grad = grad
+    elif isinstance(state, AccelState):
+        state.grad_y = grad
     state.best_grad = grad if out.value <= state.best_value else state.best_grad
     state.needs_prime = False
     if _is_zero(grad):
@@ -268,12 +258,12 @@ def _require_primed(state: MethodState) -> None:
         )
 
 
-def subgrad_step(state: MethodState, problem: ProblemInstance) -> StepOutcome:
+def subgrad_step(state: SubgradState, problem: ProblemInstance) -> StepOutcome:
     """One projected subgradient step; always exactly one oracle call."""
     if state.spec.kind != "subgrad":
         raise ParameterError(f"subgrad_step on a {state.spec.kind} state")
     _require_primed(state)
-    g = state.internal["grad"]
+    g = state.grad
     g_norm_sq = float(g @ g)
     if g_norm_sq == 0.0:
         # Optimal point in hand: no move (and no division), one confirming call.
@@ -281,20 +271,20 @@ def subgrad_step(state: MethodState, problem: ProblemInstance) -> StepOutcome:
         state.converged = True
         state.iterate_index += 1
         improved = state._offer(state.current_iterate, out.value, out.subgradient)
-        return StepOutcome(state.current_iterate.copy(), out.value, 1, improved, True)
+        return StepOutcome(state.current_iterate, out.value, 1, improved, True)
     x_new = problem.project(
         state.current_iterate - (state.target_accuracy / g_norm_sq) * g)
     out = problem.evaluate(x_new)
     state.current_iterate = x_new
-    state.internal["grad"] = out.subgradient.copy()
+    state.grad = out.subgradient
     state.iterate_index += 1
     improved = state._offer(x_new, out.value, out.subgradient)
     if _is_zero(out.subgradient):
         state.converged = True
-    return StepOutcome(x_new.copy(), out.value, 1, improved, state.converged)
+    return StepOutcome(x_new, out.value, 1, improved, state.converged)
 
 
-def accel_step(state: MethodState, problem: ProblemInstance) -> StepOutcome:
+def accel_step(state: AccelState, problem: ProblemInstance) -> StepOutcome:
     """One accelerated gradient iteration.
 
     The gradient step uses the gradient already in hand at the extrapolated
@@ -306,24 +296,22 @@ def accel_step(state: MethodState, problem: ProblemInstance) -> StepOutcome:
     if state.spec.kind != "accel":
         raise ParameterError(f"accel_step on a {state.spec.kind} state")
     _require_primed(state)
-    L = state.internal["L"]
-    y = state.internal["y"]
-    x_new = y - state.internal["grad_y"] / L
-    t_prev = state.internal["t"]
+    x_new = state.y - state.grad_y / state.L
+    t_prev = state.t
     t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_prev * t_prev))
-    y_new = x_new + ((t_prev - 1.0) / t_new) * (x_new - state.internal["x_prev"])
+    y_new = x_new + ((t_prev - 1.0) / t_new) * (x_new - state.x_prev)
     out = problem.evaluate(y_new)
     f_x = problem.value(x_new)
-    state.internal.update(t=t_new, x_prev=x_new.copy(), y=y_new, grad_y=out.subgradient.copy())
+    state.t, state.x_prev, state.y, state.grad_y = t_new, x_new, y_new, out.subgradient
     state.current_iterate = x_new
     state.iterate_index += 1
     improved = state._offer(x_new, f_x, None)
     if _is_zero(out.subgradient):
         state.converged = True
-    return StepOutcome(x_new.copy(), f_x, 1, improved, state.converged)
+    return StepOutcome(x_new, f_x, 1, improved, state.converged)
 
 
-def univ_step(state: MethodState, problem: ProblemInstance) -> StepOutcome:
+def univ_step(state: UnivState, problem: ProblemInstance) -> StepOutcome:
     """One outer iteration of the universal fast gradient method.
 
     Backtracks on the local curvature estimate: each trial spends two oracle
@@ -334,11 +322,11 @@ def univ_step(state: MethodState, problem: ProblemInstance) -> StepOutcome:
     if state.spec.kind != "univ":
         raise ParameterError(f"univ_step on a {state.spec.kind} state")
     eps_bar = state.target_accuracy
-    x0c = state.internal["prox_center"]
-    lsum = state.internal["lsum"]
-    y = state.internal["y"]
-    A = state.internal["A"]
-    L_hat = state.internal["L_hat"]
+    x0c = state.prox_center
+    lsum = state.lsum
+    y = state.y
+    A = state.A
+    L_hat = state.L_hat
     calls = 0
     improved = False
     for _ in range(LINE_SEARCH_TRIAL_CAP):
@@ -353,11 +341,11 @@ def univ_step(state: MethodState, problem: ProblemInstance) -> StepOutcome:
         g = out_x.subgradient
         if _is_zero(g):
             # x_t is optimal; commit to it and idle from here on.
-            state.internal.update(L_hat=L_hat, A=A_plus, y=x_t.copy())
-            state.current_iterate = x_t.copy()
+            state.L_hat, state.A, state.y = L_hat, A_plus, x_t
+            state.current_iterate = x_t
             state.iterate_index += 1
             state.converged = True
-            return StepOutcome(x_t.copy(), out_x.value, calls, improved, True)
+            return StepOutcome(x_t, out_x.value, calls, improved, True)
         x_hat = problem.project(x0c - lsum - a * g)
         y_t = tau * x_hat + (1.0 - tau) * y
         out_y = problem.evaluate(y_t)
@@ -367,15 +355,15 @@ def univ_step(state: MethodState, problem: ProblemInstance) -> StepOutcome:
                      + 0.5 * L_hat * float(np.linalg.norm(y_t - x_t) ** 2)
                      + 0.5 * eps_bar * tau)
         if out_y.value <= gap_model:
-            state.internal.update(
-                L_hat=L_hat / 2.0, A=A_plus, lsum=lsum + a * g, y=y_t.copy())
-            state.current_iterate = y_t.copy()
+            state.L_hat, state.A, state.y = L_hat / 2.0, A_plus, y_t
+            state.lsum = lsum + a * g
+            state.current_iterate = y_t
             state.iterate_index += 1
             if _is_zero(out_y.subgradient):
                 state.converged = True
-            return StepOutcome(y_t.copy(), out_y.value, calls, improved, state.converged)
+            return StepOutcome(y_t, out_y.value, calls, improved, state.converged)
         L_hat *= 2.0
-        state.internal["L_hat"] = L_hat
+        state.L_hat = L_hat
     raise LineSearchStallError(state.iterate_index + 1, L_hat)
 
 

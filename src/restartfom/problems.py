@@ -46,13 +46,9 @@ __all__ = [
     "OracleOutput",
     "PiecewiseMaxProblem",
     "ProblemInstance",
-    "distance_to_opt",
-    "evaluate",
-    "growth_envelope",
     "make_least_squares_problem",
     "make_norm_power_problem",
     "make_piecewise_max_problem",
-    "project",
 ]
 
 
@@ -485,15 +481,19 @@ class LeastSquaresProblem(ProblemInstance):
             raise ParameterError("b must lie in the range of A (consistent system)")
 
     def _value(self, x: np.ndarray) -> float:
-        r = self.A @ x - self.b
-        return 0.5 * float(r @ r)
+        # A far-away finite point overflows the residual (to inf, or to nan
+        # where infinities cancel); evaluate/value report NonFiniteValueError.
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = self.A @ x - self.b
+            return 0.5 * float(r @ r)
 
     def _subgradient(self, x: np.ndarray) -> np.ndarray:
         return self.A.T @ (self.A @ x - self.b)
 
     def _oracle(self, x: np.ndarray) -> tuple[float, np.ndarray | None]:
-        r = self.A @ x - self.b
-        value = 0.5 * float(r @ r)
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = self.A @ x - self.b
+            value = 0.5 * float(r @ r)
         return value, self.A.T @ r if math.isfinite(value) else None
 
     def distance_to_opt(self, x) -> float:
@@ -632,28 +632,8 @@ def make_least_squares_problem(
 
 
 # ---------------------------------------------------------------------------
-# Module-level operation aliases and a counting wrapper
+# A counting wrapper
 # ---------------------------------------------------------------------------
-
-
-def evaluate(problem: ProblemInstance, x) -> OracleOutput:
-    """Full oracle query; accounting of calls lives with the caller."""
-    return problem.evaluate(x)
-
-
-def project(problem: ProblemInstance, x) -> np.ndarray:
-    """Euclidean projection of ``x`` onto the problem's feasible set."""
-    return problem.project(x)
-
-
-def distance_to_opt(problem: ProblemInstance, x) -> float:
-    """Exact distance from ``x`` to the optimal set (test problems only)."""
-    return problem.distance_to_opt(x)
-
-
-def growth_envelope(problem: ProblemInstance, f_hat: float) -> float:
-    """Growth-certified radius of the sublevel set ``{f <= f_hat}``."""
-    return problem.growth_envelope(f_hat)
 
 
 class CountingProblem:

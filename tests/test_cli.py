@@ -210,6 +210,23 @@ def test_malformed_summary_record_exits_two(tmp_path, capsys, record, command):
     assert "summaries.json:summaries[1]:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("time_to_eps", "abc"), ("N", "3"), ("oracle_calls_total", True),
+    ("complete", 1), ("eps", None), ("restarts_per_copy", []),
+])
+@pytest.mark.parametrize("command", [["verify"], ["fit", "log"]])
+def test_summary_field_of_the_wrong_type_exits_two(tmp_path, capsys, field, value, command):
+    config = write_config(tmp_path, eps=[0.5, 0.25, 0.125, 0.0625])
+    out = tmp_path / "out"
+    main(["grid", "--config", str(config), "--out", str(out)])
+    document = json.loads((out / "summaries.json").read_text())
+    document["summaries"][2][field] = value
+    (out / "summaries.json").write_text(json.dumps(document))
+    capsys.readouterr()
+    assert main(command + ["--out", str(out)]) == 2
+    assert f"summaries.json:summaries[2].{field}: expected" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["trace-dump", "t.jsonl", "--config", "c.json"],
     ["trace-dump", "t.jsonl", "--out", "o"],

@@ -48,9 +48,9 @@ def test_init_evaluates_start_once():
 def test_init_accel_zeroes_momentum():
     p = make_norm_power_problem(1, 1.0, 2.0)
     state = method_init(MethodSpec("accel"), p, np.array([1.0]), 0.5)
-    assert state.internal["t"] == 1.0
+    assert state.t == 1.0
     assert state.best_value == 1.0
-    assert state.internal["L"] == 2.0  # resolved from metadata
+    assert state.L == 2.0  # resolved from metadata
 
 
 def test_init_validation():
@@ -113,9 +113,9 @@ def test_restart_resets_accel_momentum():
     state = method_init(MethodSpec("accel"), p, np.array([1.0]), 0.01)
     for _ in range(5):
         step(state, p)
-    assert state.internal["t"] > 1.0
+    assert state.t > 1.0
     fresh = method_restart(state, p, state.best_point, state.best_value)
-    assert fresh.internal["t"] == 1.0
+    assert fresh.t == 1.0
     assert fresh.iterate_index == 0
 
 
@@ -123,10 +123,10 @@ def test_restart_resets_univ_curvature_to_L0():
     p = make_norm_power_problem(1, 1.0, 2.0)
     state = method_init(MethodSpec("univ", L0=2.0), p, np.array([1.0]), 0.25)
     step(state, p)
-    assert state.internal["L_hat"] == 1.0  # halved after the accepted step
+    assert state.L_hat == 1.0  # halved after the accepted step
     fresh = method_restart(state, p, state.best_point, state.best_value)
-    assert fresh.internal["L_hat"] == 2.0
-    assert fresh.internal["A"] == 0.0
+    assert fresh.L_hat == 2.0
+    assert fresh.A == 0.0
 
 
 def test_stepping_before_priming_is_an_error():
@@ -142,15 +142,12 @@ def test_clone_is_independent():
     snap = state.clone()
     step(state, p)
     assert snap.iterate_index == 0
-    assert snap.internal["t"] == 1.0
+    assert snap.t == 1.0
     assert state.iterate_index == 1
 
 
 def _array_bytes(state) -> dict:
-    fields = {name: getattr(state, name)
-              for name in ("restart_point", "current_iterate", "best_point", "best_grad")}
-    fields.update(state.internal)
-    return {name: value.tobytes() for name, value in fields.items()
+    return {name: value.tobytes() for name, value in vars(state).items()
             if isinstance(value, np.ndarray)}
 
 
@@ -173,6 +170,28 @@ def test_stepping_a_clone_leaves_the_original_arrays_untouched(spec, problem):
     assert clone.iterate_index == state.iterate_index + 5
     assert _array_bytes(state) == before
     assert (state.best_value, state.iterate_index, state.converged) == scalars
+
+
+@pytest.mark.parametrize("spec", [
+    MethodSpec("subgrad"),
+    MethodSpec("accel"),
+    MethodSpec("univ", L0=1.0),
+])
+def test_states_own_the_arrays_callers_pass_in(spec):
+    # The one copy on entry: a caller may write into its arrays afterwards.
+    p = make_norm_power_problem(2, 1.0, 2.0)
+    x = np.array([1.0, -2.0])
+    state = method_init(spec, p, x, 0.25)
+    x[:] = 7.0
+    y = np.array([0.5, 0.5])
+    g = p.evaluate(y).subgradient
+    fresh = method_restart(state, p, y, p.value(y), g)
+    y[:] = 7.0
+    g[:] = 7.0
+    for owner, expected in ((state, [1.0, -2.0]), (fresh, [0.5, 0.5])):
+        for name in ("restart_point", "current_iterate", "best_point"):
+            assert getattr(owner, name).tolist() == expected, name
+    assert fresh.best_grad.tolist() == [1.0, 1.0]
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +337,7 @@ def test_univ_smooth_first_iteration_accepts_quickly():
     state = method_init(MethodSpec("univ", L0=2.0), p, np.array([1.0]), 0.25)
     outcome = step(state, p)
     assert outcome.oracle_calls <= 4
-    assert state.internal["L_hat"] == 1.0  # halved once on acceptance
+    assert state.L_hat == 1.0  # halved once on acceptance
 
 
 def test_univ_reaches_target_within_k_univ():
@@ -365,7 +384,7 @@ def test_univ_line_search_doubles_until_model_holds():
     state = method_init(MethodSpec("univ", L0=1e-4), p, np.array([1.0]), 0.25)
     outcome = step(state, p)
     assert outcome.oracle_calls > 2
-    assert state.internal["L_hat"] >= 1e-4  # net growth despite the final halving
+    assert state.L_hat >= 1e-4  # net growth despite the final halving
 
 
 def test_univ_line_search_stall_diagnostic():

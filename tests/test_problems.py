@@ -23,13 +23,9 @@ from restartfom.problems import (
     LeastSquaresProblem,
     PiecewiseMaxProblem,
     ProblemInstance,
-    distance_to_opt,
-    evaluate,
-    growth_envelope,
     make_least_squares_problem,
     make_norm_power_problem,
     make_piecewise_max_problem,
-    project,
 )
 
 # ---------------------------------------------------------------------------
@@ -39,21 +35,21 @@ from restartfom.problems import (
 
 def test_evaluate_scaled_abs():
     p = make_norm_power_problem(1, mu=2.0, d=1.0)
-    out = evaluate(p, np.array([3.0]))
+    out = p.evaluate(np.array([3.0]))
     assert out.value == 6.0
     assert out.subgradient == pytest.approx([2.0])
 
 
 def test_evaluate_scaled_abs_at_minimizer_returns_zero_subgradient():
     p = make_norm_power_problem(1, mu=2.0, d=1.0)
-    out = evaluate(p, np.array([0.0]))
+    out = p.evaluate(np.array([0.0]))
     assert out.value == 0.0
     assert np.all(out.subgradient == 0.0)
 
 
 def test_evaluate_least_squares_identity():
     p = LeastSquaresProblem(np.eye(2), np.array([1.0, 0.0]))
-    out = evaluate(p, np.zeros(2))
+    out = p.evaluate(np.zeros(2))
     assert out.value == pytest.approx(0.5)
     assert out.subgradient == pytest.approx([-1.0, 0.0])
 
@@ -61,15 +57,15 @@ def test_evaluate_least_squares_identity():
 def test_evaluate_rejects_dimension_mismatch():
     p = make_norm_power_problem(2, mu=1.0, d=1.0)
     with pytest.raises(DimensionMismatchError):
-        evaluate(p, np.zeros(3))
+        p.evaluate(np.zeros(3))
 
 
 def test_evaluate_rejects_non_finite_points():
     p = make_norm_power_problem(2, mu=1.0, d=1.0)
     with pytest.raises(NonFiniteInputError):
-        evaluate(p, np.array([1.0, np.nan]))
+        p.evaluate(np.array([1.0, np.nan]))
     with pytest.raises(NonFiniteInputError):
-        evaluate(p, np.array([np.inf, 0.0]))
+        p.evaluate(np.array([np.inf, 0.0]))
 
 
 # ---------------------------------------------------------------------------
@@ -79,18 +75,18 @@ def test_evaluate_rejects_non_finite_points():
 
 def test_project_halfline_box():
     p = make_norm_power_problem(1, mu=1.0, d=1.0, domain=Box([0.0], [np.inf]))
-    assert project(p, np.array([-1.0])) == pytest.approx([0.0])
+    assert p.project(np.array([-1.0])) == pytest.approx([0.0])
 
 
 def test_project_all_space_is_identity():
     p = make_norm_power_problem(3, mu=1.0, d=2.0)
     x = np.array([5.0, -2.0, 0.5])
-    assert project(p, x) == pytest.approx(x)
+    assert p.project(x) == pytest.approx(x)
 
 
 def test_project_unit_ball_radial_scaling():
     p = make_norm_power_problem(2, mu=1.0, d=1.0, domain=Ball(np.zeros(2), 1.0))
-    assert project(p, np.array([3.0, 4.0])) == pytest.approx([0.6, 0.8])
+    assert p.project(np.array([3.0, 4.0])) == pytest.approx([0.6, 0.8])
 
 
 @given(st.lists(st.floats(-50, 50), min_size=2, max_size=2),
@@ -325,7 +321,7 @@ def test_least_squares_distance_matches_brute_force_on_affine_line():
         ts = np.linspace(-60, 60, 200001)
         brute = np.min(np.linalg.norm(
             x[None, :] - (x_part[None, :] + ts[:, None] * null_dir[None, :]), axis=1))
-        assert distance_to_opt(p, x) == pytest.approx(brute, abs=1e-6)
+        assert p.distance_to_opt(x) == pytest.approx(brute, abs=1e-6)
 
 
 def test_least_squares_growth_certificate_and_envelope():
@@ -376,23 +372,23 @@ def test_least_squares_rejects_bad_parameters():
 
 def test_growth_envelope_linear():
     p = make_norm_power_problem(1, mu=2.0, d=1.0)
-    assert growth_envelope(p, 1.0) == pytest.approx(0.5)
+    assert p.growth_envelope(1.0) == pytest.approx(0.5)
 
 
 def test_growth_envelope_at_optimum_is_zero():
     p = make_norm_power_problem(2, mu=2.0, d=1.0)
-    assert growth_envelope(p, 0.0) == 0.0
+    assert p.growth_envelope(0.0) == 0.0
 
 
 def test_growth_envelope_square_root():
     p = make_norm_power_problem(2, mu=1.0, d=2.0)
-    assert growth_envelope(p, 4.0) == pytest.approx(2.0)
+    assert p.growth_envelope(4.0) == pytest.approx(2.0)
 
 
 def test_growth_envelope_rejects_values_below_optimum():
     p = make_norm_power_problem(2, mu=1.0, d=2.0)
     with pytest.raises(ParameterError):
-        growth_envelope(p, -0.1)
+        p.growth_envelope(-0.1)
 
 
 def test_metadata_validates_growth_degree_against_holder_exponent():
@@ -412,12 +408,12 @@ def test_metadata_validates_growth_degree_against_holder_exponent():
 
 def test_distance_to_opt_single_point():
     p = make_norm_power_problem(2, mu=1.0, d=1.0)
-    assert distance_to_opt(p, np.array([3.0, 4.0])) == pytest.approx(5.0)
+    assert p.distance_to_opt(np.array([3.0, 4.0])) == pytest.approx(5.0)
 
 
 def test_distance_to_opt_on_optimal_set_is_zero():
     p = make_piecewise_max_problem(3, 6, seed=2)
-    assert distance_to_opt(p, p.minimizer) == 0.0
+    assert p.distance_to_opt(p.minimizer) == 0.0
 
 
 def test_distance_to_opt_without_descriptor_raises():
@@ -430,9 +426,9 @@ def test_distance_to_opt_without_descriptor_raises():
 
     p = Opaque("opaque", 2)
     with pytest.raises(UnsupportedQueryError):
-        distance_to_opt(p, np.zeros(2))
+        p.distance_to_opt(np.zeros(2))
     with pytest.raises(UnsupportedQueryError):
-        growth_envelope(p, 1.0)
+        p.growth_envelope(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +560,13 @@ def test_finite_point_with_non_finite_value_raises():
         p.value(np.zeros(2))
     with pytest.raises(NonFiniteInputError):
         p.evaluate(np.array([0.0, np.inf]))
-    # A real family: the residual's squared norm overflows at a finite point.
+    # A real family: at a finite point the residual's squared norm overflows
+    # (1e200), or the residual itself does and infinities cancel (1.7e308).
     lsq = make_least_squares_problem(6, 9, seed=4)
-    with np.errstate(over="ignore"), pytest.raises(NonFiniteValueError):
-        lsq.evaluate(np.full(6, 1e200))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale in (1e200, 1.7e308):
+            with pytest.raises(NonFiniteValueError):
+                lsq.evaluate(np.full(6, scale))
+            with pytest.raises(NonFiniteValueError):
+                lsq.value(np.full(6, scale))
