@@ -830,8 +830,9 @@ def load_summaries(out_dir) -> list[RunSummary]:
 
     A record that is not an object or lacks a required field raises
     :class:`ConfigError` located as ``path:summaries[i]``; a field whose
-    JSON type does not fit its :class:`RunSummary` annotation, as
-    ``path:summaries[i].field``.
+    JSON type does not fit its :class:`RunSummary` annotation, or that holds
+    NaN (which compares false with every bound), as ``path:summaries[i].field``.
+    Infinity stays a number, so an infinite time fails its bounds.
     """
 
     path = Path(out_dir) / "summaries.json"
@@ -851,6 +852,8 @@ def load_summaries(out_dir) -> list[RunSummary]:
             if field.name in record and not _has_json_type(value, annotations[field.name]):
                 raise ConfigError(f"{where}.{field.name}",
                                   f"expected {field.type}, got {value!r}")
+            if isinstance(value, float) and math.isnan(value):
+                raise ConfigError(f"{where}.{field.name}", "NaN is not a measurement")
         try:
             summaries.append(RunSummary.from_json(record))
         except TypeError as exc:  # a required field is missing

@@ -29,9 +29,9 @@ Each state is exclusively owned by one scheme copy.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,8 +87,7 @@ class MethodSpec:
             raise ParameterError(f"curvature guess L0 must be positive, got {self.L0}")
 
 
-@dataclasses.dataclass(frozen=True)
-class StepOutcome:
+class StepOutcome(NamedTuple):
     """What one step produced and what it cost."""
 
     new_iterate: np.ndarray
@@ -115,7 +114,9 @@ class MethodState:
 
     def clone(self) -> "MethodState":
         # Shallow is enough: steps rebind fields and never write into an array.
-        return copy.copy(self)
+        twin = object.__new__(type(self))
+        twin.__dict__.update(self.__dict__)
+        return twin
 
     def _offer(self, point: np.ndarray, value: float, grad: np.ndarray | None) -> bool:
         """Consider an evaluated point for best-since-restart; True if strictly better."""

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, flag precedence, exit codes."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -225,6 +226,32 @@ def test_summary_field_of_the_wrong_type_exits_two(tmp_path, capsys, field, valu
     capsys.readouterr()
     assert main(command + ["--out", str(out)]) == 2
     assert f"summaries.json:summaries[2].{field}: expected" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["time_to_eps", "eps", "bound_theorem", "f_x0"])
+@pytest.mark.parametrize("command", [["verify"], ["fit", "log"]])
+def test_nan_in_a_summary_exits_two(tmp_path, capsys, field, command):
+    config = write_config(tmp_path, eps=[0.5, 0.25, 0.125, 0.0625])
+    out = tmp_path / "out"
+    main(["grid", "--config", str(config), "--out", str(out)])
+    document = json.loads((out / "summaries.json").read_text())
+    document["summaries"][1][field] = math.nan
+    (out / "summaries.json").write_text(json.dumps(document))  # writes a bare NaN
+    capsys.readouterr()
+    assert main(command + ["--out", str(out)]) == 2
+    assert f"summaries.json:summaries[1].{field}: NaN" in capsys.readouterr().err
+
+
+def test_infinite_time_in_a_summary_fails_its_bounds(tmp_path, capsys):
+    config = write_config(tmp_path)
+    out = tmp_path / "out"
+    main(["grid", "--config", str(config), "--out", str(out)])
+    document = json.loads((out / "summaries.json").read_text())
+    document["summaries"][1]["time_to_eps"] = math.inf
+    (out / "summaries.json").write_text(json.dumps(document))
+    capsys.readouterr()
+    assert main(["verify", "--out", str(out)]) == 1
+    assert "[FAIL] eps=0.25 seed=0: inf exceeds" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv", [

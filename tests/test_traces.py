@@ -1,11 +1,14 @@
 """Trace files: the format-2 point table, format-1 reading, valid JSON only."""
 
 import base64
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from restartfom.cli import main
 from restartfom.errors import ConfigError, NonFiniteValueError
@@ -153,3 +156,151 @@ def test_malformed_trace_is_a_located_config_error(tmp_path, capsys, edit):
     assert err.value.path == f"{path}:{number}"
     assert main(["trace-dump", str(path)]) == 2
     assert f"error: {path}:{number}: malformed trace record" in capsys.readouterr().err
+
+
+def _replace_values(path, kind, text):
+    """Write ``text`` as the raw JSON value of every ``kind`` event; returns
+    the 1-based number of the first line changed."""
+
+    lines = path.read_text().splitlines()
+    changed = [i for i, line in enumerate(lines) if f'"kind": "{kind}"' in line]
+    for i in changed:
+        record = json.loads(lines[i])
+        record["value"] = "@"
+        lines[i] = json.dumps(record).replace('"@"', text)
+    path.write_text("\n".join(lines) + "\n")
+    return changed[0] + 1
+
+
+@pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e999", '"nan"'])
+def test_non_finite_restart_values_are_a_located_config_error(tmp_path, capsys, text):
+    trace, summary = lockstep_run()
+    path = tmp_path / "trace.jsonl"
+    trace.write_jsonl(path, summary)
+    number = _replace_values(path, "restart", text)
+    with pytest.raises(ConfigError) as err:
+        SchemeTrace.read_jsonl(path)
+    assert err.value.path == f"{path}:{number}"
+    assert main(["trace-dump", str(path)]) == 2
+    assert f"error: {path}:{number}: malformed trace record" in capsys.readouterr().err
+
+
+def _long_trace(events):
+    return SchemeTrace([TraceEvent(float(i), i % 5 - 1, "iterate", 100.0 - i * 1e-3)
+                        for i in range(events)])
+
+
+@pytest.mark.parametrize("where", [3, 2500, 5999])
+def test_malformed_line_in_a_long_trace_is_located(tmp_path, where):
+    path = tmp_path / "trace.jsonl"
+    _long_trace(6000).write_jsonl(path)  # several read chunks
+    lines = path.read_text().splitlines()
+    lines[where - 1] = lines[where - 1].replace('"value"', '"value" 1')
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError) as err:
+        SchemeTrace.read_jsonl(path)
+    assert err.value.path == f"{path}:{where}"
+
+
+def test_the_first_malformed_line_is_the_one_reported(tmp_path):
+    path = tmp_path / "trace.jsonl"
+    _long_trace(50).write_jsonl(path)
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[19])
+    record["t"] = "abc"
+    lines[19] = json.dumps(record)  # parses, but is no event
+    lines[29] = lines[29][:-1]  # does not parse
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError) as err:
+        SchemeTrace.read_jsonl(path)
+    assert err.value.path == f"{path}:20"
+
+
+ITERATE = '{"t": 1.0, "copy": 0, "kind": "iterate", "value": 2.0'
+
+
+@pytest.mark.parametrize("merged", [
+    # With two records on line 11 and one record over two later lines,
+    # the chunk joined into one array still parses to one element per line.
+    pytest.param([f'{ITERATE}, "x": [{{"a": 1}}', '{"b": 2}]}'], id="array"),
+    pytest.param([f"{ITERATE}", '"source": "own"}'], id="object"),
+    pytest.param([], id="split-only"),
+])
+def test_lines_that_cancel_out_in_one_chunk_are_still_refused(tmp_path, merged):
+    path = tmp_path / "trace.jsonl"
+    _long_trace(50).write_jsonl(path)
+    lines = path.read_text().splitlines()
+    lines[10:11 + len(merged)] = [f"{ITERATE}}}, {ITERATE}}}", *merged]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError) as err:
+        SchemeTrace.read_jsonl(path)
+    assert err.value.path == f"{path}:11"
+
+
+@pytest.mark.parametrize("event", [
+    TraceEvent(0, 1, "init", 2),
+    TraceEvent(0.5, True, "iterate", 1.5),
+    TraceEvent(1.0, 0, "send", 1.5, sender=False, receiver=-1),
+    TraceEvent(1.0, 0, "restart", 1.5, source="ünïcode"),
+])
+def test_fields_of_other_types_are_written_as_the_json_encoder_writes_them(tmp_path, event):
+    path = tmp_path / "trace.jsonl"
+    SchemeTrace([event]).write_jsonl(path)
+    record = {name: item for name, item in event._asdict().items() if item is not None}
+    assert path.read_text().splitlines()[1] == json.JSONEncoder(allow_nan=False).encode(record)
+
+
+KINDS = ("init", "iterate", "restart", "task-update", "send", "arrival",
+         "pause-begin", "pause-end", "epoch-begin")
+EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                               -1.7976931348623157e308, 0.1, 1e16, 1e-7])
+FLOATS = (EDGE_FLOATS | st.floats(allow_nan=False, allow_infinity=False)
+          | st.builds(np.float64, st.floats(allow_nan=False, allow_infinity=False)))
+COPIES = st.integers(-3, 70)
+POINTS = st.tuples(FLOATS, FLOATS)
+
+
+@st.composite
+def trace_events(draw):
+    """Events with every combination of point, sender, receiver and source,
+    plus some whose point repeats an earlier one."""
+
+    events = []
+    for has in itertools.product((False, True), repeat=4):
+        events.append(TraceEvent(
+            t=draw(FLOATS | st.integers(-5, 5)), copy=draw(COPIES),
+            kind=draw(st.sampled_from(KINDS)), value=draw(FLOATS),
+            point=draw(POINTS) if has[0] else None,
+            sender=draw(COPIES) if has[1] else None,
+            receiver=draw(COPIES) if has[2] else None,
+            source=draw(st.sampled_from(("own", "inbox"))) if has[3] else None))
+    for point in draw(st.lists(st.sampled_from([e.point for e in events if e.point]), max_size=4)):
+        events.append(TraceEvent(1.0, 0, "restart", 2.0, point=point, source="own"))
+        events.append(TraceEvent(1.0, 0, "send", 2.0, point=point, receiver=-1))
+    return draw(st.permutations(events))
+
+
+@given(events=trace_events())
+def test_event_lines_are_what_the_json_encoder_writes(tmp_path_factory, events):
+    path = tmp_path_factory.mktemp("lines") / "trace.jsonl"
+    trace = SchemeTrace(events)
+    trace.write_jsonl(path)
+    encoder = json.JSONEncoder(allow_nan=False)
+    rows = {}
+    expected = []
+    for event in events:
+        record = {"t": event.t, "copy": event.copy, "kind": event.kind, "value": event.value}
+        if event.point is not None:
+            record["point_id"] = rows.setdefault(event.point, len(rows))
+        for name in ("sender", "receiver", "source"):
+            if getattr(event, name) is not None:
+                record[name] = getattr(event, name)
+        expected.append(encoder.encode(record))
+    assert path.read_text().splitlines()[1:] == expected
+
+    back, summary = SchemeTrace.read_jsonl(path)
+    assert summary is None
+    assert back == trace
+    for a, b in itertools.combinations(back.events, 2):
+        if a.point is not None and a.point == b.point:
+            assert a.point is b.point
