@@ -88,6 +88,8 @@ class DelayModel:
         ):
             if not (value > 0.0 and math.isfinite(value)):
                 raise ParameterError(f"{label} must be positive, got {value}")
+        if self.seed is not None and self.seed < 0:
+            raise ParameterError(f"seed must be nonnegative, got {self.seed}")
 
     def effective_tau_transit(self, N: int) -> float:
         """Transit bound honored by deliveries when N + 2 copies share the wire."""
@@ -107,7 +109,7 @@ class DelayModel:
             return self.tau_pause
         return self.tau_pause - rng.uniform(0.0, self.tau_pause)
 
-    def describe(self, N: int | None = None) -> dict:
+    def describe(self, N: int) -> dict:
         record = {
             "transit_kind": self.transit_kind,
             "tau_transit": self.tau_transit,
@@ -119,8 +121,7 @@ class DelayModel:
         if self.transit_kind == "single-server":
             record["service_time"] = self.service_time
             record["tau_factor"] = self.tau_factor
-        if N is not None:
-            record["effective_tau_transit"] = self.effective_tau_transit(N)
+        record["effective_tau_transit"] = self.effective_tau_transit(N)
         return record
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -49,8 +50,6 @@ from restartfom.problems import (
 from restartfom.sync_scheme import run_sync
 
 SCHEMES = ("sync-lockstep", "sync-sequential", "async")
-
-PROBLEM_FAMILIES = ("norm-power", "piecewise-max", "least-squares")
 
 CSV_COLUMNS = (
     "eps",
@@ -104,7 +103,10 @@ def _reject_unknown(mapping: dict, allowed: set[str], path: str) -> None:
             raise ConfigError(where, "unknown key")
 
 
-def _as_number(value, path: str, *, positive: bool = False) -> float:
+# Value parsers: parse(value, path, spec) as in ProblemFamily; only cross-field rules read spec.
+
+def _as_number(value, path: str, spec: dict | None = None, *, positive: bool = False,
+               minimum: float | None = None) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, got {value!r}")
     number = float(value)
@@ -112,10 +114,12 @@ def _as_number(value, path: str, *, positive: bool = False) -> float:
         raise ConfigError(path, f"expected a finite number, got {value!r}")
     if positive and not number > 0.0:
         raise ConfigError(path, f"expected a positive number, got {value!r}")
+    if minimum is not None and number < minimum:
+        raise ConfigError(path, f"expected at least {minimum!r}, got {value!r}")
     return number
 
 
-def _as_int(value, path: str, *, minimum: int | None = None) -> int:
+def _as_int(value, path: str, spec: dict | None = None, *, minimum: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(path, f"expected an integer, got {value!r}")
     if minimum is not None and value < minimum:
@@ -123,95 +127,131 @@ def _as_int(value, path: str, *, minimum: int | None = None) -> int:
     return value
 
 
+_positive = functools.partial(_as_number, positive=True)
+_degree = functools.partial(_as_number, minimum=1.0)
+_count = functools.partial(_as_int, minimum=1)
+
+
+def _numbers(value, path: str, length: int) -> list[float]:
+    if (not isinstance(value, list) or len(value) != length
+            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)):
+        raise ConfigError(path, f"expected a list of {length} numbers")
+    return [float(v) for v in value]
+
+
+def _center(value, path: str, spec: dict) -> list[float]:
+    return _numbers(value, path, spec["dimension"])
+
+
+def _num_rows(value, path: str, spec: dict) -> int:
+    return _as_int(value, path, minimum=spec["dimension"])
+
+
+def _rank(value, path: str, spec: dict) -> int:
+    rank = _as_int(value, path, minimum=1)
+    if rank > spec["dimension"]:
+        raise ConfigError(path, f"rank {rank} exceeds dimension {spec['dimension']}")
+    return rank
+
+
+def _sigma_range(value, path: str, spec: dict) -> list[float]:
+    lo, hi = _numbers(value, path, 2)
+    if not (0.0 < lo <= hi):
+        raise ConfigError(path, f"expected 0 < lo <= hi, got [{lo}, {hi}]")
+    return [lo, hi]
+
+
+class ProblemFamily(typing.NamedTuple):
+    """A problem family's config fields after ``dimension``, in parsing order,
+    each ``name: (parse, required)`` where ``parse(value, path, spec)`` sees
+    the fields parsed before it; and ``build(spec, seed)``, which makes the
+    seeded instance."""
+
+    fields: dict
+    build: typing.Callable[[dict, int], ProblemInstance]
+
+
+PROBLEM_FAMILIES = {
+    "norm-power": ProblemFamily(
+        {"mu": (_positive, True), "d": (_degree, True), "center": (_center, False),
+         "gap": (_positive, True)},
+        lambda spec, seed: make_norm_power_problem(spec["dimension"], spec["mu"], spec["d"],
+                                                   center=spec.get("center"))),
+    "piecewise-max": ProblemFamily(
+        {"num_pieces": (_count, True), "gap": (_positive, True)},
+        lambda spec, seed: make_piecewise_max_problem(spec["dimension"], spec["num_pieces"],
+                                                      seed)),
+    "least-squares": ProblemFamily(
+        {"num_rows": (_num_rows, True), "rank": (_rank, False),
+         "sigma_range": (_sigma_range, False), "gap": (_positive, True)},
+        lambda spec, seed: make_least_squares_problem(
+            spec["dimension"], spec["num_rows"], seed, rank=spec.get("rank"),
+            sigma_range=tuple(spec.get("sigma_range", (1.0, 2.0))))),
+}
+
+
 def _parse_problem(document, path: str = "problem") -> dict:
     if not isinstance(document, dict):
         raise ConfigError(path, "expected an object with a 'family' key")
     family = _require(document, "family", path)
-    if family not in PROBLEM_FAMILIES:
-        raise ConfigError(f"{path}.family",
-                          f"unknown family {family!r}, expected one of {PROBLEM_FAMILIES}")
+    names = tuple(PROBLEM_FAMILIES)
+    if family not in names:
+        raise ConfigError(f"{path}.family", f"unknown family {family!r}, expected one of {names}")
+    fields = {"dimension": (_count, True), **PROBLEM_FAMILIES[family].fields}
+    _reject_unknown(document, {"family", *fields}, path)
     spec: dict = {"family": family}
-    if family == "norm-power":
-        _reject_unknown(document, {"family", "dimension", "mu", "d", "gap", "center"}, path)
-        spec["dimension"] = _as_int(_require(document, "dimension", path),
-                                    f"{path}.dimension", minimum=1)
-        spec["mu"] = _as_number(_require(document, "mu", path),
-                                f"{path}.mu", positive=True)
-        spec["d"] = _as_number(_require(document, "d", path), f"{path}.d")
-        if spec["d"] < 1.0:
-            raise ConfigError(f"{path}.d", f"growth degree must be >= 1, got {spec['d']}")
-        if "center" in document:
-            center = document["center"]
-            if (not isinstance(center, list)
-                    or len(center) != spec["dimension"]
-                    or not all(isinstance(c, (int, float)) and not isinstance(c, bool)
-                               for c in center)):
-                raise ConfigError(f"{path}.center",
-                                  f"expected a list of {spec['dimension']} numbers")
-            spec["center"] = [float(c) for c in center]
-    elif family == "piecewise-max":
-        _reject_unknown(document, {"family", "dimension", "num_pieces", "gap"}, path)
-        spec["dimension"] = _as_int(_require(document, "dimension", path),
-                                    f"{path}.dimension", minimum=1)
-        spec["num_pieces"] = _as_int(_require(document, "num_pieces", path),
-                                     f"{path}.num_pieces", minimum=1)
-    else:  # least-squares
-        _reject_unknown(document,
-                        {"family", "dimension", "num_rows", "gap", "rank", "sigma_range"},
-                        path)
-        spec["dimension"] = _as_int(_require(document, "dimension", path),
-                                    f"{path}.dimension", minimum=1)
-        spec["num_rows"] = _as_int(_require(document, "num_rows", path),
-                                   f"{path}.num_rows", minimum=spec["dimension"])
-        if "rank" in document:
-            spec["rank"] = _as_int(document["rank"], f"{path}.rank", minimum=1)
-            if spec["rank"] > spec["dimension"]:
-                raise ConfigError(f"{path}.rank",
-                                  f"rank {spec['rank']} exceeds dimension {spec['dimension']}")
-        if "sigma_range" in document:
-            pair = document["sigma_range"]
-            if (not isinstance(pair, list) or len(pair) != 2
-                    or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                               for v in pair)):
-                raise ConfigError(f"{path}.sigma_range", "expected a [lo, hi] number pair")
-            lo, hi = float(pair[0]), float(pair[1])
-            if not (0.0 < lo <= hi):
-                raise ConfigError(f"{path}.sigma_range",
-                                  f"expected 0 < lo <= hi, got [{lo}, {hi}]")
-            spec["sigma_range"] = [lo, hi]
-    spec["gap"] = _as_number(_require(document, "gap", path), f"{path}.gap", positive=True)
+    for name, (parse, required) in fields.items():
+        if required or name in document:
+            spec[name] = parse(_require(document, name, path), f"{path}.{name}", spec)
     return spec
+
+
+def _has_json_type(value, annotation) -> bool:
+    """Whether a JSON value fits a field's annotation: an int is also a
+    float, and a bool is neither."""
+    return any(isinstance(value, bool) == (kind is bool)
+               and isinstance(value, (int, float) if kind is float else kind)
+               for kind in typing.get_args(annotation) or (annotation,))
+
+
+_field_types = functools.cache(typing.get_type_hints)  # resolved per class on first use
+
+
+def _build_record(cls, record: dict, where: str):
+    """The dataclass ``cls`` built from the fields of a JSON object; other
+    keys are ignored.  A field whose JSON type does not fit its annotation,
+    or that holds NaN, is a :class:`ConfigError` at ``where.field``; a
+    missing field, or a value ``cls`` refuses, one at ``where``."""
+
+    annotations = _field_types(cls)
+    fields = {name: value for name, value in record.items() if name in annotations}
+    for name, value in fields.items():
+        if not _has_json_type(value, annotations[name]):
+            raise ConfigError(f"{where}.{name}",
+                              f"expected {cls.__annotations__[name]}, got {value!r}")
+        if isinstance(value, float) and math.isnan(value):
+            raise ConfigError(f"{where}.{name}", "NaN is not a number here")
+    try:
+        return cls(**fields)
+    except (ParameterError, TypeError) as exc:  # TypeError: a field is missing
+        raise ConfigError(where, str(exc)) from exc
+
+
+def _parse_record(cls, document, path: str, expected: str):
+    if not isinstance(document, dict):
+        raise ConfigError(path, expected)
+    _reject_unknown(document, set(_field_types(cls)), path)
+    return _build_record(cls, document, path)
 
 
 def _parse_method(document, path: str = "method") -> MethodSpec:
     if isinstance(document, str):
         document = {"kind": document}
-    if not isinstance(document, dict):
-        raise ConfigError(path, "expected a method name or an object with a 'kind' key")
-    _reject_unknown(document, {"kind", "L", "L0"}, path)
-    kind = _require(document, "kind", path)
-    extras = {}
-    for field in ("L", "L0"):
-        if field in document:
-            extras[field] = _as_number(document[field], f"{path}.{field}", positive=True)
-    try:
-        spec = MethodSpec(kind, **extras)
-    except ParameterError as exc:
-        raise ConfigError(path, str(exc)) from exc
+    spec = _parse_record(MethodSpec, document, path,
+                         "expected a method name or an object with a 'kind' key")
     if spec.kind == "univ" and spec.L0 is None:
         raise ConfigError(f"{path}.L0", "the univ method requires an initial curvature guess")
     return spec
-
-
-def _parse_delay(document, path: str = "delay") -> DelayModel:
-    if not isinstance(document, dict):
-        raise ConfigError(path, "expected an object of delay-model fields")
-    allowed = {field.name for field in dataclasses.fields(DelayModel)}
-    _reject_unknown(document, allowed, path)
-    try:
-        return DelayModel(**document)
-    except (ParameterError, TypeError) as exc:
-        raise ConfigError(path, str(exc)) from exc
 
 
 def parse_config(document) -> ExperimentConfig:
@@ -243,13 +283,10 @@ def parse_config(document) -> ExperimentConfig:
         raw_eps = [raw_eps]
     if not isinstance(raw_eps, list) or not raw_eps:
         raise ConfigError("eps", "expected a nonempty list of accuracies")
-    eps = tuple(_as_number(value, f"eps[{i}]", positive=True)
+    eps = tuple(_as_number(value, f"eps[{i}]", minimum=EPS_MIN)
                 for i, value in enumerate(raw_eps))
     if len(set(eps)) != len(eps):
         raise ConfigError("eps", "accuracies must be distinct")
-    for i, value in enumerate(eps):
-        if value < EPS_MIN:
-            raise ConfigError(f"eps[{i}]", f"expected at least {EPS_MIN!r}, got {value!r}")
 
     N: int | None = None
     if "N" in document and document["N"] != "default":
@@ -259,7 +296,8 @@ def parse_config(document) -> ExperimentConfig:
     if scheme == "async":
         if "delay" not in document:
             raise ConfigError("delay", "the async scheme requires a delay model")
-        delay = _parse_delay(document["delay"])
+        delay = _parse_record(DelayModel, document["delay"], "delay",
+                              "expected an object of delay-model fields")
     elif "delay" in document:
         raise ConfigError("delay", "delay model applies only to the async scheme")
 
@@ -293,19 +331,7 @@ def build_problem(config: ExperimentConfig, seed: int) -> tuple[ProblemInstance,
     """Materialize the configured problem and its seeded start point."""
 
     spec = config.problem
-    family = spec["family"]
-    if family == "norm-power":
-        center = np.asarray(spec["center"], dtype=float) if "center" in spec else None
-        problem = make_norm_power_problem(spec["dimension"], spec["mu"], spec["d"],
-                                          center=center)
-    elif family == "piecewise-max":
-        problem = make_piecewise_max_problem(spec["dimension"], spec["num_pieces"], seed)
-    else:
-        problem = make_least_squares_problem(
-            spec["dimension"], spec["num_rows"], seed,
-            rank=spec.get("rank"),
-            sigma_range=tuple(spec.get("sigma_range", (1.0, 2.0))),
-        )
+    problem = PROBLEM_FAMILIES[spec["family"]].build(spec, seed)
     x0 = problem.point_at_gap(spec["gap"], rng=np.random.default_rng(seed))
     return problem, x0
 
@@ -360,22 +386,6 @@ def _format_csv_value(value) -> str:
     return str(value)
 
 
-_CSV_PARSERS = {
-    "eps": float,
-    "N": int,
-    "n_bar": int,
-    "scheme": str,
-    "method": str,
-    "time_to_eps": float,
-    "oracle_calls_total": int,
-    "bound_theorem": float,
-    "bound_corollary": float,
-    "compliant": lambda text: {"true": True, "false": False}[text],
-}
-
-_CSV_REQUIRED = {"eps", "N", "scheme", "method", "oracle_calls_total"}
-
-
 def write_summaries_csv(path, summaries) -> None:
     """Write the fixed-column CSV; one row per cell."""
 
@@ -389,8 +399,16 @@ def write_summaries_csv(path, summaries) -> None:
 
 
 def read_summaries_csv(path) -> list[dict]:
-    """Parse the fixed-column CSV back into typed records (lossless)."""
+    """Parse the fixed-column CSV back into typed records (lossless); each
+    column's parser, and whether it may be empty, come from its
+    :class:`RunSummary` annotation."""
 
+    annotations = _field_types(RunSummary)
+    columns = []
+    for column in CSV_COLUMNS:
+        kind, *optional = typing.get_args(annotations[column]) or (annotations[column],)
+        parse = {"true": True, "false": False}.__getitem__ if kind is bool else kind
+        columns.append((column, parse, not optional))
     rows: list[dict] = []
     with open(path, newline="") as handle:
         reader = csv.DictReader(handle)
@@ -398,16 +416,16 @@ def read_summaries_csv(path) -> list[dict]:
             raise ConfigError(str(path), f"unexpected CSV columns {reader.fieldnames}")
         for index, raw in enumerate(reader):
             record: dict = {}
-            for column in CSV_COLUMNS:
+            for column, parse, required in columns:
                 text = raw[column]
                 if text == "":
-                    if column in _CSV_REQUIRED:
+                    if required:
                         raise ConfigError(f"{path}:{index + 2}.{column}",
                                           "required column is empty")
                     record[column] = None
                     continue
                 try:
-                    record[column] = _CSV_PARSERS[column](text)
+                    record[column] = parse(text)
                 except (ValueError, KeyError) as exc:
                     raise ConfigError(f"{path}:{index + 2}.{column}",
                                       f"cannot parse {text!r}") from exc
@@ -419,43 +437,29 @@ def read_summaries_csv(path) -> list[dict]:
 # Bound evaluation per cell
 # ---------------------------------------------------------------------------
 
-def _subgradient_bound_M(problem: ProblemInstance, f_x0: float) -> float:
-    metadata = problem.metadata
-    if metadata is not None and metadata.M is not None:
-        return metadata.M
-    return problem.subgradient_norm_bound(f_x0)
-
-
-def _epoch_iterations(problem: ProblemInstance, spec: MethodSpec, f_x0: float):
-    """Per-epoch iteration budget k(delta, eps_bar) for the configured method."""
+def _epoch_budget(problem: ProblemInstance, spec: MethodSpec, f_x0: float, calls: bool):
+    """Per-epoch budget of the configured method: the iteration count
+    k(delta, eps_bar), or with ``calls`` the oracle calls the async guarantee
+    charges (iterations + 1 for subgrad/accel; the line-search-aware total
+    for univ)."""
 
     metadata = problem.metadata
+    if spec.kind == "univ":
+        if metadata.M_nu is None or metadata.nu is None:
+            raise UnsupportedQueryError("univ bound needs Hölder constants in the metadata")
+        M_nu, nu, L0 = metadata.M_nu, metadata.nu, spec.L0
+        if calls:
+            return lambda delta, eps_bar: float(t_univ(M_nu, nu, delta, eps_bar, L0))
+        return lambda delta, eps_bar: float(k_univ(M_nu, nu, delta, eps_bar))
     if spec.kind == "subgrad":
-        M = _subgradient_bound_M(problem, f_x0)
-        return lambda delta, eps_bar: float(k_subgrad(M, delta, eps_bar))
-    if spec.kind == "accel":
-        L = spec.L if spec.L is not None else (metadata.L if metadata else None)
-        if L is None:
+        k, constant = k_subgrad, problem.subgradient_norm_bound(f_x0)
+    else:
+        k, constant = k_accel, spec.L if spec.L is not None else metadata.L
+        if constant is None:
             raise UnsupportedQueryError("accel bound needs a smoothness constant L")
-        return lambda delta, eps_bar: float(k_accel(L, delta, eps_bar))
-    if metadata is None or metadata.M_nu is None or metadata.nu is None:
-        raise UnsupportedQueryError("univ bound needs Hölder constants in the metadata")
-    M_nu, nu = metadata.M_nu, metadata.nu
-    return lambda delta, eps_bar: float(k_univ(M_nu, nu, delta, eps_bar))
-
-
-def _epoch_time(problem: ProblemInstance, spec: MethodSpec, f_x0: float):
-    """Per-epoch oracle-call budget for the async guarantee (iterations + 1
-    for subgrad/accel; the line-search-aware total for univ)."""
-
-    metadata = problem.metadata
-    if spec.kind in ("subgrad", "accel"):
-        iterations = _epoch_iterations(problem, spec, f_x0)
-        return lambda delta, eps_bar: iterations(delta, eps_bar) + 1.0
-    if metadata is None or metadata.M_nu is None or metadata.nu is None:
-        raise UnsupportedQueryError("univ bound needs Hölder constants in the metadata")
-    M_nu, nu, L0 = metadata.M_nu, metadata.nu, spec.L0
-    return lambda delta, eps_bar: float(t_univ(M_nu, nu, delta, eps_bar, L0))
+    if calls:
+        return lambda delta, eps_bar: float(k(constant, delta, eps_bar)) + 1.0
+    return lambda delta, eps_bar: float(k(constant, delta, eps_bar))
 
 
 def _cell_bounds(problem: ProblemInstance, x0: np.ndarray, config: ExperimentConfig,
@@ -486,10 +490,10 @@ def _cell_bounds(problem: ProblemInstance, x0: np.ndarray, config: ExperimentCon
             tau_transit = config.delay.effective_tau_transit(N)
             theorem = bound_async_theorem(metadata, f_x0, eps, N, tau_transit,
                                           config.delay.tau_pause,
-                                          _epoch_time(problem, spec, f_x0))
+                                          _epoch_budget(problem, spec, f_x0, calls=True))
         else:
             theorem = bound_sync_theorem(metadata, f_x0, eps, N,
-                                         _epoch_iterations(problem, spec, f_x0))
+                                         _epoch_budget(problem, spec, f_x0, calls=False))
         result["theorem"] = theorem
         if theorem.assumptions_ok:
             result["theorem_total"] = theorem.total * scale
@@ -817,14 +821,6 @@ def fit_rate(summaries, model: str, field: str = "time_to_eps") -> FitResult:
                      n_points=len(points), field=field)
 
 
-def _has_json_type(value, annotation) -> bool:
-    """Whether a JSON value fits a field's annotation: an int is also a
-    float, and a bool is neither."""
-    return any(isinstance(value, bool) == (kind is bool)
-               and isinstance(value, (int, float) if kind is float else kind)
-               for kind in typing.get_args(annotation) or (annotation,))
-
-
 def load_summaries(out_dir) -> list[RunSummary]:
     """Read back the full per-cell records written by run_grid.
 
@@ -841,21 +837,10 @@ def load_summaries(out_dir) -> list[RunSummary]:
     records = document.get("summaries") if isinstance(document, dict) else None
     if not isinstance(records, list):
         raise ConfigError(str(path), "expected an object with a 'summaries' list")
-    annotations = typing.get_type_hints(RunSummary)
     summaries = []
     for index, record in enumerate(records):
         where = f"{path}:summaries[{index}]"
         if not isinstance(record, dict):
             raise ConfigError(where, f"expected an object, got {record!r}")
-        for field in dataclasses.fields(RunSummary):
-            value = record.get(field.name)
-            if field.name in record and not _has_json_type(value, annotations[field.name]):
-                raise ConfigError(f"{where}.{field.name}",
-                                  f"expected {field.type}, got {value!r}")
-            if isinstance(value, float) and math.isnan(value):
-                raise ConfigError(f"{where}.{field.name}", "NaN is not a measurement")
-        try:
-            summaries.append(RunSummary.from_json(record))
-        except TypeError as exc:  # a required field is missing
-            raise ConfigError(where, str(exc)) from exc
+        summaries.append(_build_record(RunSummary, record, where))
     return summaries

@@ -81,10 +81,10 @@ class MethodSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ParameterError(f"unknown method kind {self.kind!r}, expected one of {_KINDS}")
-        if self.L is not None and not (self.L > 0):
-            raise ParameterError(f"smoothness constant L must be positive, got {self.L}")
-        if self.L0 is not None and not (self.L0 > 0):
-            raise ParameterError(f"curvature guess L0 must be positive, got {self.L0}")
+        if self.L is not None and not (self.L > 0 and math.isfinite(self.L)):
+            raise ParameterError(f"smoothness constant L must be finite and positive, got {self.L}")
+        if self.L0 is not None and not (self.L0 > 0 and math.isfinite(self.L0)):
+            raise ParameterError(f"curvature guess L0 must be finite and positive, got {self.L0}")
 
 
 class StepOutcome(NamedTuple):

@@ -73,9 +73,6 @@ class Domain:
     def contains(self, x: np.ndarray, tol: float = 1e-12) -> bool:
         return bool(np.linalg.norm(self.project(x) - x) <= tol * (1.0 + np.linalg.norm(x)))
 
-    def describe(self) -> dict:
-        raise NotImplementedError
-
 
 class AllSpace(Domain):
     """The unconstrained domain; projection is the identity."""
@@ -85,9 +82,6 @@ class AllSpace(Domain):
 
     def contains(self, x: np.ndarray, tol: float = 1e-12) -> bool:
         return True
-
-    def describe(self) -> dict:
-        return {"kind": "all-space"}
 
 
 class Ball(Domain):
@@ -107,9 +101,6 @@ class Ball(Domain):
             return x
         return self.center + (self.radius / norm) * offset
 
-    def describe(self) -> dict:
-        return {"kind": "ball", "center": self.center.tolist(), "radius": self.radius}
-
 
 class Box(Domain):
     """Axis-aligned box ``{x : lower <= x <= upper}`` (bounds may be infinite)."""
@@ -124,9 +115,6 @@ class Box(Domain):
 
     def project(self, x: np.ndarray) -> np.ndarray:
         return np.clip(np.asarray(x, dtype=float), self.lower, self.upper)
-
-    def describe(self) -> dict:
-        return {"kind": "box", "lower": self.lower.tolist(), "upper": self.upper.tolist()}
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +267,10 @@ class ProblemInstance:
         return self.metadata.envelope(f_hat)
 
     def subgradient_norm_bound(self, f_hat: float) -> float:
-        """Upper bound on ``||g||`` over the sublevel set ``{f <= f_hat}``."""
+        """Upper bound on ``||g||`` over the sublevel set ``{f <= f_hat}``;
+        here the metadata's constant ``M``, when it carries one."""
+        if self.metadata is not None and self.metadata.M is not None:
+            return self.metadata.M
         raise UnsupportedQueryError(
             f"{self.name}: no analytic subgradient-norm bound"
         )
@@ -287,9 +278,6 @@ class ProblemInstance:
     def point_at_gap(self, gap: float, *, direction=None, rng=None) -> np.ndarray:
         """A feasible point ``x`` with ``f(x) - f_star == gap`` (to float precision)."""
         raise UnsupportedQueryError(f"{self.name}: cannot place points by gap")
-
-    def describe(self) -> dict:
-        return {"name": self.name, "dimension": self.dimension, "domain": self.domain.describe()}
 
     def _unit_direction(self, direction, rng) -> np.ndarray:
         if direction is not None:
@@ -317,10 +305,6 @@ class NormPowerProblem(ProblemInstance):
     """
 
     def __init__(self, dimension: int, mu: float, d: float, center, domain: Domain | None = None):
-        if mu <= 0:
-            raise ParameterError(f"mu must be positive, got {mu}")
-        if d < 1:
-            raise ParameterError(f"growth degree must be >= 1, got {d}")
         center = np.asarray(center, dtype=float)
         nu = M = L = M_nu = None
         if d == 1:
@@ -362,8 +346,6 @@ class NormPowerProblem(ProblemInstance):
         return float(np.linalg.norm(self._check_point(x) - self.center))
 
     def subgradient_norm_bound(self, f_hat: float) -> float:
-        if self.d == 1:
-            return self.mu
         return self.mu * self.d * self.growth_envelope(f_hat) ** (self.d - 1.0)
 
     def point_at_gap(self, gap: float, *, direction=None, rng=None) -> np.ndarray:
@@ -374,11 +356,6 @@ class NormPowerProblem(ProblemInstance):
         if not self.domain.contains(x, tol=1e-9):
             raise ParameterError("requested gap places the point outside the domain")
         return x
-
-    def describe(self) -> dict:
-        out = super().describe()
-        out.update({"kind": "norm_power", "mu": self.mu, "d": self.d, "center": self.center.tolist()})
-        return out
 
 
 class PiecewiseMaxProblem(ProblemInstance):
@@ -422,9 +399,6 @@ class PiecewiseMaxProblem(ProblemInstance):
     def distance_to_opt(self, x) -> float:
         return float(np.linalg.norm(self._check_point(x) - self.minimizer))
 
-    def subgradient_norm_bound(self, f_hat: float) -> float:
-        return float(self.metadata.M)
-
     def point_at_gap(self, gap: float, *, direction=None, rng=None) -> np.ndarray:
         if gap < 0:
             raise ParameterError("gap must be nonnegative")
@@ -444,11 +418,6 @@ class PiecewiseMaxProblem(ProblemInstance):
         if not self.domain.contains(x, tol=1e-9):
             raise ParameterError("requested gap places the point outside the domain")
         return x
-
-    def describe(self) -> dict:
-        out = super().describe()
-        out.update({"kind": "piecewise_max", "pieces": int(self.A.shape[0]), "mu": self.metadata.mu})
-        return out
 
 
 class LeastSquaresProblem(ProblemInstance):
@@ -516,11 +485,6 @@ class LeastSquaresProblem(ProblemInstance):
             raise ParameterError("direction lies in the null space of A")
         x_sol = self._pinv @ self.b
         return x_sol + (math.sqrt(2.0 * gap) / norm_Au) * u
-
-    def describe(self) -> dict:
-        out = super().describe()
-        out.update({"kind": "least_squares", "rows": int(self.A.shape[0])})
-        return out
 
 
 # ---------------------------------------------------------------------------

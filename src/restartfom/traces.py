@@ -4,7 +4,7 @@ Every engine emits a flat, time-ordered list of :class:`TraceEvent` records.
 The JSON-lines export (format 2) writes a header holding the distinct points
 as one base64 little-endian float64 table, one object per event naming its
 point by ``point_id`` (its table row), and a ``{"summary": {...}}`` record;
-format-1 files (points inline, no header) still read.  The checkers in this
+a file without that header is refused.  The checkers in this
 module validate the messaging and restart discipline of a finished run from
 its trace alone, each in one pass over the events.
 
@@ -95,15 +95,12 @@ class TraceEvent(NamedTuple):
     @classmethod
     def from_record(cls, record: dict, points: list[tuple[float, ...]]) -> "TraceEvent":
         get = record.get
+        point = None
         if "point_id" in record:
             point_id = record["point_id"]
             if not (isinstance(point_id, int) and 0 <= point_id < len(points)):
                 raise IndexError(f"point_id {point_id!r} is not a row of the point table")
             point = points[point_id]
-        else:
-            point = get("point")  # format 1 stores the point inline
-            if point is not None:
-                point = tuple(float(v) for v in point)
         # tuple.__new__ skips the generated __new__ and its argument handling.
         event = tuple.__new__(cls, (float(record["t"]), int(record["copy"]),
                                     str(record["kind"]), float(record["value"]),
@@ -159,16 +156,6 @@ def _decode_chunk(lines: list[str]) -> list | None:
     return records if len(records) == len(lines) else None
 
 
-def _chunks(handle):
-    """The file's lines in bounded lists, the first line (a format-2 header,
-    whose point table holds "[") on its own."""
-
-    first = handle.readline()
-    if first:
-        yield [first]
-        yield from iter(lambda: handle.readlines(_CHUNK_CHARS), [])
-
-
 @dataclass(frozen=True)
 class Task:
     """A copy's standing goal: beat ``restart_value`` by ``decrement``."""
@@ -205,9 +192,6 @@ class SchemeTrace:
     def append(self, event: TraceEvent) -> None:
         self.events.append(event)
 
-    def __len__(self) -> int:
-        return len(self.events)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, SchemeTrace) and self.events == other.events
 
@@ -229,15 +213,6 @@ class SchemeTrace:
     def restart_points(self, copy: int) -> list[tuple[float, ...]]:
         return [e.point for e in self.of_kind("restart", copy)]
 
-    def first_time_to(self, gap: float, f_star: float) -> float | None:
-        """Earliest time a computed point had objective ≤ f_star + gap."""
-
-        target = f_star + gap
-        for event in self.events:
-            if event.kind in ("init", "iterate") and event.value <= target:
-                return event.t
-        return None
-
     def write_jsonl(self, path, summary: dict | None = None) -> None:
         """Write the format-2 file: point table header, events, summary."""
 
@@ -257,19 +232,25 @@ class SchemeTrace:
 
     @classmethod
     def read_jsonl(cls, path) -> tuple["SchemeTrace", dict | None]:
-        """Read a format-2 or format-1 file; a malformed line raises
-        :class:`ConfigError` located as ``path:line``."""
+        """Read a format-2 file; a first line that is not the format-2 header,
+        or a malformed line, raises :class:`ConfigError` located as
+        ``path:line``."""
 
         trace = cls()
         append, from_record = trace.events.append, TraceEvent.from_record
         summary = None
-        points: list[tuple[float, ...]] = []
-        number = 0  # lines before the chunk
+        number = 1  # the line being read
         with open(path, "r", encoding="utf-8") as handle:
-            for lines in _chunks(handle):
-                records = _decode_chunk(lines) or [None] * len(lines)
-                try:
-                    for offset, (line, record) in enumerate(zip(lines, records)):
+            try:
+                header = _DECODER.decode(handle.readline())
+                if not isinstance(header, dict) or header.get("format") != 2:
+                    raise ValueError("the first line is not the format-2 header")
+                table = header["points"]
+                rows = np.frombuffer(binascii.a2b_base64(table["b64"]), dtype=table["dtype"])
+                points = list(map(tuple, rows.reshape(table["shape"]).tolist()))
+                for lines in iter(lambda: handle.readlines(_CHUNK_CHARS), []):
+                    records = _decode_chunk(lines) or [None] * len(lines)
+                    for number, (line, record) in enumerate(zip(lines, records), number + 1):
                         if record is None:  # parse the line on its own
                             if line.isspace():
                                 continue
@@ -278,18 +259,12 @@ class SchemeTrace:
                             raise TypeError(f"expected a JSON object, got {line.strip()[:40]!r}")
                         if "summary" in record:
                             summary = record["summary"]
-                        elif "points" in record:
-                            table = record["points"]
-                            rows = np.frombuffer(binascii.a2b_base64(table["b64"]),
-                                                 dtype=table["dtype"])
-                            points = list(map(tuple, rows.reshape(table["shape"]).tolist()))
                         else:
                             append(from_record(record, points))
-                except (KeyError, IndexError, TypeError, ValueError) as exc:
-                    # binascii.Error and JSONDecodeError are ValueErrors
-                    raise ConfigError(f"{path}:{number + offset + 1}",
-                                      f"malformed trace record: {exc}") from exc
-                number += len(lines)
+            except (KeyError, IndexError, TypeError, ValueError) as exc:
+                # binascii.Error and JSONDecodeError are ValueErrors
+                raise ConfigError(f"{path}:{number}",
+                                  f"malformed trace record: {exc}") from exc
         return trace, summary
 
 
@@ -396,10 +371,10 @@ def check_send_counts(trace: SchemeTrace, f_star: float, eps: float) -> list[str
         return problems
     by_copy = _sends_by_copy(trace)
     for copy in sorted(by_copy):
-        cap = math.ceil(gap / _decrement(copy, eps))
+        cap = gap / _decrement(copy, eps)  # inf when it overflows, and no count exceeds that
         sent = len(by_copy[copy])
-        if sent > cap:
-            problems.append(f"copy {copy}: {sent} sends exceed cap {cap}")
+        if sent > cap and sent > math.ceil(cap):
+            problems.append(f"copy {copy}: {sent} sends exceed cap {math.ceil(cap)}")
     return problems
 
 

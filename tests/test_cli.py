@@ -269,3 +269,27 @@ def test_commands_reject_flags_they_would_ignore(argv, capsys):
         main(argv)
     assert exit_info.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value, where", [
+    ("seed", "abc", "delay.seed"),
+    ("seed", 1.5, "delay.seed"),
+    ("seed", True, "delay.seed"),
+    ("tau_transit", True, "delay.tau_transit"),
+    ("seed", -1, "delay"),
+])
+def test_a_bad_delay_field_exits_2_at_its_location(tmp_path, capsys, field, value, where):
+    delay = {"transit_kind": "deterministic", "tau_transit": 1.0,
+             "pause_kind": "deterministic", "tau_pause": 2.0, field: value}
+    config = write_config(tmp_path, scheme="async", delay=delay)
+    assert main(["grid", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert f"error: {where}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", [{"kind": "accel", "L": math.inf},
+                                    {"kind": "univ", "L0": math.inf}])
+def test_an_infinite_method_constant_exits_2(tmp_path, capsys, method):
+    config = write_config(tmp_path, method=method)
+    assert "Infinity" in config.read_text()
+    assert main(["grid", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert "error: method" in capsys.readouterr().err

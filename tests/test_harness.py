@@ -15,6 +15,7 @@ from restartfom.harness import (
     DEFAULT_BUDGET,
     DEFAULT_OUTPUT_DIR,
     OUTPUT_DIR_ENV,
+    PROBLEM_FAMILIES,
     ExperimentConfig,
     FitResult,
     RunSummary,
@@ -183,6 +184,64 @@ def test_parse_problem_least_squares_rank_and_sigma():
     with pytest.raises(ConfigError) as err:
         parse_config(document)
     assert err.value.path == "problem.sigma_range"
+
+
+# A valid value for every problem field a family in PROBLEM_FAMILIES declares.
+FIELD_SAMPLES = {"dimension": 3, "mu": 1.5, "d": 1.5, "center": [0.5, -1.0, 2.0], "gap": 2.5,
+                 "num_pieces": 8, "num_rows": 5, "rank": 2, "sigma_range": [0.5, 2.0]}
+
+FAMILY_FIELDS = [(family, name, required)
+                 for family, entry in PROBLEM_FAMILIES.items()
+                 for name, (_, required) in {"dimension": (None, True), **entry.fields}.items()]
+
+
+def minimal_problem(family: str) -> dict:
+    fields = PROBLEM_FAMILIES[family].fields
+    return {"family": family, "dimension": FIELD_SAMPLES["dimension"],
+            **{name: FIELD_SAMPLES[name] for name, (_, required) in fields.items() if required}}
+
+
+@pytest.mark.parametrize("family, name", [(family, name)
+                                          for family, name, required in FAMILY_FIELDS
+                                          if required])
+def test_every_required_problem_field_is_required(family, name):
+    problem = minimal_problem(family)
+    del problem[name]
+    with pytest.raises(ConfigError) as err:
+        parse_config(minimal_config(problem=problem))
+    assert err.value.path == f"problem.{name}"
+
+
+@pytest.mark.parametrize("family, name", [(family, name)
+                                          for family, name, _ in FAMILY_FIELDS])
+@pytest.mark.parametrize("flag", [True, False])
+def test_a_bool_in_any_problem_field_is_refused_there(family, name, flag):
+    problem = {**minimal_problem(family), name: flag}
+    with pytest.raises(ConfigError) as err:
+        parse_config(minimal_config(problem=problem))
+    assert err.value.path == f"problem.{name}"
+
+
+@pytest.mark.parametrize("family", list(PROBLEM_FAMILIES))
+@pytest.mark.parametrize("seed", [0, 3])
+def test_every_family_builds_from_its_minimal_spec_with_the_start_at_gap(family, seed):
+    config = parse_config(minimal_config(problem=minimal_problem(family)))
+    problem, x0 = build_problem(config, seed=seed)
+    assert problem.dimension == FIELD_SAMPLES["dimension"]
+    gap = problem.value(x0) - problem.metadata.f_star
+    assert gap == pytest.approx(FIELD_SAMPLES["gap"], rel=1e-9)
+
+
+@pytest.mark.parametrize("method, where", [
+    ({"kind": 3}, "method.kind"),
+    ({"kind": "accel", "L": True}, "method.L"),
+    ({"kind": "univ", "L0": "1"}, "method.L0"),
+    ({"kind": "accel", "L": -1.0}, "method"),
+])
+def test_parse_method_locates_type_and_range_errors(method, where):
+    with pytest.raises(ConfigError) as err:
+        parse_config(minimal_config(method=method))
+    assert err.value.path == where
 
 
 def test_parse_method_accepts_object_form():

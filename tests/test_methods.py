@@ -75,6 +75,15 @@ def test_init_validation():
         method_init(MethodSpec("accel"), Bare("bare", 1), np.array([1.0]), 0.5)
 
 
+@pytest.mark.parametrize("fields", [
+    {"kind": "accel", "L": math.inf}, {"kind": "univ", "L0": math.inf},
+    {"kind": "accel", "L": math.nan}, {"kind": "univ", "L0": -math.inf},
+])
+def test_method_spec_refuses_a_non_finite_constant(fields):
+    with pytest.raises(ParameterError):
+        MethodSpec(**fields)
+
+
 def test_init_projects_infeasible_start():
     p = make_norm_power_problem(2, 1.0, 1.0, domain=Ball(np.zeros(2), 1.0))
     state = method_init(MethodSpec("subgrad"), p, np.array([3.0, 4.0]), 0.5)

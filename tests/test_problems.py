@@ -462,14 +462,6 @@ def test_counting_wrapper_tracks_oracle_and_value_reads():
     assert p.dimension == 2  # attribute pass-through
 
 
-def test_describe_round_trips_basic_fields():
-    p = make_piecewise_max_problem(2, 5, seed=9)
-    d = p.describe()
-    assert d["dimension"] == 2
-    assert d["pieces"] == 5
-    assert d["domain"]["kind"] == "all-space"
-
-
 # ---------------------------------------------------------------------------
 # One-pass oracle and validation at the boundary
 # ---------------------------------------------------------------------------

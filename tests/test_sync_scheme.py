@@ -126,8 +126,6 @@ def test_reference_trace_details():
     assert [e.source for e in restarts] == ["own", "inbox", "inbox", "inbox"]
     assert trace.restart_points(-1) == [(2.75,), (2.5,), (2.0,), (1.5,)]
     assert all(e.receiver == -1 for e in trace.of_kind("send", 0))
-    assert trace.first_time_to(0.5, 0.0) == 5.0
-    assert trace.first_time_to(2.0, 0.0) == 2.0
     assert check_trace(trace, eps=0.5, N=0, f_star=0.0) == []
 
 

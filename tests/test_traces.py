@@ -1,4 +1,4 @@
-"""Trace files: the format-2 point table, format-1 reading, valid JSON only."""
+"""Trace files: the format-2 point table, the header it needs, valid JSON only."""
 
 import base64
 import itertools
@@ -10,11 +10,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from restartfom.bounds import EPS_MIN
 from restartfom.cli import main
 from restartfom.errors import ConfigError, NonFiniteValueError
 from restartfom.problems import make_piecewise_max_problem
 from restartfom.sync_scheme import run_sync
-from restartfom.traces import SchemeTrace, TraceEvent
+from restartfom.traces import SchemeTrace, TraceEvent, check_send_counts
 
 
 def lockstep_run():
@@ -76,26 +77,40 @@ def test_trace_without_points_round_trips(tmp_path):
     assert SchemeTrace.read_jsonl(path) == (trace, None)
 
 
-def test_hand_written_format_one_trace_still_reads(tmp_path):
-    path = tmp_path / "old.jsonl"
-    path.write_text(
-        '{"t": 0.0, "copy": 0, "kind": "init", "value": 3.0}\n'
-        '{"t": 1.0, "copy": 0, "kind": "restart", "value": 2.5, '
-        '"point": [2.5, -0.125], "source": "own"}\n'
-        '\n'
-        '{"t": 1.0, "copy": 0, "kind": "send", "value": 2.5, '
-        '"point": [2.5, -0.125], "receiver": -1}\n'
-        '{"t": 2.0, "copy": -1, "kind": "arrival", "value": 2.5, "sender": 0}\n'
-        '{"summary": {"periods": 2}}\n'
-    )
-    trace, summary = SchemeTrace.read_jsonl(path)
-    assert trace.events == [
-        TraceEvent(0.0, 0, "init", 3.0),
-        TraceEvent(1.0, 0, "restart", 2.5, point=(2.5, -0.125), source="own"),
-        TraceEvent(1.0, 0, "send", 2.5, point=(2.5, -0.125), receiver=-1),
-        TraceEvent(2.0, -1, "arrival", 2.5, sender=0),
-    ]
-    assert summary == {"periods": 2}
+@pytest.mark.parametrize("text", [
+    pytest.param("", id="empty"),
+    pytest.param('{"t": 0.0, "copy": 0, "kind": "init", "value": 3.0}\n'
+                 '{"t": 1.0, "copy": 0, "kind": "restart", "value": 2.5, '
+                 '"point": [2.5, -0.125], "source": "own"}\n', id="format-one"),
+    pytest.param('{"format": 1, "points": {"dtype": "<f8", "shape": [0], "b64": ""}}\n',
+                 id="other-format"),
+    pytest.param("\n" + '{"format": 2, "points": {"dtype": "<f8", "shape": [0], "b64": ""}}\n',
+                 id="header-not-first"),
+])
+def test_a_file_without_the_format_two_header_is_refused_at_line_one(tmp_path, capsys, text):
+    path = tmp_path / "trace.jsonl"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as err:
+        SchemeTrace.read_jsonl(path)
+    assert err.value.path == f"{path}:1"
+    assert main(["trace-dump", str(path)]) == 2
+    assert f"error: {path}:1: malformed trace record" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("gap", [0.5, 1.0, 4.0, 30.0])
+def test_send_counts_at_the_smallest_eps_meet_caps_too_large_for_a_float(gap):
+    # gap / 2^n eps overflows to inf on the low rungs of this 1024-copy ladder.
+    p = make_piecewise_max_problem(2, 6, seed=1)
+    x0 = p.point_at_gap(gap, rng=np.random.default_rng(0))
+    trace, summary = run_sync(p, "subgrad", EPS_MIN, x0=x0, budget=3)
+    assert summary["N"] == 1022
+    assert check_send_counts(trace, 0.0, EPS_MIN) == []
+
+
+def test_a_finite_send_cap_still_reports_its_count():
+    events = [TraceEvent(0.0, 0, "init", 1.0)]
+    events += [TraceEvent(float(t), 0, "send", 1.0 - 0.1 * t, receiver=-1) for t in range(1, 4)]
+    assert check_send_counts(SchemeTrace(events), 0.0, 0.5) == ["copy 0: 3 sends exceed cap 2"]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
