@@ -168,6 +168,7 @@ class AsyncCopy(LadderCopy):
     version: int = 0
     pause_candidate: Message | None = None
     coincident: bool = False
+    last_arrival: float = -math.inf  # when this copy's latest send lands
 
 
 class _AsyncEngine(Ladder):
@@ -182,14 +183,20 @@ class _AsyncEngine(Ladder):
             ServerQueue(delay_model.service_time)
             if delay_model.transit_kind == "single-server" else None
         )
+        # (t, prio, seq, handler, copy, arg); run() calls handler(self, t, copy, arg).
+        # Handlers are plain functions: no entry holds the engine or a bound method.
         self.heap: list = []
-        self.last_arrival: dict[int, float] = {}
         self.seq = 0
         self.sim_time = 0.0
 
-    def push(self, t: float, prio: int, kind: str, **payload) -> None:
-        heapq.heappush(self.heap, (t, prio, self.seq, kind, payload))
+    def push(self, t: float, prio: int, handler, copy: AsyncCopy, arg) -> None:
+        heapq.heappush(self.heap, (t, prio, self.seq, handler, copy, arg))
         self.seq += 1
+
+    def schedule_arrivals(self, started: list[tuple[float, Message]]) -> None:
+        for arrive_at, msg in started:
+            self.push(arrive_at, _PRIO_ARRIVAL, _AsyncEngine.on_arrival,
+                      self.copies[msg.sender - 1], msg)
 
     def begin_iteration(self, copy: AsyncCopy, now: float) -> None:
         if copy.method.converged:
@@ -210,8 +217,8 @@ class _AsyncEngine(Ladder):
         copy.inflight_remaining = duration
         copy.inflight_completes_at = now + duration
         copy.version += 1
-        self.push(copy.inflight_completes_at, _PRIO_COMPLETE, "complete",
-                  copy_index=copy.index, version=copy.version)
+        self.push(copy.inflight_completes_at, _PRIO_COMPLETE, _AsyncEngine.on_complete,
+                  copy, copy.version)
 
     def deliver(self, copy: AsyncCopy, message: Message, now: float) -> None:
         if self.server is not None:
@@ -219,15 +226,10 @@ class _AsyncEngine(Ladder):
         else:
             # Per-sender FIFO channel: a later send never lands before an
             # earlier one, so pause candidates only ever improve.
-            arrive_at = now + self.delay_model.sample_transit(self.rng)
-            prev = self.last_arrival.get(copy.index, -math.inf)
-            if arrive_at < prev:
-                arrive_at = prev
-            self.last_arrival[copy.index] = arrive_at
+            arrive_at = max(now + self.delay_model.sample_transit(self.rng), copy.last_arrival)
+            copy.last_arrival = arrive_at
             started = [(arrive_at, message)]
-        for arrive_at, msg in started:
-            self.push(arrive_at, _PRIO_ARRIVAL, "arrival",
-                      copy_index=msg.sender - 1, message=msg)
+        self.schedule_arrivals(started)
 
     def restart(self, copy: AsyncCopy, point, value: float, known_grad,
                 source: str, now: float) -> None:
@@ -239,8 +241,7 @@ class _AsyncEngine(Ladder):
 
     # -- handlers --------------------------------------------------------------
 
-    def on_complete(self, now: float, copy_index: int, version: int) -> None:
-        copy = self.copies[copy_index]
+    def on_complete(self, now: float, copy: AsyncCopy, version: int) -> None:
         if version != copy.version:
             return
         copy.method = copy.inflight_state
@@ -256,21 +257,17 @@ class _AsyncEngine(Ladder):
         elif fulfills(copy.task, copy.method.best_value):
             copy.phase = "restarting"
             copy.version += 1
-            self.push(now, _PRIO_EPOCH, "epoch-begin",
-                      copy_index=copy.index, version=copy.version)
+            self.push(now, _PRIO_EPOCH, _AsyncEngine.on_epoch_begin, copy, copy.version)
         else:
             self.begin_iteration(copy, now)
 
-    def on_arrival(self, now: float, copy_index: int, message: Message) -> None:
+    def on_arrival(self, now: float, copy: AsyncCopy, message: Message) -> None:
         self.trace.append(TraceEvent(
-            now, copy_index, "arrival", message.value, sender=message.sender,
+            now, copy.index, "arrival", message.value, sender=message.sender,
         ))
         if self.server is not None:
-            for arrive_at, msg in self.server.service_done(now):
-                self.push(arrive_at, _PRIO_ARRIVAL, "arrival",
-                          copy_index=msg.sender - 1, message=msg)
-        copy = self.copies[copy_index]
-        if copy.phase == "idle" or copy_index == self.N:
+            self.schedule_arrivals(self.server.service_done(now))
+        if copy.phase == "idle" or copy.index == self.N:
             return
         if copy.phase == "restarting":
             # The copy fulfilled its own task this very instant: the pause
@@ -284,19 +281,18 @@ class _AsyncEngine(Ladder):
         copy.version += 1
         duration = self.delay_model.sample_pause(self.rng)
         self.trace.append(TraceEvent(
-            now, copy_index, "pause-begin", message.value, sender=message.sender,
+            now, copy.index, "pause-begin", message.value, sender=message.sender,
         ))
-        self.push(now + duration, _PRIO_PAUSE_END, "pause-end",
-                  copy_index=copy_index, version=copy.version)
+        self.push(now + duration, _PRIO_PAUSE_END, _AsyncEngine.on_pause_end,
+                  copy, copy.version)
 
-    def on_pause_end(self, now: float, copy_index: int, version: int) -> None:
-        copy = self.copies[copy_index]
+    def on_pause_end(self, now: float, copy: AsyncCopy, version: int) -> None:
         if version != copy.version:
             return
         candidate = copy.pause_candidate
         copy.pause_candidate = None
         self.trace.append(TraceEvent(
-            now, copy_index, "pause-end", candidate.value, sender=candidate.sender,
+            now, copy.index, "pause-end", candidate.value, sender=candidate.sender,
         ))
         if copy.coincident:
             copy.coincident = False
@@ -314,32 +310,26 @@ class _AsyncEngine(Ladder):
             copy.phase = "iterating"
             copy.version += 1
             copy.inflight_completes_at = now + copy.inflight_remaining
-            self.push(copy.inflight_completes_at, _PRIO_COMPLETE, "complete",
-                      copy_index=copy_index, version=copy.version)
+            self.push(copy.inflight_completes_at, _PRIO_COMPLETE, _AsyncEngine.on_complete,
+                      copy, copy.version)
 
-    def on_epoch_begin(self, now: float, copy_index: int, version: int) -> None:
-        copy = self.copies[copy_index]
+    def on_epoch_begin(self, now: float, copy: AsyncCopy, version: int) -> None:
         if version != copy.version:
             return
         self.restart(copy, copy.method.best_point, copy.method.best_value,
                      copy.method.best_grad, "own", now)
 
     def run(self) -> None:
-        handlers = {
-            "complete": self.on_complete,
-            "arrival": self.on_arrival,
-            "pause-end": self.on_pause_end,
-            "epoch-begin": self.on_epoch_begin,
-        }
         for n in range(self.N, -2, -1):
             self.begin_iteration(self.copies[n], 0.0)
         while self.heap and self.time_to_eps is None:
-            t, _prio, _seq, kind, payload = self.heap[0]
+            t, _prio, _seq, handler, copy, arg = self.heap[0]
             if t > self.budget:
-                return
+                break
             heapq.heappop(self.heap)
             self.sim_time = max(self.sim_time, t)
-            handlers[kind](t, **payload)
+            handler(self, t, copy, arg)
+        self.heap.clear()  # a finished run leaves no scheduled events behind
 
 
 def run_async(

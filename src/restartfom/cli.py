@@ -1,9 +1,9 @@
 """Command-line front end: run, grid, verify, fit, and trace-dump.
 
 Exit codes: 0 when every verifiable cell honors its bounds, 1 when any cell
-violates one, 2 for configuration or file errors.  The output directory is
-resolved as: ``--out`` flag, then the RESTARTFOM_OUT environment variable,
-then the config's ``out`` entry, then ``./runs``.
+violates one, 2 for configuration or file errors or when a cell failed.  The
+output directory is resolved as: ``--out`` flag, then the RESTARTFOM_OUT
+environment variable, then the config's ``out`` entry, then ``./runs``.
 """
 from __future__ import annotations
 
@@ -59,7 +59,7 @@ def _load_config(args):
             raise ConfigError("--seed", f"expected a nonnegative seed, got {args.seed}")
         config = dataclasses.replace(config, seeds=(args.seed,))
     if args.budget is not None:
-        if args.budget <= 0:
+        if not 0 < args.budget < 2 ** 1024:  # a larger int overflows float()
             raise ConfigError("--budget", f"expected a positive budget, got {args.budget}")
         config = dataclasses.replace(config, budget=float(args.budget))
     return config
@@ -92,13 +92,13 @@ def cmd_run(args) -> int:
 def cmd_grid(args) -> int:
     config = _load_config(args)
     summaries = run_grid(config, out_dir=args.out)
-    for summary in summaries:
-        if summary.error is not None:
-            print(f"eps={summary.eps!r} seed={summary.seed}: {summary.error}",
-                  file=sys.stderr)
+    failed = [summary for summary in summaries if summary.error is not None]
+    for summary in failed:
+        print(f"eps={summary.eps!r} seed={summary.seed}: {summary.error}", file=sys.stderr)
     directory = resolve_output_dir(config, args.out)
     print(f"wrote {len(summaries)} cells to {directory}")
-    return _report_exit(verify_bounds(summaries))
+    code = _report_exit(verify_bounds(summaries))
+    return 2 if failed else code
 
 
 def cmd_verify(args) -> int:

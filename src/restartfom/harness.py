@@ -23,6 +23,7 @@ import numpy as np
 from restartfom.async_scheme import DelayModel, run_async
 from restartfom.bounds import (
     EPS_MIN,
+    BoundReport,
     bound_async_theorem,
     bound_cor_accel,
     bound_cor_subgrad,
@@ -40,7 +41,7 @@ from restartfom.errors import (
     RestartFomError,
     UnsupportedQueryError,
 )
-from restartfom.methods import MethodSpec
+from restartfom.methods import MethodSpec, resolve_L
 from restartfom.problems import (
     ProblemInstance,
     make_least_squares_problem,
@@ -109,7 +110,10 @@ def _as_number(value, path: str, spec: dict | None = None, *, positive: bool = F
                minimum: float | None = None) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, got {value!r}")
-    number = float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
     if not math.isfinite(number):
         raise ConfigError(path, f"expected a finite number, got {value!r}")
     if positive and not number > 0.0:
@@ -133,10 +137,9 @@ _count = functools.partial(_as_int, minimum=1)
 
 
 def _numbers(value, path: str, length: int) -> list[float]:
-    if (not isinstance(value, list) or len(value) != length
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)):
+    if not isinstance(value, list) or len(value) != length:
         raise ConfigError(path, f"expected a list of {length} numbers")
-    return [float(v) for v in value]
+    return [_as_number(v, path) for v in value]
 
 
 def _center(value, path: str, spec: dict) -> list[float]:
@@ -145,6 +148,10 @@ def _center(value, path: str, spec: dict) -> list[float]:
 
 def _num_rows(value, path: str, spec: dict) -> int:
     return _as_int(value, path, minimum=spec["dimension"])
+
+
+def _num_pieces(value, path: str, spec: dict) -> int:
+    return _as_int(value, path, minimum=spec["dimension"] + 1)
 
 
 def _rank(value, path: str, spec: dict) -> int:
@@ -178,7 +185,7 @@ PROBLEM_FAMILIES = {
         lambda spec, seed: make_norm_power_problem(spec["dimension"], spec["mu"], spec["d"],
                                                    center=spec.get("center"))),
     "piecewise-max": ProblemFamily(
-        {"num_pieces": (_count, True), "gap": (_positive, True)},
+        {"num_pieces": (_num_pieces, True), "gap": (_positive, True)},
         lambda spec, seed: make_piecewise_max_problem(spec["dimension"], spec["num_pieces"],
                                                       seed)),
     "least-squares": ProblemFamily(
@@ -221,7 +228,8 @@ def _build_record(cls, record: dict, where: str):
     """The dataclass ``cls`` built from the fields of a JSON object; other
     keys are ignored.  A field whose JSON type does not fit its annotation,
     or that holds NaN, is a :class:`ConfigError` at ``where.field``; a
-    missing field, or a value ``cls`` refuses, one at ``where``."""
+    missing field, or a value ``cls`` refuses or cannot hold as a float, one
+    at ``where``."""
 
     annotations = _field_types(cls)
     fields = {name: value for name, value in record.items() if name in annotations}
@@ -233,7 +241,7 @@ def _build_record(cls, record: dict, where: str):
             raise ConfigError(f"{where}.{name}", "NaN is not a number here")
     try:
         return cls(**fields)
-    except (ParameterError, TypeError) as exc:  # TypeError: a field is missing
+    except (ParameterError, TypeError, OverflowError) as exc:  # TypeError: a field is missing
         raise ConfigError(where, str(exc)) from exc
 
 
@@ -264,7 +272,7 @@ def parse_config(document) -> ExperimentConfig:
     if isinstance(document, str):
         try:
             document = json.loads(document)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an integer literal too long to convert
             raise ConfigError("", f"not valid JSON: {exc}") from exc
     if not isinstance(document, dict):
         raise ConfigError("", "config must be a JSON object")
@@ -368,9 +376,11 @@ class RunSummary:
         return dataclasses.asdict(self)
 
     @classmethod
-    def from_json(cls, record: dict) -> "RunSummary":
-        fields = {field.name for field in dataclasses.fields(cls)}
-        return cls(**{key: value for key, value in record.items() if key in fields})
+    def from_json(cls, record, where: str = "summary") -> "RunSummary":
+        """A JSON record, checked as :func:`_build_record` checks it."""
+        if not isinstance(record, dict):
+            raise ConfigError(where, f"expected an object, got {record!r}")
+        return _build_record(cls, record, where)
 
     def csv_record(self) -> dict:
         return {column: getattr(self, column) for column in CSV_COLUMNS}
@@ -393,9 +403,8 @@ def write_summaries_csv(path, summaries) -> None:
         writer = csv.DictWriter(handle, fieldnames=list(CSV_COLUMNS))
         writer.writeheader()
         for summary in summaries:
-            record = summary.csv_record() if isinstance(summary, RunSummary) else summary
-            writer.writerow({column: _format_csv_value(record[column])
-                             for column in CSV_COLUMNS})
+            writer.writerow({column: _format_csv_value(value)
+                             for column, value in summary.csv_record().items()})
 
 
 def read_summaries_csv(path) -> list[dict]:
@@ -454,74 +463,52 @@ def _epoch_budget(problem: ProblemInstance, spec: MethodSpec, f_x0: float, calls
     if spec.kind == "subgrad":
         k, constant = k_subgrad, problem.subgradient_norm_bound(f_x0)
     else:
-        k, constant = k_accel, spec.L if spec.L is not None else metadata.L
-        if constant is None:
-            raise UnsupportedQueryError("accel bound needs a smoothness constant L")
+        k, constant = k_accel, resolve_L(spec, problem)
     if calls:
         return lambda delta, eps_bar: float(k(constant, delta, eps_bar)) + 1.0
     return lambda delta, eps_bar: float(k(constant, delta, eps_bar))
 
 
-def _cell_bounds(problem: ProblemInstance, x0: np.ndarray, config: ExperimentConfig,
-                 spec: MethodSpec, f_x0: float, eps: float, N: int) -> dict:
-    """Evaluate the guarantee totals this instance's metadata supports.
+def _report_or_none(bound) -> BoundReport | None:
+    """``bound()``, or None when the instance does not support that guarantee."""
+    try:
+        return bound()
+    except (UnsupportedQueryError, ParameterError):
+        return None
 
-    Returns {"theorem": BoundReport | None, "corollary": BoundReport | None,
-    "theorem_total": float | None, "corollary_total": float | None}; the
-    sequential scheme's totals are scaled by N + 2 single-copy slots per
-    lockstep period.
-    """
+
+def _cell_bounds(problem: ProblemInstance, x0: np.ndarray, config: ExperimentConfig,
+                 spec: MethodSpec, f_x0: float, eps: float, N: int):
+    """The (theorem, corollary) reports this instance's metadata supports,
+    each a :class:`BoundReport` or None."""
 
     metadata = problem.metadata
-    result: dict = {"theorem": None, "corollary": None,
-                    "theorem_total": None, "corollary_total": None}
     if metadata is None:
-        return result
+        return None, None
     try:
         distance = problem.distance_to_opt(x0)
         metadata = dataclasses.replace(metadata, dist_x0_to_opt=float(distance))
-    except (UnsupportedQueryError, RestartFomError):
+    except RestartFomError:
         pass
+    delay = config.delay
+    if config.scheme == "async":
+        theorem = _report_or_none(lambda: bound_async_theorem(
+            metadata, f_x0, eps, N, delay.effective_tau_transit(N), delay.tau_pause,
+            _epoch_budget(problem, spec, f_x0, calls=True)))
+    else:
+        theorem = _report_or_none(lambda: bound_sync_theorem(
+            metadata, f_x0, eps, N, _epoch_budget(problem, spec, f_x0, calls=False)))
 
-    scale = float(N + 2) if config.scheme == "sync-sequential" else 1.0
-
-    try:
-        if config.scheme == "async":
-            tau_transit = config.delay.effective_tau_transit(N)
-            theorem = bound_async_theorem(metadata, f_x0, eps, N, tau_transit,
-                                          config.delay.tau_pause,
-                                          _epoch_budget(problem, spec, f_x0, calls=True))
-        else:
-            theorem = bound_sync_theorem(metadata, f_x0, eps, N,
-                                         _epoch_budget(problem, spec, f_x0, calls=False))
-        result["theorem"] = theorem
-        if theorem.assumptions_ok:
-            result["theorem_total"] = theorem.total * scale
-    except (UnsupportedQueryError, ParameterError):
-        pass
-
-    try:
-        corollary = None
-        if config.scheme == "sync-lockstep":
-            if spec.kind == "subgrad" and metadata.M is not None:
-                corollary = bound_cor_subgrad(metadata, f_x0, eps, N)
-            elif spec.kind == "accel":
-                effective = metadata
-                if effective.L is None and spec.L is not None:
-                    effective = dataclasses.replace(effective, L=spec.L)
-                corollary = bound_cor_accel(effective, f_x0, eps, N)
-        elif config.scheme == "async" and spec.kind == "univ":
-            corollary = bound_cor_univ(metadata, f_x0, eps, N,
-                                       config.delay.effective_tau_transit(N),
-                                       config.delay.tau_pause, spec.L0)
-        if corollary is not None:
-            result["corollary"] = corollary
-            if corollary.assumptions_ok:
-                result["corollary_total"] = corollary.total
-    except (UnsupportedQueryError, ParameterError):
-        pass
-
-    return result
+    corollary = None
+    if config.scheme == "sync-lockstep" and spec.kind == "subgrad":
+        corollary = _report_or_none(lambda: bound_cor_subgrad(metadata, f_x0, eps, N))
+    elif config.scheme == "sync-lockstep" and spec.kind == "accel":
+        corollary = _report_or_none(lambda: bound_cor_accel(
+            dataclasses.replace(metadata, L=resolve_L(spec, problem)), f_x0, eps, N))
+    elif config.scheme == "async" and spec.kind == "univ":
+        corollary = _report_or_none(lambda: bound_cor_univ(
+            metadata, f_x0, eps, N, delay.effective_tau_transit(N), delay.tau_pause, spec.L0))
+    return theorem, corollary
 
 
 def _compliance(time_to_eps: float | None, complete: bool, budget: float,
@@ -566,6 +553,11 @@ def _delay_for_cell(config: ExperimentConfig, seed: int) -> DelayModel | None:
     return config.delay
 
 
+# RunSummary fields copied unchanged from the engine's summary record.
+_ENGINE_FIELDS = ("N", "n_bar", "scheme", "method", "time_to_eps", "oracle_calls_total",
+                  "complete", "messages_total", "restarts_per_copy", "f_x0")
+
+
 def run_cell(config: ExperimentConfig, eps: float, seed: int,
              out_dir: Path | None = None) -> RunSummary:
     """Run one (eps, seed) cell and evaluate its guarantees.
@@ -595,12 +587,14 @@ def run_cell(config: ExperimentConfig, eps: float, seed: int,
             messages_total=0, error=f"{type(exc).__name__}: {exc}",
         )
 
-    f_x0 = summary["f_x0"]
-    bounds = _cell_bounds(problem, x0, config, spec, f_x0, eps, N)
-    totals = [total for total in (bounds["theorem_total"], bounds["corollary_total"])
-              if total is not None]
-    compliant = _compliance(summary["time_to_eps"], summary["complete"],
-                            float(config.budget), totals)
+    theorem, corollary = _cell_bounds(problem, x0, config, spec, summary["f_x0"], eps, N)
+    bound_theorem = theorem.total if theorem is not None and theorem.assumptions_ok else None
+    bound_corollary = (corollary.total if corollary is not None and corollary.assumptions_ok
+                       else None)
+    if bound_theorem is not None and scheme == "sync-sequential":
+        bound_theorem *= N + 2  # one lockstep period is N + 2 single-copy slots
+    compliant = _compliance(summary["time_to_eps"], summary["complete"], float(config.budget),
+                            [t for t in (bound_theorem, bound_corollary) if t is not None])
 
     trace_path: str | None = None
     error: str | None = None
@@ -611,30 +605,13 @@ def run_cell(config: ExperimentConfig, eps: float, seed: int,
         except OSError as exc:
             error = f"trace write failed: {exc}"
 
-    metadata = problem.metadata
     return RunSummary(
-        eps=eps,
-        N=summary["N"],
-        n_bar=summary["n_bar"],
-        scheme=summary["scheme"],
-        method=summary["method"],
-        time_to_eps=summary["time_to_eps"],
-        oracle_calls_total=summary["oracle_calls_total"],
-        bound_theorem=bounds["theorem_total"],
-        bound_corollary=bounds["corollary_total"],
-        compliant=compliant,
-        seed=seed,
-        complete=summary["complete"],
-        messages_total=summary["messages_total"],
-        restarts_per_copy=summary["restarts_per_copy"],
-        growth_d=metadata.d if metadata is not None else None,
-        f_x0=f_x0,
-        bound_reports={
-            "theorem": bounds["theorem"].to_json() if bounds["theorem"] else None,
-            "corollary": bounds["corollary"].to_json() if bounds["corollary"] else None,
-        },
-        trace_path=trace_path,
-        error=error,
+        eps=eps, seed=seed, **{name: summary[name] for name in _ENGINE_FIELDS},
+        bound_theorem=bound_theorem, bound_corollary=bound_corollary, compliant=compliant,
+        growth_d=problem.metadata.d if problem.metadata is not None else None,
+        bound_reports={"theorem": theorem and theorem.to_json(),
+                       "corollary": corollary and corollary.to_json()},
+        trace_path=trace_path, error=error,
     )
 
 
@@ -719,9 +696,9 @@ def verify_bounds(summaries) -> VerifyReport:
     """Compare measured times against stored bound totals; no re-simulation."""
 
     verdicts: list[CellVerdict] = []
-    for summary in summaries:
+    for index, summary in enumerate(summaries):
         if isinstance(summary, dict):
-            summary = RunSummary.from_json(summary)
+            summary = RunSummary.from_json(summary, f"summaries[{index}]")
         bounds = [(_bound_label(summary.scheme, summary.method, which), total)
                   for which, total in (("theorem", summary.bound_theorem),
                                        ("corollary", summary.bound_corollary))
@@ -784,9 +761,7 @@ def fit_rate(summaries, model: str, field: str = "time_to_eps") -> FitResult:
     if field not in FIT_FIELDS:
         raise ParameterError(f"unknown fit field {field!r}, expected one of "
                              f"{FIT_FIELDS}")
-    records = [RunSummary.from_json(s) if isinstance(s, dict) else s
-               for s in summaries]
-    points = [(s.eps, getattr(s, field), s.growth_d) for s in records
+    points = [(s.eps, getattr(s, field), s.growth_d) for s in summaries
               if getattr(s, field) is not None]
     if len({eps for eps, _, _ in points}) < 4:
         raise ParameterError("rate fitting needs at least 4 distinct eps values "
@@ -837,10 +812,5 @@ def load_summaries(out_dir) -> list[RunSummary]:
     records = document.get("summaries") if isinstance(document, dict) else None
     if not isinstance(records, list):
         raise ConfigError(str(path), "expected an object with a 'summaries' list")
-    summaries = []
-    for index, record in enumerate(records):
-        where = f"{path}:summaries[{index}]"
-        if not isinstance(record, dict):
-            raise ConfigError(where, f"expected an object, got {record!r}")
-        summaries.append(_build_record(RunSummary, record, where))
-    return summaries
+    return [RunSummary.from_json(record, f"{path}:summaries[{index}]")
+            for index, record in enumerate(records)]

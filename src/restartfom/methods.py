@@ -55,6 +55,7 @@ __all__ = [
     "method_init",
     "method_restart",
     "prime",
+    "resolve_L",
     "step",
     "subgrad_step",
     "univ_step",
@@ -162,7 +163,8 @@ def _is_zero(g: np.ndarray) -> bool:
     return float(g @ g) == 0.0
 
 
-def _resolve_L(spec: MethodSpec, problem: ProblemInstance) -> float:
+def resolve_L(spec: MethodSpec, problem: ProblemInstance) -> float:
+    """The smoothness constant accel runs with: the spec's, else the metadata's."""
     if spec.L is not None:
         return spec.L
     if problem.metadata is not None and problem.metadata.L is not None:
@@ -190,7 +192,7 @@ def _fresh_epoch(spec: MethodSpec, problem: ProblemInstance, start: np.ndarray,
     if spec.kind == "subgrad":
         return SubgradState(**common, grad=grad)
     if spec.kind == "accel":
-        return AccelState(**common, L=_resolve_L(spec, problem), t=1.0, x_prev=start,
+        return AccelState(**common, L=resolve_L(spec, problem), t=1.0, x_prev=start,
                           y=start, grad_y=grad)
     if spec.L0 is None:
         raise ParameterError("univ needs an initial curvature guess L0")

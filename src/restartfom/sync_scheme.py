@@ -22,6 +22,7 @@ post-restart iteration all land in the period of the restart.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from restartfom.bounds import default_N, n_bar
@@ -62,6 +63,8 @@ class Ladder:
             N = default_N(eps)
         if N < -1:
             raise ParameterError(f"N must be at least -1, got {N}")
+        if N >= 1024 or not math.isfinite(2.0 ** N * eps):
+            raise ParameterError(f"N = {N} puts the top rung 2^N * eps beyond the float range")
         self.problem = problem
         self.spec = (method_kind if isinstance(method_kind, MethodSpec)
                      else MethodSpec(str(method_kind)))

@@ -432,3 +432,24 @@ def test_smooth_methods_run_clean(method_kind):
     assert summary["time_to_eps"] is not None
     assert check_trace(trace, eps=0.25, N=summary["N"], f_star=0.0,
                        tau_pause=1e-6, tau_transit=1.0) == []
+
+
+@pytest.mark.parametrize("budget", [100_000.0, 3.0], ids=["solved", "out-of-budget"])
+def test_a_finished_run_leaves_its_heap_empty_and_no_reference_cycle(budget):
+    import gc
+    import weakref
+
+    from restartfom.async_scheme import _AsyncEngine
+
+    problem = make_norm_power_problem(2, 1.0, 1.0)
+    engine = _AsyncEngine(problem, "subgrad", 0.25, None, budget, DelayModel())
+    engine.spin_up(np.array([3.0, -4.0]))
+    engine.run()
+    assert engine.heap == []
+    alive = weakref.ref(engine)
+    gc.disable()
+    try:
+        del engine  # freed by reference counting alone
+        assert alive() is None
+    finally:
+        gc.enable()

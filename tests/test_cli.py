@@ -293,3 +293,56 @@ def test_an_infinite_method_constant_exits_2(tmp_path, capsys, method):
     assert "Infinity" in config.read_text()
     assert main(["grid", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
     assert "error: method" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides, where", [
+    ({"problem": {"family": "norm-power", "dimension": 1, "mu": 1.0, "d": 1.0,
+                  "gap": 10 ** 400}}, "error: problem.gap: "),
+    ({"problem": {"family": "norm-power", "dimension": 1, "mu": 1.0, "d": 1.0,
+                  "gap": 3.0, "center": [10 ** 400]}}, "error: problem.center: "),
+    ({"method": {"kind": "accel", "L": 10 ** 400}}, "error: method: "),
+    ({"scheme": "async", "delay": {"transit_kind": "deterministic", "tau_transit": 1.0,
+                                   "pause_kind": "deterministic", "tau_pause": 10 ** 400}},
+     "error: delay: "),
+    ({"N": 2000}, "ParameterError: N = 2000"),
+], ids=["gap", "center", "L", "tau_pause", "N"])
+def test_a_number_too_large_for_a_float_exits_2_without_a_traceback(
+        tmp_path, capsys, overrides, where):
+    config = write_config(tmp_path, **overrides)
+    assert main(["grid", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert where in err
+    assert "Traceback" not in err
+
+
+def test_too_few_pieces_exit_2_at_num_pieces(tmp_path, capsys):
+    config = write_config(tmp_path, problem={"family": "piecewise-max", "dimension": 3,
+                                             "num_pieces": 2, "gap": 2.0})
+    assert main(["grid", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert "error: problem.num_pieces: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_grid_exits_2_when_a_cell_failed_after_writing_everything(tmp_path, capsys):
+    # Neither the spec nor the piecewise-max metadata gives accel an L.
+    config = write_config(tmp_path, method="accel",
+                          problem={"family": "piecewise-max", "dimension": 3,
+                                   "num_pieces": 8, "gap": 2.0})
+    out = tmp_path / "out"
+    assert main(["grid", "--config", str(config), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "0 pass, 0 fail, 2 unverifiable" in captured.out
+    assert captured.err.count("ConfigError: accel needs a smoothness constant L") == 2
+    assert (out / "summary.csv").exists() and (out / "summaries.json").exists()
+
+
+def test_oversized_integers_outside_the_config_fields_exit_2(tmp_path, capsys):
+    config = write_config(tmp_path)
+    out = str(tmp_path / "out")
+    assert main(["grid", "--config", str(config), "--out", out,
+                 "--budget", "1" + "0" * 400]) == 2
+    assert "error: --budget: " in capsys.readouterr().err
+    # Longer than the interpreter converts from a decimal string.
+    config.write_text(config.read_text().replace('"gap": 3.0', '"gap": 1' + "0" * 5000))
+    assert main(["grid", "--config", str(config), "--out", out]) == 2
+    assert "error: not valid JSON: " in capsys.readouterr().err

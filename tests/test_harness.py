@@ -732,3 +732,76 @@ def test_parse_eps_must_be_a_normal_float():
     assert err.value.path == "eps[1]"
     assert parse_config(minimal_config(eps=[2.2250738585072014e-308])).eps == (
         2.2250738585072014e-308,)
+
+
+# ---------------------------------------------------------------------------
+# Accel's smoothness constant
+# ---------------------------------------------------------------------------
+
+
+def test_accel_corollary_uses_the_L_the_method_ran_with(tmp_path):
+    # The metadata's L is about 4; the method runs with 40,000, so its epochs
+    # are long, and a corollary evaluated with the metadata's L is too small.
+    from restartfom.bounds import bound_cor_accel
+
+    document = {
+        "problem": {"family": "least-squares", "dimension": 6, "num_rows": 9, "gap": 30.0},
+        "method": {"kind": "accel", "L": 40000},
+        "scheme": "sync-lockstep",
+        "eps": [2.0 ** -k for k in range(2, 9)],
+        "seed": 0,
+    }
+    config = parse_config(document)
+    summaries = run_grid(config, out_dir=tmp_path)
+    problem, x0 = build_problem(config, seed=0)
+    assert problem.metadata.L < 10.0
+    metadata = dataclasses.replace(problem.metadata, L=40000.0,
+                                   dist_x0_to_opt=float(problem.distance_to_opt(x0)))
+    for summary in summaries:
+        assert summary.compliant is True
+        expected = bound_cor_accel(metadata, summary.f_x0, summary.eps, summary.N).total
+        assert summary.bound_corollary == expected
+        assert summary.bound_reports["corollary"]["total"] == expected
+    assert verify_bounds(summaries).failed == 0
+
+
+def test_resolve_L_prefers_the_method_spec_over_the_metadata():
+    from restartfom.methods import MethodSpec, resolve_L
+
+    config = parse_config(minimal_config(problem={"family": "least-squares", "dimension": 6,
+                                                  "num_rows": 9, "gap": 30.0}))
+    problem, _ = build_problem(config, seed=0)
+    assert resolve_L(MethodSpec("accel", L=7.0), problem) == 7.0
+    assert resolve_L(MethodSpec("accel"), problem) == problem.metadata.L
+
+
+# ---------------------------------------------------------------------------
+# Checked summary records and range rules found at parse time
+# ---------------------------------------------------------------------------
+
+
+def test_verify_bounds_checks_the_type_of_a_json_record(tmp_path):
+    config = parse_config(minimal_config(eps=[0.5]))
+    run_grid(config, out_dir=tmp_path)
+    with open(tmp_path / "summaries.json") as handle:
+        records = json.load(handle)["summaries"]
+    records[0]["time_to_eps"] = "abc"
+    with pytest.raises(ConfigError) as err:
+        verify_bounds(records)
+    assert err.value.path == "summaries[0].time_to_eps"
+
+
+def test_summary_from_json_refuses_a_non_object():
+    with pytest.raises(ConfigError) as err:
+        RunSummary.from_json([1, 2], "records[3]")
+    assert err.value.path == "records[3]"
+
+
+def test_piecewise_max_needs_more_pieces_than_dimensions():
+    problem = {"family": "piecewise-max", "dimension": 3, "num_pieces": 3, "gap": 2.0}
+    with pytest.raises(ConfigError) as err:
+        parse_config(minimal_config(problem=problem))
+    assert err.value.path == "problem.num_pieces"
+    config = parse_config(minimal_config(problem={**problem, "num_pieces": 4}))
+    assert config.problem["num_pieces"] == 4
+

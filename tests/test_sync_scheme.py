@@ -349,3 +349,10 @@ def test_checker_flags_weak_overwrite_decrement():
         _ev(2.5, 0, "pause-end", 1.0),
     ])
     assert check_contiguous_pause_decrements(good, 0.5) == []
+
+
+@pytest.mark.parametrize("N, eps", [(1024, 0.5), (2000, 0.5), (1023, 4.0)])
+def test_a_top_rung_beyond_the_float_range_is_refused(N, eps):
+    problem = make_norm_power_problem(1, 1.0, 1.0)
+    with pytest.raises(ParameterError, match="float range"):
+        run_sync(problem, "subgrad", eps, x0=np.array([3.0]), N=N)
