@@ -249,7 +249,7 @@ class _AsyncEngine(Ladder):
         self.trace.append(TraceEvent(
             now, copy.index, "iterate", copy.method.best_value,
         ))
-        if self.solved(now):
+        if self.solved(now, (copy,)):
             return
         if copy.index == self.N:
             self.update_top(copy, now)

@@ -103,7 +103,8 @@ def cmd_grid(args) -> int:
 
 def cmd_verify(args) -> int:
     summaries = load_summaries(_output_dir(args))
-    return _report_exit(verify_bounds(summaries))
+    code = _report_exit(verify_bounds(summaries))
+    return 2 if any(summary.error is not None for summary in summaries) else code
 
 
 def cmd_fit(args) -> int:

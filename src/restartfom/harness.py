@@ -645,9 +645,12 @@ class CellVerdict:
     status: str  # "pass" | "fail" | "unverifiable"
     measured: float | None
     tightest_violated: tuple[str, float] | None
+    error: str | None = None  # why the cell failed to run
 
     def line(self) -> str:
         key = f"eps={self.eps!r}" + (f" seed={self.seed}" if self.seed is not None else "")
+        if self.error is not None:
+            return f"[----] {key}: unverifiable (cell failed: {self.error})"
         if self.status == "pass":
             return f"[pass] {key}: time {self.measured!r} within every bound"
         if self.status == "fail":
@@ -703,7 +706,7 @@ def verify_bounds(summaries) -> VerifyReport:
                   for which, total in (("theorem", summary.bound_theorem),
                                        ("corollary", summary.bound_corollary))
                   if total is not None]
-        if not bounds or summary.compliant is None:
+        if summary.error is not None or not bounds or summary.compliant is None:
             status, tightest = "unverifiable", None
         elif summary.time_to_eps is not None and summary.complete:
             violated = [(name, total) for name, total in bounds
@@ -717,7 +720,7 @@ def verify_bounds(summaries) -> VerifyReport:
         verdicts.append(CellVerdict(
             eps=summary.eps, seed=summary.seed, scheme=summary.scheme,
             method=summary.method, status=status,
-            measured=summary.time_to_eps, tightest_violated=tightest,
+            measured=summary.time_to_eps, tightest_violated=tightest, error=summary.error,
         ))
     return VerifyReport(verdicts)
 

@@ -95,13 +95,14 @@ class Ladder:
                     self.time_to_eps = 0.0
                     return
 
-    def solved(self, now: float) -> bool:
-        """Whether some copy holds an eps-solution; records ``now`` if so."""
+    def solved(self, now: float, copies) -> bool:
+        """Whether one of ``copies`` holds an eps-solution; records ``now`` if so.
+        Engines pass the copies that iterated since the last check: a restart
+        installs only a value some copy already held, so no other can have dropped."""
 
         if self.f_star is None:
             return False
-        best = min(copy.method.best_value for copy in self.copies.values())
-        if best - self.f_star <= self.eps:
+        if min(copy.method.best_value for copy in copies) - self.f_star <= self.eps:
             self.time_to_eps = now
             return True
         return False
@@ -230,8 +231,9 @@ def run_sync(
             ticks += 1
             now = float(ticks)
             start = (ticks - 1) * width % len(ladder)
-            for copy in ladder[start:start + width]:
+            served = ladder[start:start + width]
+            for copy in served:
                 engine.serve_copy(copy, now)
-            if engine.solved(now):
+            if engine.solved(now, served):
                 break
     return engine.trace, engine.summary(f"sync-{mode}", None, periods=ticks)

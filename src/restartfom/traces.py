@@ -1,12 +1,13 @@
 """Trace records shared by both scheme engines, plus invariant checkers.
 
 Every engine emits a flat, time-ordered list of :class:`TraceEvent` records.
-The JSON-lines export (format 2) writes a header holding the distinct points
-as one base64 little-endian float64 table, one object per event naming its
-point by ``point_id`` (its table row), and a ``{"summary": {...}}`` record;
-a file without that header is refused.  The checkers in this
-module validate the messaging and restart discipline of a finished run from
-its trace alone, each in one pass over the events.
+The JSON-lines export (format 3) writes a header holding the distinct points
+as one base64 little-endian float64 table, the events in blocks of at most
+``BLOCK_EVENTS`` (a line each, one array per field: ``t`` and ``value`` as
+base64 float64, ``point_id`` as table rows, ``null`` where a field is absent),
+and a ``{"summary": {...}}`` record; a file without that header is refused.
+The checkers in this module validate the messaging and restart discipline of
+a finished run from its trace alone, each in one pass over the events.
 
 Event kinds
 -----------
@@ -36,19 +37,26 @@ import binascii
 import json
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
 
 from restartfom.errors import ConfigError, NonFiniteValueError, ParameterError
 
-_OPTIONAL_FIELDS = ("sender", "receiver", "source")
+BLOCK_EVENTS = 4096  # events per block line; bounds what one block holds in memory
 _ENCODER = json.JSONEncoder(allow_nan=False)
-# The encoder's own scalar formats: np.float64's repr reads "np.float64(...)".
-_FLOAT = float.__repr__
-_STRING = json.encoder.encode_basestring_ascii
-# Lines read per chunk (a size hint in characters); bounds the reader's memory.
-_CHUNK_CHARS = 1 << 16
+_BLOCK_ENCODER = json.JSONEncoder(allow_nan=False, separators=(",", ":"))  # no space per entry
+_NULL = type(None)
+# The fields a block stores as JSON arrays: name, entry types, what an entry must be.
+_COLUMNS = (
+    ("copy", {int, bool}, "an int"),
+    ("kind", {str}, "a str"),
+    ("point_id", {int, _NULL}, "null or a row of the point table"),
+    ("sender", {int, bool, _NULL}, "null or an int"),
+    ("receiver", {int, bool, _NULL}, "null or an int"),
+    ("source", {str, _NULL}, "null or a str"),
+)
 
 
 def _refuse_constant(name: str):
@@ -65,11 +73,41 @@ def point_tuple(point) -> tuple[float, ...]:
     return point if isinstance(point, tuple) else tuple(point.tolist())
 
 
-def _dumps(record: dict) -> str:
+def _dumps(record: dict, encoder: json.JSONEncoder = _ENCODER) -> str:
     try:
-        return _ENCODER.encode(record)
+        return encoder.encode(record)
     except ValueError as exc:  # NaN and infinities are not JSON
-        raise NonFiniteValueError(f"trace record {record!r}: {exc}") from exc
+        raise NonFiniteValueError(f"trace record: {exc}") from exc
+
+
+def _b64(values) -> str:
+    """Finite floats (a time or value column, or the point table) as base64
+    little-endian float64."""
+
+    column = np.asarray(values, dtype="<f8")
+    finite = np.isfinite(column)
+    if not finite.all():
+        bad = float(column[~finite][0])
+        raise NonFiniteValueError(f"a trace holds finite floats only, not {bad}")
+    return binascii.b2a_base64(column.tobytes(), newline=False).decode("ascii")
+
+
+def _floats(text, count: int, name: str) -> list[float]:
+    """The ``count`` finite floats of a base64 column."""
+
+    column = np.frombuffer(binascii.a2b_base64(text, strict_mode=True), dtype="<f8")
+    if len(column) != count:
+        raise ValueError(f"{name} holds {len(column)} floats, not {count}")
+    finite = np.isfinite(column)
+    if not finite.all():
+        index = int(finite.argmin())
+        raise ValueError(f"event {index} of the block: {name} {column[index]} is not finite")
+    return column.tolist()
+
+
+def _first_bad(column: list, name: str, ok, expected: str):
+    index = next(i for i, item in enumerate(column) if not ok(item))
+    raise TypeError(f"event {index} of the block: {name} {column[index]!r} is not {expected}")
 
 
 class TraceEvent(NamedTuple):
@@ -82,78 +120,35 @@ class TraceEvent(NamedTuple):
     receiver: int | None = None
     source: str | None = None
 
-    def to_record(self, point_id: int | None) -> dict:
-        record = {"t": self.t, "copy": self.copy, "kind": self.kind, "value": self.value}
-        if point_id is not None:
-            record["point_id"] = point_id
-        for name in _OPTIONAL_FIELDS:
-            item = getattr(self, name)
-            if item is not None:
-                record[name] = item
-        return record
 
-    @classmethod
-    def from_record(cls, record: dict, points: list[tuple[float, ...]]) -> "TraceEvent":
-        get = record.get
-        point = None
-        if "point_id" in record:
-            point_id = record["point_id"]
-            if not (isinstance(point_id, int) and 0 <= point_id < len(points)):
-                raise IndexError(f"point_id {point_id!r} is not a row of the point table")
-            point = points[point_id]
-        # tuple.__new__ skips the generated __new__ and its argument handling.
-        event = tuple.__new__(cls, (float(record["t"]), int(record["copy"]),
-                                    str(record["kind"]), float(record["value"]),
-                                    point, get("sender"), get("receiver"), get("source")))
-        if not (math.isfinite(event[0]) and math.isfinite(event[3])):
-            raise ValueError(f"time {event[0]!r} and value {event[3]!r} must be finite")
-        return event
+def _block_line(block: list[TraceEvent], point_ids: list[int | None]) -> str:
+    t, copy, kind, value, _, sender, receiver, source = zip(*block)
+    return _dumps({"events": len(block), "t": _b64(t), "value": _b64(value),
+                   "copy": copy, "kind": kind, "point_id": point_ids,
+                   "sender": sender, "receiver": receiver, "source": source}, _BLOCK_ENCODER)
 
 
-def _event_line(event: TraceEvent, point_id: int | None) -> str:
-    """``_dumps(event.to_record(point_id))``, formatted directly when every
-    field has a type the engines write: finite floats, plain ints and strs."""
+def _block_events(record: dict, rows: dict):
+    """The events of one block record; ``rows`` maps each point id (and None)
+    to its point."""
 
-    t, copy, kind, value, _, sender, receiver, source = event
-    if not (isinstance(t, float) and isinstance(value, float)
-            and math.isfinite(t) and math.isfinite(value)
-            and type(copy) is int and isinstance(kind, str)
-            and (sender is None or type(sender) is int)
-            and (receiver is None or type(receiver) is int)
-            and (source is None or isinstance(source, str))):
-        return _dumps(event.to_record(point_id))
-    line = f'{{"t": {_FLOAT(t)}, "copy": {copy}, "kind": {_STRING(kind)}, "value": {_FLOAT(value)}'
-    if point_id is not None:
-        line += f', "point_id": {point_id}'
-    if sender is not None:
-        line += f', "sender": {sender}'
-    if receiver is not None:
-        line += f', "receiver": {receiver}'
-    if source is not None:
-        line += f', "source": {_STRING(source)}'
-    return line + "}"
-
-
-def _decode_chunk(lines: list[str]) -> list | None:
-    """One record per line from a single parse of ``lines``, or None when
-    the chunk has to be parsed line by line.
-
-    Joined into one array, the lines parse to one element each only if no
-    line runs on into the next.  Each separating comma follows a newline, so
-    it is outside any string (JSON strings hold no raw newline); it precedes
-    "{", so it cannot sit inside an object; and with no "[" in the chunk it
-    cannot sit inside an array.  A line holding two values then shows as an
-    extra element.
-    """
-
-    text = ",".join(lines)
-    if "[" in text or text.count("\n,{") != len(lines) - 1:
-        return None
-    try:
-        records = _DECODER.decode(f"[{text}]")
-    except ValueError:
-        return None
-    return records if len(records) == len(lines) else None
+    count = record["events"]
+    t, value = _floats(record["t"], count, "t"), _floats(record["value"], count, "value")
+    columns = []
+    for name, types, expected in _COLUMNS:
+        column = record[name]
+        if type(column) is not list or len(column) != count:
+            raise ValueError(f"{name} is not an array of {count} entries")
+        if not types.issuperset(map(type, column)):
+            _first_bad(column, name, lambda item: type(item) in types, expected)
+        columns.append(column)
+    copy, kind, point_id, sender, receiver, source = columns
+    if not rows.keys() >= set(point_id):
+        _first_bad(point_id, "point_id", rows.__contains__, "a row of the point table")
+    points = map(rows.__getitem__, point_id)
+    # tuple.__new__ skips the generated __new__ and its argument handling.
+    return map(tuple.__new__, repeat(TraceEvent, count),
+               zip(t, copy, kind, value, points, sender, receiver, source))
 
 
 @dataclass(frozen=True)
@@ -214,54 +209,53 @@ class SchemeTrace:
         return [e.point for e in self.of_kind("restart", copy)]
 
     def write_jsonl(self, path, summary: dict | None = None) -> None:
-        """Write the format-2 file: point table header, events, summary."""
+        """Write the format-3 file: point table header, event blocks, summary."""
 
         rows: dict[tuple[float, ...], int] = {}
-        ids = iter([rows.setdefault(e.point, len(rows))
-                    for e in self.events if e.point is not None])
+        add = rows.setdefault
+        point_ids = [None if e.point is None else add(e.point, len(rows)) for e in self.events]
         table = np.array(list(rows), dtype="<f8")
-        b64 = binascii.b2a_base64(table.tobytes(), newline=False).decode()
-        header = {"format": 2, "points": {"dtype": "<f8", "shape": list(table.shape), "b64": b64}}
+        points = {"dtype": "<f8", "shape": list(table.shape), "b64": _b64(table)}
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(_dumps(header) + "\n")
-            for event in self.events:
-                point_id = None if event.point is None else next(ids)
-                handle.write(_event_line(event, point_id) + "\n")
+            handle.write(_dumps({"format": 3, "points": points}) + "\n")
+            for start in range(0, len(self.events), BLOCK_EVENTS):
+                stop = start + BLOCK_EVENTS
+                handle.write(_block_line(self.events[start:stop], point_ids[start:stop]) + "\n")
             if summary is not None:
                 handle.write(_dumps({"summary": summary}) + "\n")
 
     @classmethod
     def read_jsonl(cls, path) -> tuple["SchemeTrace", dict | None]:
-        """Read a format-2 file; a first line that is not the format-2 header,
+        """Read a format-3 file; a first line that is not the format-3 header,
         or a malformed line, raises :class:`ConfigError` located as
         ``path:line``."""
 
         trace = cls()
-        append, from_record = trace.events.append, TraceEvent.from_record
         summary = None
         number = 1  # the line being read
         with open(path, "r", encoding="utf-8") as handle:
             try:
                 header = _DECODER.decode(handle.readline())
-                if not isinstance(header, dict) or header.get("format") != 2:
-                    raise ValueError("the first line is not the format-2 header")
+                if not isinstance(header, dict) or header.get("format") != 3:
+                    raise ValueError("the first line is not the format-3 header")
                 table = header["points"]
-                rows = np.frombuffer(binascii.a2b_base64(table["b64"]), dtype=table["dtype"])
-                points = list(map(tuple, rows.reshape(table["shape"]).tolist()))
-                for lines in iter(lambda: handle.readlines(_CHUNK_CHARS), []):
-                    records = _decode_chunk(lines) or [None] * len(lines)
-                    for number, (line, record) in enumerate(zip(lines, records), number + 1):
-                        if record is None:  # parse the line on its own
-                            if line.isspace():
-                                continue
-                            record = _DECODER.decode(line)
-                        if not isinstance(record, dict):
-                            raise TypeError(f"expected a JSON object, got {line.strip()[:40]!r}")
-                        if "summary" in record:
-                            summary = record["summary"]
-                        else:
-                            append(from_record(record, points))
-            except (KeyError, IndexError, TypeError, ValueError) as exc:
+                points = np.frombuffer(binascii.a2b_base64(table["b64"], strict_mode=True),
+                                       dtype=table["dtype"])
+                if not np.isfinite(points).all():
+                    raise ValueError("the point table holds a value that is not finite")
+                rows = dict(enumerate(map(tuple, points.reshape(table["shape"]).tolist())))
+                rows[None] = None
+                for number, line in enumerate(handle, 2):
+                    if line.isspace():
+                        continue
+                    record = _DECODER.decode(line)
+                    if not isinstance(record, dict):
+                        raise TypeError(f"expected a JSON object, got {line.strip()[:40]!r}")
+                    if "summary" in record:
+                        summary = record["summary"]
+                    else:
+                        trace.events.extend(_block_events(record, rows))
+            except (KeyError, TypeError, ValueError) as exc:
                 # binascii.Error and JSONDecodeError are ValueErrors
                 raise ConfigError(f"{path}:{number}",
                                   f"malformed trace record: {exc}") from exc

@@ -336,6 +336,22 @@ def test_grid_exits_2_when_a_cell_failed_after_writing_everything(tmp_path, caps
     assert (out / "summary.csv").exists() and (out / "summaries.json").exists()
 
 
+def test_verify_reports_failed_cells_and_exits_2(tmp_path, capsys):
+    config = write_config(tmp_path, method="accel",
+                          problem={"family": "piecewise-max", "dimension": 3,
+                                   "num_pieces": 8, "gap": 2.0})
+    out = tmp_path / "out"
+    assert main(["grid", "--config", str(config), "--out", str(out)]) == 2
+    capsys.readouterr()
+    assert main(["verify", "--out", str(out)]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == [
+        f"[----] eps={eps!r} seed=0: unverifiable (cell failed: ConfigError: accel needs "
+        "a smoothness constant L (in the method spec or the problem metadata))"
+        for eps in (0.5, 0.25)]
+    assert lines[-1] == "0 pass, 0 fail, 2 unverifiable"
+
+
 def test_oversized_integers_outside_the_config_fields_exit_2(tmp_path, capsys):
     config = write_config(tmp_path)
     out = str(tmp_path / "out")

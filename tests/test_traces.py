@@ -1,9 +1,11 @@
-"""Trace files: the format-2 point table, the header it needs, valid JSON only."""
+"""Trace files: the format-3 point table and event blocks, the header they
+need, valid JSON only."""
 
 import base64
 import itertools
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -15,7 +17,10 @@ from restartfom.cli import main
 from restartfom.errors import ConfigError, NonFiniteValueError
 from restartfom.problems import make_piecewise_max_problem
 from restartfom.sync_scheme import run_sync
-from restartfom.traces import SchemeTrace, TraceEvent, check_send_counts
+from restartfom.traces import BLOCK_EVENTS, SchemeTrace, TraceEvent, check_send_counts
+
+BLOCK_ENCODER = json.JSONEncoder(allow_nan=False, separators=(",", ":"))
+COLUMNS = ("copy", "kind", "point_id", "sender", "receiver", "source")
 
 
 def lockstep_run():
@@ -24,21 +29,62 @@ def lockstep_run():
     return run_sync(p, "subgrad", 0.25, x0=x0)
 
 
+def b64_floats(values):
+    return base64.b64encode(b"".join(struct.pack("<d", v) for v in values)).decode()
+
+
+def floats_of(text):
+    raw = base64.b64decode(text)
+    return [value for (value,) in struct.iter_unpack("<d", raw)]
+
+
+def expected_block(events, point_ids):
+    """The block line of ``events`` as the JSON encoder writes it."""
+
+    return BLOCK_ENCODER.encode({
+        "events": len(events),
+        "t": b64_floats(e.t for e in events),
+        "value": b64_floats(e.value for e in events),
+        "copy": [e.copy for e in events], "kind": [e.kind for e in events],
+        "point_id": point_ids,
+        "sender": [e.sender for e in events], "receiver": [e.receiver for e in events],
+        "source": [e.source for e in events],
+    })
+
+
+def block_records(path):
+    """The JSON records of a trace file's block lines."""
+
+    return [json.loads(line) for line in path.read_text().splitlines()[1:]
+            if not line.startswith('{"summary"')]
+
+
+def column(path, name):
+    """One field over every block of a trace file, in event order."""
+
+    records = block_records(path)
+    if name in ("t", "value"):
+        return [value for record in records for value in floats_of(record[name])]
+    return [item for record in records for item in record[name]]
+
+
 def test_format_two_header_comes_first_and_holds_every_distinct_point(tmp_path):
     trace, summary = lockstep_run()
     path = tmp_path / "trace.jsonl"
     trace.write_jsonl(path, summary)
     lines = path.read_text().splitlines()
     header = json.loads(lines[0])
-    assert header["format"] == 2
+    assert header["format"] == 3
     table = header["points"]
     assert table["dtype"] == "<f8"
     rows = np.frombuffer(base64.b64decode(table["b64"]), dtype="<f8").reshape(table["shape"])
     distinct = list(dict.fromkeys(e.point for e in trace.events if e.point is not None))
     assert [tuple(row) for row in rows.tolist()] == distinct
-    events = [json.loads(line) for line in lines[1:-1]]
-    assert len(events) == len(trace.events)
-    assert not any("point" in record for record in events)
+    blocks = [json.loads(line) for line in lines[1:-1]]
+    assert sum(block["events"] for block in blocks) == len(trace.events)
+    assert all(set(block) == {"events", "t", "value", *COLUMNS} for block in blocks)
+    assert column(path, "point_id") == [None if e.point is None else distinct.index(e.point)
+                                        for e in trace.events]
     assert json.loads(lines[-1]) == {"summary": summary}
 
 
@@ -50,13 +96,13 @@ def test_format_two_round_trip_shares_one_row_per_restart_and_send(tmp_path):
     assert back == trace
     assert summary_back == summary
 
-    records = [json.loads(line) for line in path.read_text().splitlines()[1:-1]]
+    kinds, copies = column(path, "kind"), column(path, "copy")
+    point_ids = column(path, "point_id")
     pairs = 0
-    for i, record in enumerate(records):
-        if record["kind"] == "restart" and record["copy"] > -1:
-            send = records[i + 1]
-            assert send["kind"] == "send" and send["copy"] == record["copy"]
-            assert send["point_id"] == record["point_id"]
+    for i, kind in enumerate(kinds):
+        if kind == "restart" and copies[i] > -1:
+            assert kinds[i + 1] == "send" and copies[i + 1] == copies[i]
+            assert point_ids[i + 1] == point_ids[i]
             assert back.events[i + 1].point is back.events[i].point
             pairs += 1
     assert pairs > 0
@@ -77,6 +123,34 @@ def test_trace_without_points_round_trips(tmp_path):
     assert SchemeTrace.read_jsonl(path) == (trace, None)
 
 
+def _long_trace(events):
+    return SchemeTrace([TraceEvent(float(i), i % 5 - 1, "iterate", 100.0 - i * 1e-3)
+                        for i in range(events)])
+
+
+@pytest.mark.parametrize("events", [0, BLOCK_EVENTS, BLOCK_EVENTS + 1])
+def test_blocks_hold_at_most_block_events_and_round_trip(tmp_path, events):
+    trace = _long_trace(events)
+    path = tmp_path / "trace.jsonl"
+    trace.write_jsonl(path, {"periods": events})
+    lines = path.read_text().splitlines()
+    counts = [json.loads(line)["events"] for line in lines[1:-1]]
+    assert counts == {0: [], BLOCK_EVENTS: [BLOCK_EVENTS],
+                      BLOCK_EVENTS + 1: [BLOCK_EVENTS, 1]}[events]
+    assert SchemeTrace.read_jsonl(path) == (trace, {"periods": events})
+
+
+def test_edge_floats_read_back_bit_for_bit(tmp_path):
+    edges = [-0.0, 0.0, 5e-324, -5e-324, 1.797e308, -1.797e308, 1.7976931348623157e308]
+    trace = SchemeTrace([TraceEvent(t, 0, "iterate", -t) for t in edges])
+    path = tmp_path / "trace.jsonl"
+    trace.write_jsonl(path)
+    back, _ = SchemeTrace.read_jsonl(path)
+    assert [struct.pack("<d", e.t) for e in back.events] == [struct.pack("<d", t) for t in edges]
+    assert ([struct.pack("<d", e.value) for e in back.events]
+            == [struct.pack("<d", -t) for t in edges])
+
+
 @pytest.mark.parametrize("text", [
     pytest.param("", id="empty"),
     pytest.param('{"t": 0.0, "copy": 0, "kind": "init", "value": 3.0}\n'
@@ -84,7 +158,9 @@ def test_trace_without_points_round_trips(tmp_path):
                  '"point": [2.5, -0.125], "source": "own"}\n', id="format-one"),
     pytest.param('{"format": 1, "points": {"dtype": "<f8", "shape": [0], "b64": ""}}\n',
                  id="other-format"),
-    pytest.param("\n" + '{"format": 2, "points": {"dtype": "<f8", "shape": [0], "b64": ""}}\n',
+    pytest.param('{"format": 2, "points": {"dtype": "<f8", "shape": [0], "b64": ""}}\n'
+                 '{"t": 0.0, "copy": 0, "kind": "init", "value": 3.0}\n', id="format-two"),
+    pytest.param("\n" + '{"format": 3, "points": {"dtype": "<f8", "shape": [0], "b64": ""}}\n',
                  id="header-not-first"),
 ])
 def test_a_file_without_the_format_two_header_is_refused_at_line_one(tmp_path, capsys, text):
@@ -119,6 +195,9 @@ def test_non_finite_event_value_is_refused(tmp_path, bad):
                          TraceEvent(1.0, 0, "iterate", bad)])
     with pytest.raises(NonFiniteValueError):
         trace.write_jsonl(tmp_path / "trace.jsonl")
+    with pytest.raises(NonFiniteValueError):  # a point goes to the table
+        SchemeTrace([TraceEvent(1.0, 0, "restart", 1.0, point=(0.0, bad), source="own")]
+                    ).write_jsonl(tmp_path / "trace.jsonl")
 
 
 def test_trace_dump_prints_points_of_a_format_two_file(tmp_path, capsys):
@@ -130,126 +209,239 @@ def test_trace_dump_prints_points_of_a_format_two_file(tmp_path, capsys):
     assert f"point={list(restart.point)!r}" in capsys.readouterr().out
 
 
+def _dump_text(trace, summary):
+    """What ``trace-dump`` should print for ``trace``, built from the events."""
+
+    lines = []
+    for e in trace.events:
+        parts = [f"t={e.t:.6f}", f"copy={e.copy}", e.kind, f"value={e.value!r}"]
+        parts += [f"{name}={getattr(e, name)}" for name in ("source", "sender", "receiver")
+                  if getattr(e, name) is not None]
+        if e.point is not None:
+            parts.append(f"point={list(e.point)!r}")
+        lines.append(" ".join(parts))
+    return "\n".join(lines + ["summary: " + json.dumps(summary)]) + "\n"
+
+
+def test_trace_dump_of_a_file_matches_the_in_memory_trace(tmp_path, capsys):
+    trace, summary = lockstep_run()
+    trace.events += _long_trace(BLOCK_EVENTS + 3).events  # more than one block
+    path = tmp_path / "trace.jsonl"
+    trace.write_jsonl(path, summary)
+    capsys.readouterr()
+    assert main(["trace-dump", str(path)]) == 0
+    assert capsys.readouterr().out == _dump_text(trace, summary)
+
+
+def _edit_block(lines, name, index, value):
+    """Set entry ``index`` of field ``name`` in the first block line."""
+
+    record = json.loads(lines[1])
+    record[name][index] = value
+    lines[1] = json.dumps(record)
+    return 2, f"event {index} of the block"
+
+
 def _set_point_id(lines, value):
-    index = next(i for i, line in enumerate(lines) if '"point_id"' in line)
-    record = json.loads(lines[index])
-    record["point_id"] = value
-    lines[index] = json.dumps(record)
-    return index + 1
+    index = json.loads(lines[1])["point_id"].index(0)
+    return _edit_block(lines, "point_id", index, value)
+
+
+def _edit_field(lines, name, value):
+    record = json.loads(lines[1])
+    record[name] = value(record[name]) if callable(value) else value
+    lines[1] = json.dumps(record)
+    return 2, None
+
+
+def _drop_field(lines, name):
+    record = json.loads(lines[1])
+    del record[name]
+    lines[1] = json.dumps(record)
+    return 2, None
 
 
 def _edit_table(lines, key, value):
     header = json.loads(lines[0])
     header["points"][key] = value
     lines[0] = json.dumps(header)
-    return 1
+    return 1, None
 
 
 def _edit_event(lines, text):
     lines[1] = text
-    return 2
+    return 2, None
 
 
 @pytest.mark.parametrize("edit", [
     pytest.param(lambda lines: _set_point_id(lines, 10**6), id="point-id-out-of-range"),
     pytest.param(lambda lines: _set_point_id(lines, -1), id="point-id-negative"),
+    pytest.param(lambda lines: _set_point_id(lines, 0.0), id="point-id-float"),
     pytest.param(lambda lines: _edit_table(lines, "b64", "not base64!"), id="bad-base64"),
     pytest.param(lambda lines: _edit_table(lines, "shape", [3, 3, 3]), id="wrong-shape"),
+    pytest.param(lambda lines: _edit_table(lines, "b64", b64_floats(
+        [math.inf, *floats_of(json.loads(lines[0])["points"]["b64"])[1:]])), id="non-finite-point"),
     pytest.param(lambda lines: _edit_event(lines, "[1, 2, 3]"), id="non-object-line"),
-    pytest.param(lambda lines: _edit_event(
-        lines, '{"t": "abc", "copy": 0, "kind": "init", "value": 1.0}'), id="bad-time"),
+    pytest.param(lambda lines: _edit_field(lines, "t", "abc"), id="bad-time"),
+    pytest.param(lambda lines: _edit_field(lines, "value", "not base64!"),
+                 id="bad-base64-float-column"),
+    pytest.param(lambda lines: _edit_field(lines, "t", lambda text: text[:-12] + "="),
+                 id="float-column-one-short"),
+    pytest.param(lambda lines: _edit_field(lines, "copy", lambda items: items[:-1]),
+                 id="ragged-column"),
+    pytest.param(lambda lines: _edit_field(lines, "source", None), id="column-not-an-array"),
+    pytest.param(lambda lines: _edit_field(lines, "events", "172"), id="count-not-an-int"),
+    pytest.param(lambda lines: _drop_field(lines, "receiver"), id="missing-column"),
+    pytest.param(lambda lines: _edit_block(lines, "copy", 7, 1.5), id="copy-type"),
+    pytest.param(lambda lines: _edit_block(lines, "kind", 9, 3), id="kind-type"),
+    pytest.param(lambda lines: _edit_block(lines, "sender", 11, "x"), id="sender-type"),
+    pytest.param(lambda lines: _edit_block(lines, "receiver", 13, [1]), id="receiver-type"),
+    pytest.param(lambda lines: _edit_block(lines, "source", 15, 1), id="source-type"),
 ])
 def test_malformed_trace_is_a_located_config_error(tmp_path, capsys, edit):
     trace, summary = lockstep_run()
     path = tmp_path / "trace.jsonl"
     trace.write_jsonl(path, summary)
     lines = path.read_text().splitlines()
-    number = edit(lines)  # the 1-based line the edit broke
+    number, names = edit(lines)  # the 1-based line the edit broke; the event it names
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ConfigError) as err:
         SchemeTrace.read_jsonl(path)
     assert err.value.path == f"{path}:{number}"
+    if names is not None:
+        assert names in str(err.value)
     assert main(["trace-dump", str(path)]) == 2
     assert f"error: {path}:{number}: malformed trace record" in capsys.readouterr().err
 
 
-def _replace_values(path, kind, text):
-    """Write ``text`` as the raw JSON value of every ``kind`` event; returns
-    the 1-based number of the first line changed."""
+def _first_restart(path):
+    """The 1-based line of the first block holding a restart, that block's
+    record and the restart's index in it."""
 
+    for number, line in enumerate(path.read_text().splitlines()[1:], 2):
+        record = json.loads(line)
+        if "restart" in record.get("kind", ()):
+            return number, record, record["kind"].index("restart")
+    raise AssertionError("no restart")
+
+
+def _replace_field(path, name, text, index=None):
+    """Write ``text`` as the raw JSON of field ``name`` (or of its entry
+    ``index``) in the first block with a restart; returns that block's line."""
+
+    number, record, _ = _first_restart(path)
     lines = path.read_text().splitlines()
-    changed = [i for i, line in enumerate(lines) if f'"kind": "{kind}"' in line]
-    for i in changed:
-        record = json.loads(lines[i])
-        record["value"] = "@"
-        lines[i] = json.dumps(record).replace('"@"', text)
+    if index is None:
+        record[name] = "@"
+    else:
+        record[name][index] = "@"
+    lines[number - 1] = json.dumps(record).replace('"@"', text)
     path.write_text("\n".join(lines) + "\n")
-    return changed[0] + 1
+    return number
 
 
-@pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e999", '"nan"'])
-def test_non_finite_restart_values_are_a_located_config_error(tmp_path, capsys, text):
+def _replace_restart_bits(path, bits):
+    """Store ``bits`` as the float64 value of the first restart."""
+
+    number, record, index = _first_restart(path)
+    values = floats_of(record["value"])
+    values[index] = struct.unpack("<d", bits)[0]
+    record["value"] = b64_floats(values)
+    lines = path.read_text().splitlines()
+    lines[number - 1] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    return number, f"event {index} of the block"
+
+
+@pytest.mark.parametrize("corrupt", [
+    pytest.param(lambda path: (_replace_field(path, "value", "NaN"), None), id="NaN"),
+    pytest.param(lambda path: (_replace_field(path, "copy", "Infinity", 0), None),
+                 id="Infinity"),
+    pytest.param(lambda path: (_replace_field(path, "sender", "-Infinity", 0), None),
+                 id="-Infinity"),
+    pytest.param(lambda path: (_replace_field(path, "value", "1e999"), None), id="1e999"),
+    pytest.param(lambda path: (_replace_field(path, "value", '"nan"'), None), id='"nan"'),
+    pytest.param(lambda path: _replace_restart_bits(path, struct.pack("<d", math.nan)),
+                 id="nan-bits"),
+    pytest.param(lambda path: _replace_restart_bits(path, b"\x01\x00\x00\x00\x00\x00\xf8\xff"),
+                 id="signalling-nan-bits"),
+    pytest.param(lambda path: _replace_restart_bits(path, struct.pack("<d", math.inf)),
+                 id="inf-bits"),
+    pytest.param(lambda path: _replace_restart_bits(path, struct.pack("<d", -math.inf)),
+                 id="-inf-bits"),
+])
+def test_non_finite_restart_values_are_a_located_config_error(tmp_path, capsys, corrupt):
     trace, summary = lockstep_run()
     path = tmp_path / "trace.jsonl"
     trace.write_jsonl(path, summary)
-    number = _replace_values(path, "restart", text)
+    number, names = corrupt(path)
     with pytest.raises(ConfigError) as err:
         SchemeTrace.read_jsonl(path)
     assert err.value.path == f"{path}:{number}"
+    if names is not None:
+        assert names in str(err.value)
     assert main(["trace-dump", str(path)]) == 2
     assert f"error: {path}:{number}: malformed trace record" in capsys.readouterr().err
 
 
-def _long_trace(events):
-    return SchemeTrace([TraceEvent(float(i), i % 5 - 1, "iterate", 100.0 - i * 1e-3)
-                        for i in range(events)])
+LONG = 3 * BLOCK_EVENTS + 10  # four blocks: lines 2 to 5
 
 
-@pytest.mark.parametrize("where", [3, 2500, 5999])
+def _corrupt_event(lines, where, name="kind", value=7):
+    """Set field ``name`` of event ``where`` (counted over the whole trace);
+    returns the 1-based line of its block."""
+
+    number = 2 + where // BLOCK_EVENTS
+    record = json.loads(lines[number - 1])
+    record[name][where % BLOCK_EVENTS] = value
+    lines[number - 1] = json.dumps(record)
+    return number
+
+
+@pytest.mark.parametrize("where", [3, 2500, 5999, LONG - 1])
 def test_malformed_line_in_a_long_trace_is_located(tmp_path, where):
     path = tmp_path / "trace.jsonl"
-    _long_trace(6000).write_jsonl(path)  # several read chunks
+    _long_trace(LONG).write_jsonl(path)
     lines = path.read_text().splitlines()
-    lines[where - 1] = lines[where - 1].replace('"value"', '"value" 1')
+    number = _corrupt_event(lines, where)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ConfigError) as err:
         SchemeTrace.read_jsonl(path)
-    assert err.value.path == f"{path}:{where}"
+    assert err.value.path == f"{path}:{number}"
+    assert f"event {where % BLOCK_EVENTS} of the block: kind 7 is not a str" in str(err.value)
 
 
 def test_the_first_malformed_line_is_the_one_reported(tmp_path):
     path = tmp_path / "trace.jsonl"
-    _long_trace(50).write_jsonl(path)
+    _long_trace(LONG).write_jsonl(path)
     lines = path.read_text().splitlines()
-    record = json.loads(lines[19])
-    record["t"] = "abc"
-    lines[19] = json.dumps(record)  # parses, but is no event
-    lines[29] = lines[29][:-1]  # does not parse
+    _corrupt_event(lines, BLOCK_EVENTS + 40, "copy", "abc")  # parses, but is no event
+    _corrupt_event(lines, BLOCK_EVENTS + 20, "copy", "def")  # an earlier event, same block
+    lines[3] = lines[3][:-1]  # the next block does not parse
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ConfigError) as err:
         SchemeTrace.read_jsonl(path)
-    assert err.value.path == f"{path}:20"
+    assert err.value.path == f"{path}:3"
+    assert "event 20 of the block: copy 'def' is not an int" in str(err.value)
 
 
-ITERATE = '{"t": 1.0, "copy": 0, "kind": "iterate", "value": 2.0'
-
-
-@pytest.mark.parametrize("merged", [
-    # With two records on line 11 and one record over two later lines,
-    # the chunk joined into one array still parses to one element per line.
-    pytest.param([f'{ITERATE}, "x": [{{"a": 1}}', '{"b": 2}]}'], id="array"),
-    pytest.param([f"{ITERATE}", '"source": "own"}'], id="object"),
-    pytest.param([], id="split-only"),
+@pytest.mark.parametrize("merge", [
+    # Two blocks on one line, as an array or side by side, or one block over
+    # two lines: each is refused at the line it starts on.
+    pytest.param(lambda first, second: [f"[{first}, {second}]"], id="array"),
+    pytest.param(lambda first, second: [f"{first} {second}"], id="object"),
+    pytest.param(lambda first, second: [first[:len(first) // 2], first[len(first) // 2:],
+                                        second], id="split-only"),
 ])
-def test_lines_that_cancel_out_in_one_chunk_are_still_refused(tmp_path, merged):
+def test_lines_that_cancel_out_in_one_chunk_are_still_refused(tmp_path, merge):
     path = tmp_path / "trace.jsonl"
-    _long_trace(50).write_jsonl(path)
+    _long_trace(LONG).write_jsonl(path)
     lines = path.read_text().splitlines()
-    lines[10:11 + len(merged)] = [f"{ITERATE}}}, {ITERATE}}}", *merged]
+    lines[2:4] = merge(lines[2], lines[3])
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ConfigError) as err:
         SchemeTrace.read_jsonl(path)
-    assert err.value.path == f"{path}:11"
+    assert err.value.path == f"{path}:3"
 
 
 @pytest.mark.parametrize("event", [
@@ -261,8 +453,9 @@ def test_lines_that_cancel_out_in_one_chunk_are_still_refused(tmp_path, merged):
 def test_fields_of_other_types_are_written_as_the_json_encoder_writes_them(tmp_path, event):
     path = tmp_path / "trace.jsonl"
     SchemeTrace([event]).write_jsonl(path)
-    record = {name: item for name, item in event._asdict().items() if item is not None}
-    assert path.read_text().splitlines()[1] == json.JSONEncoder(allow_nan=False).encode(record)
+    assert path.read_text(encoding="utf-8").splitlines()[1] == expected_block([event], [None])
+    back, _ = SchemeTrace.read_jsonl(path)
+    assert back == SchemeTrace([event])
 
 
 KINDS = ("init", "iterate", "restart", "task-update", "send", "arrival",
@@ -271,7 +464,7 @@ EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e30
                                -1.7976931348623157e308, 0.1, 1e16, 1e-7])
 FLOATS = (EDGE_FLOATS | st.floats(allow_nan=False, allow_infinity=False)
           | st.builds(np.float64, st.floats(allow_nan=False, allow_infinity=False)))
-COPIES = st.integers(-3, 70)
+COPIES = st.integers(-3, 70) | st.booleans()
 POINTS = st.tuples(FLOATS, FLOATS)
 
 
@@ -300,18 +493,10 @@ def test_event_lines_are_what_the_json_encoder_writes(tmp_path_factory, events):
     path = tmp_path_factory.mktemp("lines") / "trace.jsonl"
     trace = SchemeTrace(events)
     trace.write_jsonl(path)
-    encoder = json.JSONEncoder(allow_nan=False)
     rows = {}
-    expected = []
-    for event in events:
-        record = {"t": event.t, "copy": event.copy, "kind": event.kind, "value": event.value}
-        if event.point is not None:
-            record["point_id"] = rows.setdefault(event.point, len(rows))
-        for name in ("sender", "receiver", "source"):
-            if getattr(event, name) is not None:
-                record[name] = getattr(event, name)
-        expected.append(encoder.encode(record))
-    assert path.read_text().splitlines()[1:] == expected
+    point_ids = [None if e.point is None else rows.setdefault(e.point, len(rows))
+                 for e in events]
+    assert path.read_text().splitlines()[1:] == [expected_block(events, point_ids)]
 
     back, summary = SchemeTrace.read_jsonl(path)
     assert summary is None
