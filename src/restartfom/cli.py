@@ -72,6 +72,8 @@ def _output_dir(args) -> Path:
 def _report_exit(report) -> int:
     for line in report.lines():
         print(line)
+    if any(verdict.error is not None for verdict in report.verdicts):
+        return 2
     return 0 if report.all_compliant else 1
 
 
@@ -97,14 +99,11 @@ def cmd_grid(args) -> int:
         print(f"eps={summary.eps!r} seed={summary.seed}: {summary.error}", file=sys.stderr)
     directory = resolve_output_dir(config, args.out)
     print(f"wrote {len(summaries)} cells to {directory}")
-    code = _report_exit(verify_bounds(summaries))
-    return 2 if failed else code
+    return _report_exit(verify_bounds(summaries))
 
 
 def cmd_verify(args) -> int:
-    summaries = load_summaries(_output_dir(args))
-    code = _report_exit(verify_bounds(summaries))
-    return 2 if any(summary.error is not None for summary in summaries) else code
+    return _report_exit(verify_bounds(load_summaries(_output_dir(args))))
 
 
 def cmd_fit(args) -> int:

@@ -33,7 +33,7 @@ Event kinds
 
 from __future__ import annotations
 
-import binascii
+import base64
 import json
 import math
 from dataclasses import dataclass
@@ -89,13 +89,13 @@ def _b64(values) -> str:
     if not finite.all():
         bad = float(column[~finite][0])
         raise NonFiniteValueError(f"a trace holds finite floats only, not {bad}")
-    return binascii.b2a_base64(column.tobytes(), newline=False).decode("ascii")
+    return base64.b64encode(column.tobytes()).decode("ascii")
 
 
 def _floats(text, count: int, name: str) -> list[float]:
     """The ``count`` finite floats of a base64 column."""
 
-    column = np.frombuffer(binascii.a2b_base64(text, strict_mode=True), dtype="<f8")
+    column = np.frombuffer(base64.b64decode(text, validate=True), dtype="<f8")
     if len(column) != count:
         raise ValueError(f"{name} holds {len(column)} floats, not {count}")
     finite = np.isfinite(column)
@@ -123,9 +123,10 @@ class TraceEvent(NamedTuple):
 
 def _block_line(block: list[TraceEvent], point_ids: list[int | None]) -> str:
     t, copy, kind, value, _, sender, receiver, source = zip(*block)
-    return _dumps({"events": len(block), "t": _b64(t), "value": _b64(value),
-                   "copy": copy, "kind": kind, "point_id": point_ids,
-                   "sender": sender, "receiver": receiver, "source": source}, _BLOCK_ENCODER)
+    # One encode per column: the C encoder keeps every chunk until it joins them all.
+    return "".join([f'{{"events":{len(block)},"t":"{_b64(t)}","value":"{_b64(value)}"', *(
+        f',"{name}":{_dumps(column, _BLOCK_ENCODER)}' for (name, _, _), column
+        in zip(_COLUMNS, (copy, kind, point_ids, sender, receiver, source))), "}"])
 
 
 def _block_events(record: dict, rows: dict):
@@ -239,7 +240,7 @@ class SchemeTrace:
                 if not isinstance(header, dict) or header.get("format") != 3:
                     raise ValueError("the first line is not the format-3 header")
                 table = header["points"]
-                points = np.frombuffer(binascii.a2b_base64(table["b64"], strict_mode=True),
+                points = np.frombuffer(base64.b64decode(table["b64"], validate=True),
                                        dtype=table["dtype"])
                 if not np.isfinite(points).all():
                     raise ValueError("the point table holds a value that is not finite")
@@ -256,7 +257,7 @@ class SchemeTrace:
                     else:
                         trace.events.extend(_block_events(record, rows))
             except (KeyError, TypeError, ValueError) as exc:
-                # binascii.Error and JSONDecodeError are ValueErrors
+                # binascii.Error (from base64) and JSONDecodeError are ValueErrors
                 raise ConfigError(f"{path}:{number}",
                                   f"malformed trace record: {exc}") from exc
         return trace, summary

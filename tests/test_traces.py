@@ -285,6 +285,15 @@ def _edit_event(lines, text):
     pytest.param(lambda lines: _edit_field(lines, "t", "abc"), id="bad-time"),
     pytest.param(lambda lines: _edit_field(lines, "value", "not base64!"),
                  id="bad-base64-float-column"),
+    # Characters outside the base64 alphabet that a lenient decoder would skip.
+    pytest.param(lambda lines: _edit_field(lines, "t", lambda text: text[:8] + "*" + text[8:]),
+                 id="non-alphabet-in-float-column"),
+    pytest.param(lambda lines: _edit_field(lines, "value", lambda text: text[:8] + "\n" + text[8:]),
+                 id="newline-in-float-column"),
+    pytest.param(lambda lines: _edit_field(lines, "t", lambda text: text[:8] + "\u00e9" + text[8:]),
+                 id="non-ascii-in-float-column"),
+    pytest.param(lambda lines: _edit_table(
+        lines, "b64", " " + json.loads(lines[0])["points"]["b64"]), id="space-in-point-table"),
     pytest.param(lambda lines: _edit_field(lines, "t", lambda text: text[:-12] + "="),
                  id="float-column-one-short"),
     pytest.param(lambda lines: _edit_field(lines, "copy", lambda items: items[:-1]),
