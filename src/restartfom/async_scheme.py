@@ -4,10 +4,11 @@ Continuous time, one unit per oracle call.  Every copy starts at the shared
 point at time zero and iterates freely; a fulfilling point of its own starts
 a new epoch instantly, while a message arrival pauses the copy for a bounded
 positive time before the candidate is examined.  A newer arrival during a
-pause overwrites the candidate and starts a fresh pause; an arrival landing
-at the same instant as the copy's own task fulfillment turns the pause into
-a comparison, keeping the copy's own point unless the message's value is
-strictly smaller.  The top copy never pauses and never restarts.
+pause overwrites the candidate and starts a fresh pause.  When the pause
+ends, the ladder's restart rule runs with a tie keeping the copy's own point;
+that point can fulfill the task only when the arrival landed at the instant
+the copy fulfilled it, and a copy that does not restart resumes.  The top
+copy never pauses and never restarts.
 
 Interrupted oracle calls are suspended and resume with their remaining
 duration if the epoch survives the pause; they are discarded outright on a
@@ -19,7 +20,7 @@ at a global minimizer, so arrivals are logged but cannot improve it.
 Delivery is governed by :class:`DelayModel`: deterministic or uniform
 transit within (0, tau_transit], and optionally a shared single-server FIFO
 queue where a newer message replaces an older pending one from the same
-sender and the effective transit bound scales with the number of copies.
+sender and the transit bound is (N + 2) * service_time.
 """
 
 from __future__ import annotations
@@ -31,14 +32,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from restartfom.errors import ParameterError
-# method_init and method_restart run in the shared Ladder; they stay bound here
-# because bench/layers.py wraps the same four method names in both engines.
+# method_init, method_restart, prime and step run in the shared Ladder; they
+# stay bound here because bench/layers.py wraps the same four names in both engines.
 from restartfom.methods import MethodState, method_init, method_restart, prime, step  # noqa: F401
 from restartfom.problems import ProblemInstance
-from restartfom.sync_scheme import Ladder, LadderCopy
+from restartfom.sync_scheme import DEFAULT_BUDGET, Ladder, LadderCopy
 from restartfom.traces import Message, SchemeTrace, TraceEvent, fulfills
-
-DEFAULT_TIME_BUDGET = 100_000.0
 
 _PRIO_COMPLETE = 0
 _PRIO_ARRIVAL = 1
@@ -69,7 +68,6 @@ class DelayModel:
     pause_kind: str = "deterministic"
     tau_pause: float = 1.0
     service_time: float = 1.0
-    tau_factor: float = 1.0
     seed: int | None = None
     iteration_cost: str = "per-call"
 
@@ -84,7 +82,6 @@ class DelayModel:
             ("tau_transit", self.tau_transit),
             ("tau_pause", self.tau_pause),
             ("service_time", self.service_time),
-            ("tau_factor", self.tau_factor),
         ):
             if not (value > 0.0 and math.isfinite(value)):
                 raise ParameterError(f"{label} must be positive, got {value}")
@@ -95,7 +92,7 @@ class DelayModel:
         """Transit bound honored by deliveries when N + 2 copies share the wire."""
 
         if self.transit_kind == "single-server":
-            return self.tau_factor * (N + 2) * self.service_time
+            return (N + 2) * self.service_time
         return self.tau_transit
 
     def sample_transit(self, rng) -> float:
@@ -120,7 +117,6 @@ class DelayModel:
         }
         if self.transit_kind == "single-server":
             record["service_time"] = self.service_time
-            record["tau_factor"] = self.tau_factor
         record["effective_tau_transit"] = self.effective_tau_transit(N)
         return record
 
@@ -167,7 +163,6 @@ class AsyncCopy(LadderCopy):
     # scheduling the next one bumps it, which voids the one before.
     version: int = 0
     pause_candidate: Message | None = None
-    coincident: bool = False
     last_arrival: float = -math.inf  # when this copy's latest send lands
 
 
@@ -204,10 +199,7 @@ class _AsyncEngine(Ladder):
             copy.inflight_state = None
             return
         nxt = copy.method.clone()
-        calls = prime(nxt, self.problem)
-        outcome = step(nxt, self.problem)
-        calls += outcome.oracle_calls
-        self.oracle_calls += calls
+        calls = self.iterate(nxt)
         if self.delay_model.iteration_cost == "per-iteration":
             duration = 1.0
         else:
@@ -269,11 +261,7 @@ class _AsyncEngine(Ladder):
             self.schedule_arrivals(self.server.service_done(now))
         if copy.phase == "idle" or copy.index == self.N:
             return
-        if copy.phase == "restarting":
-            # The copy fulfilled its own task this very instant: the pause
-            # becomes a comparison between its point and the message's.
-            copy.coincident = True
-        elif copy.phase == "iterating":
+        if copy.phase == "iterating":
             # Suspend: the pause-end scheduled below voids the completion.
             copy.inflight_remaining = copy.inflight_completes_at - now
         copy.phase = "paused"
@@ -294,18 +282,8 @@ class _AsyncEngine(Ladder):
         self.trace.append(TraceEvent(
             now, copy.index, "pause-end", candidate.value, sender=candidate.sender,
         ))
-        if copy.coincident:
-            copy.coincident = False
-            own_value = copy.method.best_value
-            if candidate.value < own_value:
-                self.restart(copy, candidate.point, candidate.value, None, "inbox", now)
-            else:
-                self.restart(copy, copy.method.best_point, own_value,
-                             copy.method.best_grad, "own", now)
-        elif fulfills(copy.task, candidate.value):
-            # The suspended call is discarded outright.
-            self.restart(copy, candidate.point, candidate.value, None, "inbox", now)
-        else:
+        # A restart discards the suspended call outright.
+        if not self.restart_at_best(copy, candidate, False, now):
             # The epoch survives: resume the suspended call with what remains.
             copy.phase = "iterating"
             copy.version += 1
@@ -316,8 +294,7 @@ class _AsyncEngine(Ladder):
     def on_epoch_begin(self, now: float, copy: AsyncCopy, version: int) -> None:
         if version != copy.version:
             return
-        self.restart(copy, copy.method.best_point, copy.method.best_value,
-                     copy.method.best_grad, "own", now)
+        self.restart_at_best(copy, None, False, now)  # on_complete saw its point fulfill
 
     def run(self) -> None:
         for n in range(self.N, -2, -1):
@@ -340,7 +317,7 @@ def run_async(
     x0,
     N: int | None = None,
     delay_model: DelayModel | None = None,
-    budget: float = DEFAULT_TIME_BUDGET,
+    budget: float = DEFAULT_BUDGET,
 ) -> tuple[SchemeTrace, dict]:
     """Simulate the asynchronous scheme until eps is reached or time runs out.
 

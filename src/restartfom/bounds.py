@@ -121,6 +121,20 @@ def _log2_or_zero(coefficient: float, base: float) -> float:
     return coefficient * math.log2(base)
 
 
+def _line_search_logs(lead: float, delta: float, inv_eps: float, nu: float,
+                      M_nu: float, L0: float) -> float:
+    """``lead + log2(delta**((1-nu)/(2*q)) * inv_eps**(3*(1-nu)/q)
+    * M_nu**(4/q)) - 2*log2(L0)`` with ``q = 1 + 3*nu``, summed left to right."""
+    q = 1.0 + 3.0 * nu
+    return (
+        lead
+        + _log2_or_zero((1.0 - nu) / (2.0 * q), delta)
+        + _log2_or_zero(3.0 * (1.0 - nu) / q, inv_eps)
+        + _log2_or_zero(4.0 / q, M_nu)
+        - 2.0 * math.log2(L0)
+    )
+
+
 def c_const(delta: float, eps: float, nu: float, M_nu: float, L0: float) -> float:
     """Per-restart overhead constant of the universal method's line search.
 
@@ -129,14 +143,7 @@ def c_const(delta: float, eps: float, nu: float, M_nu: float, L0: float) -> floa
     ``nu == 1``.
     """
     _check_positive(delta=delta, eps=eps, M_nu=M_nu, L0=L0)
-    q = 1.0 + 3.0 * nu
-    return (
-        4.0
-        + _log2_or_zero((1.0 - nu) / (2.0 * q), delta)
-        + _log2_or_zero(3.0 * (1.0 - nu) / q, 2.0 / eps)
-        + _log2_or_zero(4.0 / q, M_nu)
-        - 2.0 * math.log2(L0)
-    )
+    return _line_search_logs(4.0, delta, 2.0 / eps, nu, M_nu, L0)
 
 
 def t_univ(M_nu: float, nu: float, delta: float, eps_bar: float, L0: float) -> float:
@@ -146,13 +153,7 @@ def t_univ(M_nu: float, nu: float, delta: float, eps_bar: float, L0: float) -> f
     admissible ``L0`` (see :func:`l0_admissible`).
     """
     _check_positive(delta=delta, eps_bar=eps_bar, M_nu=M_nu, L0=L0)
-    q = 1.0 + 3.0 * nu
-    logs = (
-        _log2_or_zero((1.0 - nu) / (2.0 * q), delta)
-        + _log2_or_zero(3.0 * (1.0 - nu) / q, 1.0 / eps_bar)
-        + _log2_or_zero(4.0 / q, M_nu)
-        - 2.0 * math.log2(L0)
-    )
+    logs = _line_search_logs(0.0, delta, 1.0 / eps_bar, nu, M_nu, L0)
     return 4.0 * (k_univ(M_nu, nu, delta, eps_bar) + 1) + logs
 
 

@@ -48,7 +48,7 @@ from restartfom.problems import (
     make_norm_power_problem,
     make_piecewise_max_problem,
 )
-from restartfom.sync_scheme import run_sync
+from restartfom.sync_scheme import DEFAULT_BUDGET, run_sync
 
 SCHEMES = ("sync-lockstep", "sync-sequential", "async")
 
@@ -68,8 +68,6 @@ CSV_COLUMNS = (
 OUTPUT_DIR_ENV = "RESTARTFOM_OUT"
 
 DEFAULT_OUTPUT_DIR = "runs"
-
-DEFAULT_BUDGET = 100_000.0
 
 
 # ---------------------------------------------------------------------------

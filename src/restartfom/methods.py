@@ -13,17 +13,17 @@ Oracle accounting contract: :func:`method_init` makes exactly one oracle call
 (the evaluation at the start point); :func:`method_restart` makes none (the
 restart value arrives with the restart point); :func:`prime` makes one call
 only when a method that steps from a gradient was restarted at a point whose
-gradient nobody has computed yet.  Each step reports its own consumption in
-:class:`StepOutcome`, so over any run
+gradient nobody has computed yet.  :func:`prime` and :func:`step` each return
+the oracle calls they made, an int, so over any run
 
-    total evaluate() calls == inits + primings + sum(outcome.oracle_calls).
+    total evaluate() calls == inits + sum(prime returns) + sum(step returns).
 
 State is typed: :class:`MethodState` holds what every method keeps, and
 :class:`SubgradState`, :class:`AccelState` and :class:`UnivState` add each
 method's own recursion; one constructor builds the state of every (re)start.
 Ownership rule: an array a caller passes in is copied once on entry, and no
-step writes into an array, so states, their shallow ``clone()`` (for the
-asynchronous engine's discard-on-restart) and step outcomes share arrays.
+step writes into an array, so states and their shallow ``clone()`` (for the
+asynchronous engine's discard-on-restart) share arrays.
 Each state is exclusively owned by one scheme copy.
 """
 
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -48,7 +47,6 @@ __all__ = [
     "AccelState",
     "MethodSpec",
     "MethodState",
-    "StepOutcome",
     "SubgradState",
     "UnivState",
     "accel_step",
@@ -88,16 +86,6 @@ class MethodSpec:
             raise ParameterError(f"curvature guess L0 must be finite and positive, got {self.L0}")
 
 
-class StepOutcome(NamedTuple):
-    """What one step produced and what it cost."""
-
-    new_iterate: np.ndarray
-    new_value: float
-    oracle_calls: int
-    improved: bool
-    converged: bool = False
-
-
 @dataclasses.dataclass
 class MethodState:
     """Per-copy method state between (re)starts: the fields every method keeps."""
@@ -119,14 +107,12 @@ class MethodState:
         twin.__dict__.update(self.__dict__)
         return twin
 
-    def _offer(self, point: np.ndarray, value: float, grad: np.ndarray | None) -> bool:
-        """Consider an evaluated point for best-since-restart; True if strictly better."""
+    def _offer(self, point: np.ndarray, value: float, grad: np.ndarray | None) -> None:
+        """Keep an evaluated point as best-since-restart if it is strictly better."""
         if value < self.best_value:
             self.best_point = point
             self.best_value = value
             self.best_grad = grad
-            return True
-        return False
 
 
 @dataclasses.dataclass
@@ -261,7 +247,7 @@ def _require_primed(state: MethodState) -> None:
         )
 
 
-def subgrad_step(state: SubgradState, problem: ProblemInstance) -> StepOutcome:
+def subgrad_step(state: SubgradState, problem: ProblemInstance) -> int:
     """One projected subgradient step; always exactly one oracle call."""
     if state.spec.kind != "subgrad":
         raise ParameterError(f"subgrad_step on a {state.spec.kind} state")
@@ -273,21 +259,21 @@ def subgrad_step(state: SubgradState, problem: ProblemInstance) -> StepOutcome:
         out = problem.evaluate(state.current_iterate)
         state.converged = True
         state.iterate_index += 1
-        improved = state._offer(state.current_iterate, out.value, out.subgradient)
-        return StepOutcome(state.current_iterate, out.value, 1, improved, True)
+        state._offer(state.current_iterate, out.value, out.subgradient)
+        return 1
     x_new = problem.project(
         state.current_iterate - (state.target_accuracy / g_norm_sq) * g)
     out = problem.evaluate(x_new)
     state.current_iterate = x_new
     state.grad = out.subgradient
     state.iterate_index += 1
-    improved = state._offer(x_new, out.value, out.subgradient)
+    state._offer(x_new, out.value, out.subgradient)
     if _is_zero(out.subgradient):
         state.converged = True
-    return StepOutcome(x_new, out.value, 1, improved, state.converged)
+    return 1
 
 
-def accel_step(state: AccelState, problem: ProblemInstance) -> StepOutcome:
+def accel_step(state: AccelState, problem: ProblemInstance) -> int:
     """One accelerated gradient iteration.
 
     The gradient step uses the gradient already in hand at the extrapolated
@@ -308,13 +294,13 @@ def accel_step(state: AccelState, problem: ProblemInstance) -> StepOutcome:
     state.t, state.x_prev, state.y, state.grad_y = t_new, x_new, y_new, out.subgradient
     state.current_iterate = x_new
     state.iterate_index += 1
-    improved = state._offer(x_new, f_x, None)
+    state._offer(x_new, f_x, None)
     if _is_zero(out.subgradient):
         state.converged = True
-    return StepOutcome(x_new, f_x, 1, improved, state.converged)
+    return 1
 
 
-def univ_step(state: UnivState, problem: ProblemInstance) -> StepOutcome:
+def univ_step(state: UnivState, problem: ProblemInstance) -> int:
     """One outer iteration of the universal fast gradient method.
 
     Backtracks on the local curvature estimate: each trial spends two oracle
@@ -331,7 +317,6 @@ def univ_step(state: UnivState, problem: ProblemInstance) -> StepOutcome:
     A = state.A
     L_hat = state.L_hat
     calls = 0
-    improved = False
     for _ in range(LINE_SEARCH_TRIAL_CAP):
         a = (1.0 + math.sqrt(1.0 + 4.0 * L_hat * A)) / (2.0 * L_hat)
         A_plus = A + a
@@ -340,7 +325,7 @@ def univ_step(state: UnivState, problem: ProblemInstance) -> StepOutcome:
         x_t = tau * v + (1.0 - tau) * y
         out_x = problem.evaluate(x_t)
         calls += 1
-        improved = state._offer(x_t, out_x.value, out_x.subgradient) or improved
+        state._offer(x_t, out_x.value, out_x.subgradient)
         g = out_x.subgradient
         if _is_zero(g):
             # x_t is optimal; commit to it and idle from here on.
@@ -348,12 +333,12 @@ def univ_step(state: UnivState, problem: ProblemInstance) -> StepOutcome:
             state.current_iterate = x_t
             state.iterate_index += 1
             state.converged = True
-            return StepOutcome(x_t, out_x.value, calls, improved, True)
+            return calls
         x_hat = problem.project(x0c - lsum - a * g)
         y_t = tau * x_hat + (1.0 - tau) * y
         out_y = problem.evaluate(y_t)
         calls += 1
-        improved = state._offer(y_t, out_y.value, out_y.subgradient) or improved
+        state._offer(y_t, out_y.value, out_y.subgradient)
         gap_model = (out_x.value + float(g @ (y_t - x_t))
                      + 0.5 * L_hat * float(np.linalg.norm(y_t - x_t) ** 2)
                      + 0.5 * eps_bar * tau)
@@ -364,7 +349,7 @@ def univ_step(state: UnivState, problem: ProblemInstance) -> StepOutcome:
             state.iterate_index += 1
             if _is_zero(out_y.subgradient):
                 state.converged = True
-            return StepOutcome(y_t, out_y.value, calls, improved, state.converged)
+            return calls
         L_hat *= 2.0
         state.L_hat = L_hat
     raise LineSearchStallError(state.iterate_index + 1, L_hat)
@@ -373,6 +358,6 @@ def univ_step(state: UnivState, problem: ProblemInstance) -> StepOutcome:
 _STEPPERS = {"subgrad": subgrad_step, "accel": accel_step, "univ": univ_step}
 
 
-def step(state: MethodState, problem: ProblemInstance) -> StepOutcome:
-    """Dispatch one iteration of whichever method the state runs."""
+def step(state: MethodState, problem: ProblemInstance) -> int:
+    """One iteration of whichever method the state runs; returns its oracle calls."""
     return _STEPPERS[state.spec.kind](state, problem)

@@ -275,19 +275,12 @@ class ProblemInstance:
             f"{self.name}: no analytic subgradient-norm bound"
         )
 
-    def point_at_gap(self, gap: float, *, direction=None, rng=None) -> np.ndarray:
-        """A feasible point ``x`` with ``f(x) - f_star == gap`` (to float precision)."""
+    def point_at_gap(self, gap: float, *, rng) -> np.ndarray:
+        """A feasible point ``x`` with ``f(x) - f_star == gap`` (to float
+        precision), in a direction drawn from ``rng``."""
         raise UnsupportedQueryError(f"{self.name}: cannot place points by gap")
 
-    def _unit_direction(self, direction, rng) -> np.ndarray:
-        if direction is not None:
-            u = np.asarray(direction, dtype=float)
-            norm = float(np.linalg.norm(u))
-            if norm == 0.0:
-                raise ParameterError("direction must be nonzero")
-            return u / norm
-        if rng is None:
-            raise ParameterError("point_at_gap needs a direction or an rng")
+    def _unit_direction(self, rng) -> np.ndarray:
         u = rng.normal(size=self.dimension)
         return u / float(np.linalg.norm(u))
 
@@ -348,10 +341,10 @@ class NormPowerProblem(ProblemInstance):
     def subgradient_norm_bound(self, f_hat: float) -> float:
         return self.mu * self.d * self.growth_envelope(f_hat) ** (self.d - 1.0)
 
-    def point_at_gap(self, gap: float, *, direction=None, rng=None) -> np.ndarray:
+    def point_at_gap(self, gap: float, *, rng) -> np.ndarray:
         if gap < 0:
             raise ParameterError("gap must be nonnegative")
-        u = self._unit_direction(direction, rng)
+        u = self._unit_direction(rng)
         x = self.center + (gap / self.mu) ** (1.0 / self.d) * u
         if not self.domain.contains(x, tol=1e-9):
             raise ParameterError("requested gap places the point outside the domain")
@@ -399,12 +392,12 @@ class PiecewiseMaxProblem(ProblemInstance):
     def distance_to_opt(self, x) -> float:
         return float(np.linalg.norm(self._check_point(x) - self.minimizer))
 
-    def point_at_gap(self, gap: float, *, direction=None, rng=None) -> np.ndarray:
+    def point_at_gap(self, gap: float, *, rng) -> np.ndarray:
         if gap < 0:
             raise ParameterError("gap must be nonnegative")
         if gap == 0:
             return self.minimizer.copy()
-        u = self._unit_direction(direction, rng)
+        u = self._unit_direction(rng)
         # Along the ray x = minimizer + t*u the objective is the max of the
         # affine functions t -> slopes*t - margins with nonnegative margins,
         # so the first time it reaches `gap` has the closed form below.
@@ -474,10 +467,10 @@ class LeastSquaresProblem(ProblemInstance):
             raise ParameterError("sublevel value below the optimal value 0")
         return math.sqrt(float(self.metadata.L)) * math.sqrt(2.0 * f_hat)
 
-    def point_at_gap(self, gap: float, *, direction=None, rng=None) -> np.ndarray:
+    def point_at_gap(self, gap: float, *, rng) -> np.ndarray:
         if gap < 0:
             raise ParameterError("gap must be nonnegative")
-        u = self._unit_direction(direction, rng)
+        u = self._unit_direction(rng)
         # Keep the offset inside the row space so the step is well defined.
         u = self._pinv @ (self.A @ u)
         norm_Au = float(np.linalg.norm(self.A @ u))

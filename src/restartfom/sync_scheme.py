@@ -9,14 +9,15 @@ messages become readable.
 The top copy never restarts: when its best value fulfills the task it
 replaces the task, sends the point downward, and keeps iterating.  Every
 other copy restarts at a fulfilling point and forwards it to the next copy
-down.
+down.  The point is the better of its own best point and a candidate
+message; the engine supplies only its tie rule.
 
 The lock-step engine advances all copies one iteration per unit period, with
 messages sent in period p becoming readable in period p + 1; the sequential
 mode interleaves the same copies on a single worker, sweeping from copy N
 down to copy -1 so that a message becomes readable later in the same sweep.
-A copy restarts at the better of its own best point and its inbox (ties
-prefer the inbox).  Restart chores, priming evaluations, and the first
+A copy's candidate is the newest readable message in its inbox, and a tie
+prefers the inbox.  Restart chores, priming evaluations, and the first
 post-restart iteration all land in the period of the restart.
 """
 
@@ -31,7 +32,7 @@ from restartfom.methods import MethodSpec, MethodState, method_init, method_rest
 from restartfom.problems import ProblemInstance
 from restartfom.traces import Message, SchemeTrace, Task, TraceEvent, fulfills, point_tuple
 
-DEFAULT_PERIOD_BUDGET = 100_000
+DEFAULT_BUDGET = 100_000.0  # periods, slots or simulated time units
 
 
 @dataclass
@@ -108,7 +109,7 @@ class Ladder:
         return False
 
     def send_down(self, copy: LadderCopy, point, value: float, now: float) -> None:
-        message = Message(point_tuple(point), value, copy.index, now)
+        message = Message(point_tuple(point), value, copy.index)
         self.messages_sent += 1
         self.trace.append(TraceEvent(
             now, copy.index, "send", value,
@@ -139,6 +140,31 @@ class Ladder:
         ))
         if copy.index > -1:
             self.send_down(copy, point, value, now)
+
+    def restart_at_best(self, copy: LadderCopy, candidate: Message | None,
+                        inbox_wins_tie: bool, now: float) -> bool:
+        """The restart rule: restart ``copy`` at the better of ``candidate``
+        and its own best point when that point fulfills the task.  The engine
+        says which wins a tie; returns whether the copy restarted."""
+
+        own = copy.method
+        if candidate is not None and (candidate.value <= own.best_value if inbox_wins_tie
+                                      else candidate.value < own.best_value):
+            if fulfills(copy.task, candidate.value):
+                self.restart(copy, candidate.point, candidate.value, None, "inbox", now)
+                return True
+        elif fulfills(copy.task, own.best_value):
+            self.restart(copy, own.best_point, own.best_value, own.best_grad, "own", now)
+            return True
+        return False
+
+    def iterate(self, state: MethodState) -> int:
+        """Prime ``state`` if it needs it, step it once, and count the calls."""
+
+        calls = prime(state, self.problem) if state.needs_prime else 0
+        calls += step(state, self.problem)
+        self.oracle_calls += calls
+        return calls
 
     def summary(self, scheme: str, delay_model: dict | None, **timing) -> dict:
         """The run's summary record; ``timing`` holds the scheme's own clocks."""
@@ -185,16 +211,8 @@ class _SyncEngine(Ladder):
             inbox = None  # the newest readable message wins
             while copy.pending and copy.pending[0][0] <= now:
                 inbox = copy.pending.pop(0)[1]
-            own_value = copy.method.best_value
-            if inbox is not None and inbox.value <= own_value:
-                if fulfills(copy.task, inbox.value):
-                    self.restart(copy, inbox.point, inbox.value, None, "inbox", now)
-            elif fulfills(copy.task, own_value):
-                self.restart(copy, copy.method.best_point, own_value,
-                             copy.method.best_grad, "own", now)
-        if copy.method.needs_prime:
-            self.oracle_calls += prime(copy.method, self.problem)
-        self.oracle_calls += step(copy.method, self.problem).oracle_calls
+            self.restart_at_best(copy, inbox, True, now)
+        self.iterate(copy.method)
         self.trace.append(TraceEvent(now, copy.index, "iterate", copy.method.best_value))
 
 
@@ -206,7 +224,7 @@ def run_sync(
     x0,
     N: int | None = None,
     mode: str = "lockstep",
-    budget: int = DEFAULT_PERIOD_BUDGET,
+    budget: float = DEFAULT_BUDGET,
 ) -> tuple[SchemeTrace, dict]:
     """Run the parallel restart scheme in lockstep or sequential mode.
 

@@ -176,7 +176,6 @@ class Message(NamedTuple):
     point: tuple[float, ...]
     value: float
     sender: int
-    send_time: float
 
 
 class SchemeTrace:

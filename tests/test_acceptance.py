@@ -170,9 +170,9 @@ def test_criterion_1_subgradient_iteration_certificate():
             iterations = 0
             best = state.best_value
             while best > eps_bar and iterations < budget:
-                outcome = step(state, problem)
+                step(state, problem)
                 iterations += 1
-                best = min(best, outcome.new_value)
+                best = min(best, problem.value(state.current_iterate))
             assert best <= eps_bar, (
                 f"delta={delta} eps_bar={eps_bar}: after {iterations} of "
                 f"{budget} allowed iterations the best value is {best!r}")

@@ -57,7 +57,6 @@ def test_delay_model_rejects_bad_taus():
         {"tau_transit": 0.0},
         {"tau_pause": -1.0},
         {"service_time": 0.0},
-        {"tau_factor": float("inf")},
     ):
         with pytest.raises(ParameterError):
             DelayModel(**kwargs)
@@ -89,11 +88,9 @@ def test_delay_model_describe_fields():
     assert record["iteration_cost"] == "per-call"
     assert record["effective_tau_transit"] == 1.5
 
-    server = DelayModel(transit_kind="single-server", service_time=0.5,
-                        tau_factor=1.0)
+    server = DelayModel(transit_kind="single-server", service_time=0.5)
     record = server.describe(N=3)
     assert record["service_time"] == 0.5
-    assert record["tau_factor"] == 1.0
     assert record["effective_tau_transit"] == pytest.approx(2.5)
     assert server.effective_tau_transit(0) == pytest.approx(1.0)
 
@@ -104,9 +101,9 @@ def test_delay_model_describe_fields():
 
 def test_server_queue_fifo_and_dedup():
     q = ServerQueue(service_time=0.5)
-    m_a = Message((1.0,), 1.0, sender=2, send_time=0.0)
-    m_b = Message((2.0,), 2.0, sender=1, send_time=0.0)
-    m_b2 = Message((3.0,), 1.5, sender=1, send_time=0.2)
+    m_a = Message((1.0,), 1.0, sender=2)
+    m_b = Message((2.0,), 2.0, sender=1)
+    m_b2 = Message((3.0,), 1.5, sender=1)
 
     started = q.submit(m_a, 0.0)
     assert started == [(0.5, m_a)]
@@ -317,8 +314,7 @@ def test_top_copy_never_pauses():
 
 def test_single_server_delivery():
     model = DelayModel(transit_kind="single-server", service_time=0.5,
-                       tau_factor=1.0, pause_kind="deterministic",
-                       tau_pause=1e-6)
+                       pause_kind="deterministic", tau_pause=1e-6)
     trace, summary = run_async(ABS, "subgrad", 0.25, x0=np.array([4.0]),
                                N=3, delay_model=model)
 

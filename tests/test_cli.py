@@ -277,6 +277,9 @@ def test_commands_reject_flags_they_would_ignore(argv, capsys):
     ("seed", True, "delay.seed"),
     ("tau_transit", True, "delay.tau_transit"),
     ("seed", -1, "delay"),
+    # The single-server transit bound is (N + 2) * service_time, with no scale
+    # factor: one below 1 would make it unsound.
+    ("tau_factor", 1.0, "delay.tau_factor"),
 ])
 def test_a_bad_delay_field_exits_2_at_its_location(tmp_path, capsys, field, value, where):
     delay = {"transit_kind": "deterministic", "tau_transit": 1.0,

@@ -210,26 +210,23 @@ def test_states_own_the_arrays_callers_pass_in(spec):
 
 def test_subgrad_step_formula():
     state = method_init(MethodSpec("subgrad"), ABS, np.array([1.0]), 0.5)
-    outcome = subgrad_step(state, ABS)
-    assert outcome.new_iterate == pytest.approx([0.5])
-    assert outcome.oracle_calls == 1
+    assert subgrad_step(state, ABS) == 1
+    assert state.current_iterate == pytest.approx([0.5])
 
 
 def test_subgrad_overshoot_keeps_best():
     state = method_init(MethodSpec("subgrad"), ABS, np.array([0.25]), 0.5)
-    outcome = subgrad_step(state, ABS)
-    assert outcome.new_iterate == pytest.approx([-0.25])
-    assert not outcome.improved
+    subgrad_step(state, ABS)
+    assert state.current_iterate == pytest.approx([-0.25])
     assert state.best_value == 0.25
 
 
 def test_subgrad_zero_gradient_converges_without_division():
     state = method_init(MethodSpec("subgrad"), ABS, np.array([0.0]), 0.5)
     assert state.converged
-    outcome = subgrad_step(state, ABS)
-    assert outcome.converged
-    assert outcome.new_iterate == pytest.approx([0.0])
-    assert outcome.oracle_calls == 1
+    assert subgrad_step(state, ABS) == 1
+    assert state.converged
+    assert state.current_iterate == pytest.approx([0.0])
 
 
 def test_subgrad_certificate_exact():
@@ -257,11 +254,11 @@ def test_subgrad_distance_recursion():
     for _ in range(100):
         d_before = p.distance_to_opt(state.current_iterate)
         gap_before = p.value(state.current_iterate)
-        outcome = step(state, p)
+        step(state, p)
         if gap_before > eps_bar:
-            d_after = p.distance_to_opt(outcome.new_iterate)
+            d_after = p.distance_to_opt(state.current_iterate)
             assert d_after ** 2 < d_before ** 2 - (eps_bar / 2.0) ** 2 + 1e-12
-        if outcome.converged:
+        if state.converged:
             break
 
 
@@ -285,8 +282,8 @@ def test_accel_stationary_start_stays_put():
     p = make_norm_power_problem(1, 1.0, 2.0)
     state = method_init(MethodSpec("accel"), p, np.array([0.0]), 0.5)
     assert state.converged
-    outcome = step(state, p)
-    assert outcome.new_iterate == pytest.approx([0.0])
+    step(state, p)
+    assert state.current_iterate == pytest.approx([0.0])
 
 
 def test_accel_reaches_target_within_budget():
@@ -308,7 +305,8 @@ def test_accel_classical_rates():
     state = method_init(MethodSpec("accel"), p, np.array([delta]), 1e-6)
     values = [state.best_value]
     for _ in range(60):
-        values.append(step(state, p).new_value)
+        step(state, p)
+        values.append(p.value(state.current_iterate))
     for k, val in enumerate(values):
         assert val <= 2.0 * L * delta ** 2 / (k + 1) ** 2 + 1e-12
         assert val <= 4.0 * L * delta ** 2 / (k + 2) ** 2 + 1e-12
@@ -323,7 +321,8 @@ def test_accel_rate_on_anisotropic_quadratic():
     state = method_init(MethodSpec("accel"), p, x0, 1e-9)
     values = [state.best_value]
     for _ in range(80):
-        values.append(step(state, p).new_value)
+        step(state, p)
+        values.append(p.value(state.current_iterate))
     for k, val in enumerate(values):
         assert val <= 2.0 * L * delta ** 2 / (k + 1) ** 2 + 1e-9
 
@@ -331,8 +330,8 @@ def test_accel_rate_on_anisotropic_quadratic():
 def test_accel_epoch_costs_steps_plus_one():
     p = CountingProblem(make_norm_power_problem(1, 1.0, 2.0))
     state = method_init(MethodSpec("accel"), p, np.array([1.0]), 0.25)
-    outcomes = [step(state, p) for _ in range(7)]
-    assert p.evaluate_calls == 1 + sum(o.oracle_calls for o in outcomes) == 8
+    calls = [step(state, p) for _ in range(7)]
+    assert p.evaluate_calls == 1 + sum(calls) == 8
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +343,7 @@ def test_univ_smooth_first_iteration_accepts_quickly():
     # L0 equal to the true smoothness constant: the first trial accepts.
     p = CountingProblem(make_norm_power_problem(1, 1.0, 2.0))
     state = method_init(MethodSpec("univ", L0=2.0), p, np.array([1.0]), 0.25)
-    outcome = step(state, p)
-    assert outcome.oracle_calls <= 4
+    assert step(state, p) <= 4
     assert state.L_hat == 1.0  # halved once on acceptance
 
 
@@ -381,7 +379,7 @@ def test_univ_oracle_calls_within_time_budget():
         logs = (3.0 * (1.0 - nu) / q) * math.log2(1.0 / eps_bar) \
             + (4.0 / q) * math.log2(M_nu) - 2.0 * math.log2(L0)
         for k in range(1, k_univ(M_nu, nu, 1.0, eps_bar) + 1):
-            cumulative += step(state, p).oracle_calls
+            cumulative += step(state, p)
             assert cumulative <= 4.0 * (k + 1) + logs
         assert p.evaluate_calls == cumulative
         assert cumulative <= t_univ(M_nu, nu, 1.0, eps_bar, L0)
@@ -391,8 +389,7 @@ def test_univ_line_search_doubles_until_model_holds():
     # Tiny L0 forces repeated doubling before the first acceptance.
     p = CountingProblem(make_norm_power_problem(1, 1.0, 2.0))
     state = method_init(MethodSpec("univ", L0=1e-4), p, np.array([1.0]), 0.25)
-    outcome = step(state, p)
-    assert outcome.oracle_calls > 2
+    assert step(state, p) > 2
     assert state.L_hat >= 1e-4  # net growth despite the final halving
 
 
@@ -424,9 +421,9 @@ def test_univ_zero_gradient_converges():
     p = make_norm_power_problem(1, 1.0, 2.0)
     state = method_init(MethodSpec("univ", L0=2.0), p, np.array([0.0]), 0.5)
     assert state.converged
-    outcome = step(state, p)
-    assert outcome.converged
-    assert outcome.new_value == 0.0
+    step(state, p)
+    assert state.converged
+    assert p.value(state.current_iterate) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +443,7 @@ def test_oracle_accounting_with_restarts(spec):
     inits, primes, stepped = 1, 0, 0
     for round_no in range(3):
         for _ in range(5):
-            stepped += step(state, p).oracle_calls
+            stepped += step(state, p)
         state = method_restart(state, p, rng.normal(size=2) * 0.5,
                                float(p.value(rng.normal(size=2) * 0.0) + 1.0))
         primes += prime(state, p)
