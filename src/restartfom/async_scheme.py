@@ -36,8 +36,8 @@ from restartfom.errors import ParameterError
 # stay bound here because bench/layers.py wraps the same four names in both engines.
 from restartfom.methods import MethodState, method_init, method_restart, prime, step  # noqa: F401
 from restartfom.problems import ProblemInstance
-from restartfom.sync_scheme import DEFAULT_BUDGET, Ladder, LadderCopy
-from restartfom.traces import Message, SchemeTrace, TraceEvent, fulfills
+from restartfom.sync_scheme import DEFAULT_BUDGET, Ladder, LadderCopy, Message
+from restartfom.traces import SchemeTrace, TraceEvent
 
 _PRIO_COMPLETE = 0
 _PRIO_ARRIVAL = 1
@@ -159,7 +159,7 @@ class AsyncCopy(LadderCopy):
     inflight_state: MethodState | None = None
     inflight_remaining: float = 0.0
     inflight_completes_at: float = 0.0
-    # Stamps the copy's one live complete, pause-end or epoch-begin event;
+    # Stamps the copy's one live complete, pause-end or epoch event;
     # scheduling the next one bumps it, which voids the one before.
     version: int = 0
     pause_candidate: Message | None = None
@@ -225,9 +225,8 @@ class _AsyncEngine(Ladder):
 
     def restart(self, copy: AsyncCopy, point, value: float, known_grad,
                 source: str, now: float) -> None:
-        """Begin a new epoch at ``point``: log it, restart, resume iterating."""
+        """Begin a new epoch at ``point``: restart, then resume iterating."""
 
-        self.trace.append(TraceEvent(now, copy.index, "epoch-begin", value))
         super().restart(copy, point, value, known_grad, source, now)
         self.begin_iteration(copy, now)
 
@@ -238,7 +237,7 @@ class _AsyncEngine(Ladder):
             return
         copy.method = copy.inflight_state
         copy.inflight_state = None
-        self.trace.append(TraceEvent(
+        self.trace.events.append(TraceEvent(
             now, copy.index, "iterate", copy.method.best_value,
         ))
         if self.solved(now, (copy,)):
@@ -246,7 +245,7 @@ class _AsyncEngine(Ladder):
         if copy.index == self.N:
             self.update_top(copy, now)
             self.begin_iteration(copy, now)
-        elif fulfills(copy.task, copy.method.best_value):
+        elif copy.fulfills(copy.method.best_value):
             copy.phase = "restarting"
             copy.version += 1
             self.push(now, _PRIO_EPOCH, _AsyncEngine.on_epoch_begin, copy, copy.version)
@@ -254,7 +253,7 @@ class _AsyncEngine(Ladder):
             self.begin_iteration(copy, now)
 
     def on_arrival(self, now: float, copy: AsyncCopy, message: Message) -> None:
-        self.trace.append(TraceEvent(
+        self.trace.events.append(TraceEvent(
             now, copy.index, "arrival", message.value, sender=message.sender,
         ))
         if self.server is not None:
@@ -268,7 +267,7 @@ class _AsyncEngine(Ladder):
         copy.pause_candidate = message
         copy.version += 1
         duration = self.delay_model.sample_pause(self.rng)
-        self.trace.append(TraceEvent(
+        self.trace.events.append(TraceEvent(
             now, copy.index, "pause-begin", message.value, sender=message.sender,
         ))
         self.push(now + duration, _PRIO_PAUSE_END, _AsyncEngine.on_pause_end,
@@ -279,7 +278,7 @@ class _AsyncEngine(Ladder):
             return
         candidate = copy.pause_candidate
         copy.pause_candidate = None
-        self.trace.append(TraceEvent(
+        self.trace.events.append(TraceEvent(
             now, copy.index, "pause-end", candidate.value, sender=candidate.sender,
         ))
         # A restart discards the suspended call outright.

@@ -81,6 +81,9 @@ def cmd_run(args) -> int:
     config = _load_config(args)
     if len(config.eps) != 1:
         raise ConfigError("eps", "the run command expects exactly one accuracy; use grid")
+    if len(config.seeds) != 1:
+        raise ConfigError("seeds", "the run command expects exactly one seed; "
+                                   "--seed selects one, or use grid")
     directory = resolve_output_dir(config, args.out)
     directory.mkdir(parents=True, exist_ok=True)
     summary = run_cell(config, config.eps[0], config.seeds[0], out_dir=directory)

@@ -480,14 +480,8 @@ def _cell_bounds(problem: ProblemInstance, x0: np.ndarray, config: ExperimentCon
     """The (theorem, corollary) reports this instance's metadata supports,
     each a :class:`BoundReport` or None."""
 
-    metadata = problem.metadata
-    if metadata is None:
-        return None, None
-    try:
-        distance = problem.distance_to_opt(x0)
-        metadata = dataclasses.replace(metadata, dist_x0_to_opt=float(distance))
-    except RestartFomError:
-        pass
+    metadata = dataclasses.replace(problem.metadata,
+                                   dist_x0_to_opt=float(problem.distance_to_opt(x0)))
     delay = config.delay
     if config.scheme == "async":
         theorem = _report_or_none(lambda: bound_async_theorem(
@@ -606,7 +600,7 @@ def run_cell(config: ExperimentConfig, eps: float, seed: int,
     return RunSummary(
         eps=eps, seed=seed, **{name: summary[name] for name in _ENGINE_FIELDS},
         bound_theorem=bound_theorem, bound_corollary=bound_corollary, compliant=compliant,
-        growth_d=problem.metadata.d if problem.metadata is not None else None,
+        growth_d=problem.metadata.d,
         bound_reports={"theorem": theorem and theorem.to_json(),
                        "corollary": corollary and corollary.to_json()},
         trace_path=trace_path, error=error,

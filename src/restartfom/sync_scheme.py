@@ -7,9 +7,9 @@ bookkeeping around it; an engine only decides when copies iterate and when
 messages become readable.
 
 The top copy never restarts: when its best value fulfills the task it
-replaces the task, sends the point downward, and keeps iterating.  Every
-other copy restarts at a fulfilling point and forwards it to the next copy
-down.  The point is the better of its own best point and a candidate
+moves its reference there, sends the point downward, and keeps iterating.
+Every other copy restarts at a fulfilling point and forwards it to the next
+copy down.  The point is the better of its own best point and a candidate
 message; the engine supplies only its tie rule.
 
 The lock-step engine advances all copies one iteration per unit period, with
@@ -25,24 +25,49 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from restartfom.bounds import default_N, n_bar
 from restartfom.errors import ParameterError
 from restartfom.methods import MethodSpec, MethodState, method_init, method_restart, prime, step
 from restartfom.problems import ProblemInstance
-from restartfom.traces import Message, SchemeTrace, Task, TraceEvent, fulfills, point_tuple
+from restartfom.traces import SchemeTrace, TraceEvent
 
 DEFAULT_BUDGET = 100_000.0  # periods, slots or simulated time units
 
 
 @dataclass
 class LadderCopy:
-    """One copy of the method, its task, and its restart tally."""
+    """One copy of the method, its task, and its restart tally.
+
+    The task is to beat ``reference``, the value the copy was last
+    (re)started from, by ``decrement`` = 2^index * eps.
+    """
 
     index: int
-    task: Task
+    reference: float
+    decrement: float
     method: MethodState
     restart_count: int = 0
+
+    def fulfills(self, value: float) -> bool:
+        """Whether ``value`` accomplishes the task (non-strict threshold)."""
+
+        return value <= self.reference - self.decrement
+
+
+def point_tuple(point) -> tuple[float, ...]:
+    """The immutable copy of a point that trace events and messages share."""
+
+    return point if isinstance(point, tuple) else tuple(point.tolist())
+
+
+class Message(NamedTuple):
+    """A point and its objective value in flight from ``sender`` downward."""
+
+    point: tuple[float, ...]
+    value: float
+    sender: int
 
 
 class Ladder:
@@ -58,6 +83,8 @@ class Ladder:
                  N: int | None, budget: float):
         if not (eps > 0.0):
             raise ParameterError(f"eps must be positive, got {eps}")
+        if not (eps / 2.0 > 0.0):
+            raise ParameterError(f"eps = {eps} leaves the bottom rung's decrement eps / 2 at 0")
         if budget < 0:
             raise ParameterError(f"budget must be nonnegative, got {budget}")
         if N is None:
@@ -88,8 +115,8 @@ class Ladder:
             decrement = (2.0 ** n) * self.eps
             state = method_init(self.spec, self.problem, x0, decrement)
             self.oracle_calls += 1
-            self.copies[n] = self.copy_class(n, Task(state.best_value, decrement), state)
-            self.trace.append(TraceEvent(0.0, n, "init", state.best_value))
+            self.copies[n] = self.copy_class(n, state.best_value, decrement, state)
+            self.trace.events.append(TraceEvent(0.0, n, "init", state.best_value))
             if n == self.N:
                 self.f_x0 = state.best_value
                 if self.f_star is not None and self.f_x0 - self.f_star <= self.eps:
@@ -111,19 +138,20 @@ class Ladder:
     def send_down(self, copy: LadderCopy, point, value: float, now: float) -> None:
         message = Message(point_tuple(point), value, copy.index)
         self.messages_sent += 1
-        self.trace.append(TraceEvent(
+        self.trace.events.append(TraceEvent(
             now, copy.index, "send", value,
             point=message.point, receiver=copy.index - 1,
         ))
         self.deliver(copy, message, now)
 
     def update_top(self, copy: LadderCopy, now: float) -> None:
-        """The top copy's rule: replace a fulfilled task and send, no restart."""
+        """The top copy's rule: on a fulfilling value, move the reference there
+        and send, no restart."""
 
-        if fulfills(copy.task, copy.method.best_value):
+        if copy.fulfills(copy.method.best_value):
             value = copy.method.best_value
-            copy.task = Task(value, copy.task.decrement)
-            self.trace.append(TraceEvent(now, copy.index, "task-update", value))
+            copy.reference = value
+            self.trace.events.append(TraceEvent(now, copy.index, "task-update", value))
             if copy.index > -1:
                 self.send_down(copy, copy.method.best_point, value, now)
 
@@ -131,11 +159,11 @@ class Ladder:
                 source: str, now: float) -> None:
         """Restart ``copy`` at a fulfilling point and send the point down."""
 
-        copy.task = Task(value, copy.task.decrement)
+        copy.reference = value
         copy.method = method_restart(copy.method, self.problem, point, value, known_grad)
         copy.restart_count += 1
         point = point_tuple(point)
-        self.trace.append(TraceEvent(
+        self.trace.events.append(TraceEvent(
             now, copy.index, "restart", value, point=point, source=source,
         ))
         if copy.index > -1:
@@ -150,10 +178,10 @@ class Ladder:
         own = copy.method
         if candidate is not None and (candidate.value <= own.best_value if inbox_wins_tie
                                       else candidate.value < own.best_value):
-            if fulfills(copy.task, candidate.value):
+            if copy.fulfills(candidate.value):
                 self.restart(copy, candidate.point, candidate.value, None, "inbox", now)
                 return True
-        elif fulfills(copy.task, own.best_value):
+        elif copy.fulfills(own.best_value):
             self.restart(copy, own.best_point, own.best_value, own.best_grad, "own", now)
             return True
         return False
@@ -213,7 +241,7 @@ class _SyncEngine(Ladder):
                 inbox = copy.pending.pop(0)[1]
             self.restart_at_best(copy, inbox, True, now)
         self.iterate(copy.method)
-        self.trace.append(TraceEvent(now, copy.index, "iterate", copy.method.best_value))
+        self.trace.events.append(TraceEvent(now, copy.index, "iterate", copy.method.best_value))
 
 
 def run_sync(

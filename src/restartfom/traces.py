@@ -26,7 +26,7 @@ Event kinds
 ``send``
     A message left ``copy`` for ``receiver``; ``value``/``point`` describe
     the payload.
-``arrival``, ``pause-begin``, ``pause-end``, ``epoch-begin``
+``arrival``, ``pause-begin``, ``pause-end``
     Asynchronous-engine extras; ``sender`` on an arrival names the copy the
     payload came from.
 """
@@ -36,7 +36,6 @@ from __future__ import annotations
 import base64
 import json
 import math
-from dataclasses import dataclass
 from itertools import repeat
 from typing import NamedTuple
 
@@ -65,12 +64,6 @@ def _refuse_constant(name: str):
 
 # json accepts the non-standard NaN, Infinity and -Infinity; traces hold none.
 _DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
-
-
-def point_tuple(point) -> tuple[float, ...]:
-    """The immutable copy of a point that trace events and messages share."""
-
-    return point if isinstance(point, tuple) else tuple(point.tolist())
 
 
 def _dumps(record: dict, encoder: json.JSONEncoder = _ENCODER) -> str:
@@ -152,40 +145,11 @@ def _block_events(record: dict, rows: dict):
                zip(t, copy, kind, value, points, sender, receiver, source))
 
 
-@dataclass(frozen=True)
-class Task:
-    """A copy's standing goal: beat ``restart_value`` by ``decrement``."""
-
-    restart_value: float
-    decrement: float
-
-    def __post_init__(self):
-        if not (self.decrement > 0.0 and math.isfinite(self.decrement)):
-            raise ParameterError(f"task decrement must be positive, got {self.decrement}")
-
-
-def fulfills(task: Task, value: float) -> bool:
-    """Whether ``value`` accomplishes ``task`` (non-strict threshold)."""
-
-    return value <= task.restart_value - task.decrement
-
-
-class Message(NamedTuple):
-    """A point and its objective value in flight from ``sender`` downward."""
-
-    point: tuple[float, ...]
-    value: float
-    sender: int
-
-
 class SchemeTrace:
     """Time-ordered event log of one scheme run with derived views."""
 
     def __init__(self, events: list[TraceEvent] | None = None):
         self.events: list[TraceEvent] = list(events) if events else []
-
-    def append(self, event: TraceEvent) -> None:
-        self.events.append(event)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SchemeTrace) and self.events == other.events

@@ -8,8 +8,8 @@ from restartfom.async_scheme import DelayModel, ServerQueue, run_async
 from restartfom.errors import ParameterError
 from restartfom.methods import MethodSpec
 from restartfom.problems import CountingProblem, make_norm_power_problem
-from restartfom.sync_scheme import run_sync
-from restartfom.traces import Message, check_trace
+from restartfom.sync_scheme import Message, run_sync
+from restartfom.traces import check_trace
 
 ABS = make_norm_power_problem(1, 1.0, 1.0)
 
@@ -364,6 +364,15 @@ def test_uniform_arrivals_are_fifo_per_receiver():
         # Each receiver has a single upstream sender, so the candidate
         # stream it sees must improve monotonically.
         assert values == sorted(values, reverse=True)
+
+
+@pytest.mark.parametrize("seed", [11, 42])
+def test_each_restart_is_logged_once(seed):
+    trace, summary = uniform_run(seed)
+    assert {ev.source for ev in trace.of_kind("restart")} == {"own", "inbox"}
+    assert not trace.of_kind("epoch-begin")
+    assert {str(n): len(trace.of_kind("restart", copy=n)) for n in trace.copies()} \
+        == summary["restarts_per_copy"]
 
 
 def test_seeded_runs_reproduce_exactly():

@@ -58,6 +58,17 @@ def test_run_requires_single_eps(tmp_path, capsys):
     assert "exactly one accuracy" in capsys.readouterr().err
 
 
+def test_run_refuses_several_seeds_unless_seed_selects_one(tmp_path, capsys):
+    config = write_config(tmp_path, eps=[0.5], seeds=[1, 2, 3])
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+    assert "--seed selects one" in capsys.readouterr().err
+    assert not list(out.glob("trace-*"))
+    assert main(["run", "--config", str(config), "--out", str(out), "--seed", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 2
+    assert [path.name for path in out.glob("trace-*")] == ["trace-eps0.5-seed2.jsonl"]
+
+
 def test_run_reports_cell_failure(tmp_path, capsys):
     # accel on the d=1 family has no curvature constant to work with.
     config = write_config(tmp_path, eps=[0.5], method={"kind": "accel"})

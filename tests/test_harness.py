@@ -232,6 +232,15 @@ def test_every_family_builds_from_its_minimal_spec_with_the_start_at_gap(family,
     assert gap == pytest.approx(FIELD_SAMPLES["gap"], rel=1e-9)
 
 
+@pytest.mark.parametrize("family", list(PROBLEM_FAMILIES))
+def test_every_family_carries_the_metadata_and_distance_run_cell_needs(family):
+    # run_cell reads growth metadata and distance_to_opt(x0) without a fallback.
+    config = parse_config(minimal_config(problem=minimal_problem(family)))
+    problem, x0 = build_problem(config, seed=0)
+    assert problem.metadata is not None
+    assert np.isfinite(problem.distance_to_opt(x0))
+
+
 @pytest.mark.parametrize("method, where", [
     ({"kind": 3}, "method.kind"),
     ({"kind": "accel", "L": True}, "method.L"),

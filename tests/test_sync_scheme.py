@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from restartfom.async_scheme import run_async
 from restartfom.bounds import bound_sync_theorem, k_accel, k_subgrad
 from restartfom.errors import ParameterError
 from restartfom.methods import MethodSpec
@@ -11,10 +12,9 @@ from restartfom.problems import (
     make_least_squares_problem,
     make_norm_power_problem,
 )
-from restartfom.sync_scheme import run_sync
+from restartfom.sync_scheme import LadderCopy, run_sync
 from restartfom.traces import (
     SchemeTrace,
-    Task,
     TraceEvent,
     check_contiguous_pause_decrements,
     check_lockstep_iterates,
@@ -26,7 +26,6 @@ from restartfom.traces import (
     check_top_copy_never_restarts,
     check_trace,
     check_transit_bounds,
-    fulfills,
 )
 
 
@@ -51,15 +50,17 @@ class _WithoutMetadata:
 
 
 def test_fulfills_boundary():
-    task = Task(10.0, 1.0)
-    assert fulfills(task, 9.0)
-    assert not fulfills(task, 9.0001)
-    assert fulfills(task, 0.0)
+    copy = LadderCopy(0, reference=10.0, decrement=1.0, method=None)
+    assert copy.fulfills(9.0)
+    assert not copy.fulfills(9.0001)
+    assert copy.fulfills(0.0)
 
 
-def test_task_requires_positive_decrement():
-    with pytest.raises(ParameterError):
-        Task(1.0, 0.0)
+@pytest.mark.parametrize("run", [run_sync, run_async])
+def test_eps_whose_bottom_decrement_underflows_is_refused(run):
+    # The smallest subnormal is positive, but eps / 2 rounds to 0.
+    with pytest.raises(ParameterError, match="bottom rung"):
+        run(abs_problem(), "subgrad", 5e-324, x0=np.array([1.0]), N=0)
 
 
 def test_run_sync_validation():
