@@ -8,7 +8,8 @@ pause overwrites the candidate and starts a fresh pause.  When the pause
 ends, the ladder's restart rule runs with a tie keeping the copy's own point;
 that point can fulfill the task only when the arrival landed at the instant
 the copy fulfilled it, and a copy that does not restart resumes.  The top
-copy never pauses and never restarts.
+copy never pauses and never restarts.  The trace logs a pause as the
+``arrival`` that starts it and the ``pause-end`` that closes it.
 
 Interrupted oracle calls are suspended and resume with their remaining
 duration if the epoch survives the pause; they are discarded outright on a
@@ -258,20 +259,17 @@ class _AsyncEngine(Ladder):
         ))
         if self.server is not None:
             self.schedule_arrivals(self.server.service_done(now))
-        if copy.phase == "idle" or copy.index == self.N:
+        if copy.phase == "idle":
             return
         if copy.phase == "iterating":
             # Suspend: the pause-end scheduled below voids the completion.
             copy.inflight_remaining = copy.inflight_completes_at - now
+        # The arrival starts the pause, or restarts it with the newer candidate.
         copy.phase = "paused"
         copy.pause_candidate = message
         copy.version += 1
-        duration = self.delay_model.sample_pause(self.rng)
-        self.trace.events.append(TraceEvent(
-            now, copy.index, "pause-begin", message.value, sender=message.sender,
-        ))
-        self.push(now + duration, _PRIO_PAUSE_END, _AsyncEngine.on_pause_end,
-                  copy, copy.version)
+        self.push(now + self.delay_model.sample_pause(self.rng), _PRIO_PAUSE_END,
+                  _AsyncEngine.on_pause_end, copy, copy.version)
 
     def on_pause_end(self, now: float, copy: AsyncCopy, version: int) -> None:
         if version != copy.version:

@@ -46,8 +46,8 @@ def _read_config(path):
     if not path:
         raise ConfigError("--config", "this command requires a configuration file")
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(str(path), f"cannot read config: {exc}") from exc
     return parse_config(text)
 

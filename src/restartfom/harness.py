@@ -537,9 +537,8 @@ def _trace_filename(eps: float, seed: int) -> str:
     return f"trace-eps{eps!r}-seed{seed}.jsonl"
 
 
-def _delay_for_cell(config: ExperimentConfig, seed: int) -> DelayModel | None:
-    if config.delay is None:
-        return None
+def _delay_for_cell(config: ExperimentConfig, seed: int) -> DelayModel:
+    # parse_config gives every async config a delay model; a pinned seed wins.
     if config.delay.seed is None:
         return dataclasses.replace(config.delay, seed=seed)
     return config.delay
@@ -802,8 +801,10 @@ def load_summaries(out_dir) -> list[RunSummary]:
     """
 
     path = Path(out_dir) / "summaries.json"
-    with open(path) as handle:
-        document = json.load(handle)
+    try:
+        document = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError or JSONDecodeError
+        raise ConfigError(str(path), f"not a UTF-8 JSON document: {exc}") from exc
     records = document.get("summaries") if isinstance(document, dict) else None
     if not isinstance(records, list):
         raise ConfigError(str(path), "expected an object with a 'summaries' list")

@@ -136,24 +136,28 @@ class Ladder:
         return False
 
     def send_down(self, copy: LadderCopy, point, value: float, now: float) -> None:
-        message = Message(point_tuple(point), value, copy.index)
         self.messages_sent += 1
-        self.trace.events.append(TraceEvent(
-            now, copy.index, "send", value,
-            point=message.point, receiver=copy.index - 1,
-        ))
-        self.deliver(copy, message, now)
+        self.deliver(copy, Message(point, value, copy.index), now)
+
+    def log_action(self, copy: LadderCopy, kind: str, point, value: float, now: float,
+                   source: str | None = None) -> None:
+        """Log a restart or task update; above copy -1 the same event records
+        the send of ``point`` to the receiver, copy index - 1."""
+
+        point = point_tuple(point)
+        receiver = copy.index - 1 if copy.index > -1 else None
+        self.trace.events.append(TraceEvent(now, copy.index, kind, value, point=point,
+                                            receiver=receiver, source=source))
+        if receiver is not None:
+            self.send_down(copy, point, value, now)
 
     def update_top(self, copy: LadderCopy, now: float) -> None:
         """The top copy's rule: on a fulfilling value, move the reference there
         and send, no restart."""
 
         if copy.fulfills(copy.method.best_value):
-            value = copy.method.best_value
-            copy.reference = value
-            self.trace.events.append(TraceEvent(now, copy.index, "task-update", value))
-            if copy.index > -1:
-                self.send_down(copy, copy.method.best_point, value, now)
+            copy.reference = copy.method.best_value
+            self.log_action(copy, "task-update", copy.method.best_point, copy.reference, now)
 
     def restart(self, copy: LadderCopy, point, value: float, known_grad,
                 source: str, now: float) -> None:
@@ -162,12 +166,7 @@ class Ladder:
         copy.reference = value
         copy.method = method_restart(copy.method, self.problem, point, value, known_grad)
         copy.restart_count += 1
-        point = point_tuple(point)
-        self.trace.events.append(TraceEvent(
-            now, copy.index, "restart", value, point=point, source=source,
-        ))
-        if copy.index > -1:
-            self.send_down(copy, point, value, now)
+        self.log_action(copy, "restart", point, value, now, source)
 
     def restart_at_best(self, copy: LadderCopy, candidate: Message | None,
                         inbox_wins_tie: bool, now: float) -> bool:

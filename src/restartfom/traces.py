@@ -1,13 +1,16 @@
 """Trace records shared by both scheme engines, plus invariant checkers.
 
-Every engine emits a flat, time-ordered list of :class:`TraceEvent` records.
-The JSON-lines export (format 3) writes a header holding the distinct points
-as one base64 little-endian float64 table, the events in blocks of at most
-``BLOCK_EVENTS`` (a line each, one array per field: ``t`` and ``value`` as
-base64 float64, ``point_id`` as table rows, ``null`` where a field is absent),
-and a ``{"summary": {...}}`` record; a file without that header is refused.
-The checkers in this module validate the messaging and restart discipline of
-a finished run from its trace alone, each in one pass over the events.
+Every engine emits a flat, time-ordered list of :class:`TraceEvent` records,
+one per ladder action.  The JSON-lines export (format 4) writes a header
+holding the distinct points as one base64 little-endian float64 table, the
+events in blocks of at most ``BLOCK_EVENTS`` (a line each, one array per
+field: ``t`` and ``value`` as base64 float64, ``point_id`` as table rows,
+``null`` where a field is absent), and a ``{"summary": {...}}`` record.  A
+file without that header is refused, as is an event whose kind is not one of
+``EVENT_KINDS``.  Format 3 had the same layout but logged each send and each
+pause start as events of their own, so its files are refused too.  The
+checkers validate the messaging and restart discipline of a finished run
+from its trace alone, each in one pass over the events.
 
 Event kinds
 -----------
@@ -16,19 +19,16 @@ Event kinds
 ``iterate``
     One method iteration committed by a copy; ``value`` is the copy's best
     objective value since its last restart (what the copy knows it has).
-``restart``
-    A copy restarted; ``value``/``point`` describe the new start and
-    ``source`` records whether it came from the copy's own work ("own") or
-    its inbox ("inbox").
-``task-update``
-    The top copy replaced its task without restarting; ``value`` is the new
-    reference value.
-``send``
-    A message left ``copy`` for ``receiver``; ``value``/``point`` describe
-    the payload.
-``arrival``, ``pause-begin``, ``pause-end``
-    Asynchronous-engine extras; ``sender`` on an arrival names the copy the
-    payload came from.
+``restart``, ``task-update``
+    A copy restarted, or the top copy moved its reference without
+    restarting; ``value``/``point`` describe the new start or reference, and
+    a restart's ``source`` says whether it came from the copy's own work
+    ("own") or its inbox ("inbox").  Above copy -1 the event is also the
+    send of that point to ``receiver`` = copy - 1; no other event names one.
+``arrival``, ``pause-end``
+    Asynchronous engine: a message from ``sender`` landed, which starts the
+    copy's pause unless it is idle (a newer arrival starts it over), and the
+    pause ended with its candidate examined.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ import numpy as np
 
 from restartfom.errors import ConfigError, NonFiniteValueError, ParameterError
 
+EVENT_KINDS = frozenset({"init", "iterate", "restart", "task-update", "arrival", "pause-end"})
 BLOCK_EVENTS = 4096  # events per block line; bounds what one block holds in memory
 _ENCODER = json.JSONEncoder(allow_nan=False)
 _BLOCK_ENCODER = json.JSONEncoder(allow_nan=False, separators=(",", ":"))  # no space per entry
@@ -137,6 +138,8 @@ def _block_events(record: dict, rows: dict):
             _first_bad(column, name, lambda item: type(item) in types, expected)
         columns.append(column)
     copy, kind, point_id, sender, receiver, source = columns
+    if not EVENT_KINDS.issuperset(kind):
+        _first_bad(kind, "kind", EVENT_KINDS.__contains__, "an event kind")
     if not rows.keys() >= set(point_id):
         _first_bad(point_id, "point_id", rows.__contains__, "a row of the point table")
     points = map(rows.__getitem__, point_id)
@@ -173,7 +176,7 @@ class SchemeTrace:
         return [e.point for e in self.of_kind("restart", copy)]
 
     def write_jsonl(self, path, summary: dict | None = None) -> None:
-        """Write the format-3 file: point table header, event blocks, summary."""
+        """Write the format-4 file: point table header, event blocks, summary."""
 
         rows: dict[tuple[float, ...], int] = {}
         add = rows.setdefault
@@ -181,7 +184,7 @@ class SchemeTrace:
         table = np.array(list(rows), dtype="<f8")
         points = {"dtype": "<f8", "shape": list(table.shape), "b64": _b64(table)}
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(_dumps({"format": 3, "points": points}) + "\n")
+            handle.write(_dumps({"format": 4, "points": points}) + "\n")
             for start in range(0, len(self.events), BLOCK_EVENTS):
                 stop = start + BLOCK_EVENTS
                 handle.write(_block_line(self.events[start:stop], point_ids[start:stop]) + "\n")
@@ -190,7 +193,7 @@ class SchemeTrace:
 
     @classmethod
     def read_jsonl(cls, path) -> tuple["SchemeTrace", dict | None]:
-        """Read a format-3 file; a first line that is not the format-3 header,
+        """Read a format-4 file; a first line that is not the format-4 header,
         or a malformed line, raises :class:`ConfigError` located as
         ``path:line``."""
 
@@ -200,8 +203,8 @@ class SchemeTrace:
         with open(path, "r", encoding="utf-8") as handle:
             try:
                 header = _DECODER.decode(handle.readline())
-                if not isinstance(header, dict) or header.get("format") != 3:
-                    raise ValueError("the first line is not the format-3 header")
+                if not isinstance(header, dict) or header.get("format") != 4:
+                    raise ValueError("the first line is not the format-4 header")
                 table = header["points"]
                 points = np.frombuffer(base64.b64decode(table["b64"], validate=True),
                                        dtype=table["dtype"])
@@ -264,25 +267,20 @@ def check_restart_decrements(trace: SchemeTrace, eps: float) -> list[str]:
 
 
 def check_message_topology(trace: SchemeTrace, N: int) -> list[str]:
-    """Messages flow only from copy n to copy n - 1; copy N receives none."""
+    """Messages flow only from copy n to copy n - 1; copy N receives none.
+    Every restart or task update above copy -1 sends, and nothing else does."""
 
-    sends, arrivals = [], []
+    problems = []
     for event in trace.events:
-        if event.kind == "send":
-            if event.receiver != event.copy - 1:
-                sends.append(
-                    f"send at t={event.t} from copy {event.copy} to {event.receiver}"
-                )
-            if event.copy <= -1:
-                sends.append(f"copy {event.copy} sent a message at t={event.t}")
-        elif event.kind == "arrival":
-            if event.sender != event.copy + 1:
-                arrivals.append(
-                    f"arrival at t={event.t} on copy {event.copy} from {event.sender}"
-                )
-            if event.copy == N:
-                arrivals.append(f"copy {N} received a message at t={event.t}")
-    return sends + arrivals
+        kind, copy = event.kind, event.copy
+        sends_down = (kind == "restart" or kind == "task-update") and copy > -1
+        if event.receiver != (copy - 1 if sends_down else None):
+            problems.append(f"{kind} at t={event.t} on copy {copy}: receiver {event.receiver}")
+        if kind == "arrival" and event.sender != copy + 1:
+            problems.append(f"arrival at t={event.t} on copy {copy} from {event.sender}")
+        if kind == "arrival" and copy == N:
+            problems.append(f"copy {N} received a message at t={event.t}")
+    return problems
 
 
 def check_top_copy_never_restarts(trace: SchemeTrace, N: int) -> list[str]:
@@ -295,7 +293,7 @@ def check_top_copy_never_restarts(trace: SchemeTrace, N: int) -> list[str]:
 def _sends_by_copy(trace: SchemeTrace) -> dict[int, list[TraceEvent]]:
     sends: dict[int, list[TraceEvent]] = {}
     for event in trace.events:
-        if event.kind == "send":
+        if event.receiver is not None:
             sends.setdefault(event.copy, []).append(event)
     return sends
 
@@ -356,8 +354,8 @@ def check_pause_bounds(trace: SchemeTrace, tau_pause: float) -> list[str]:
     begun: dict[int, float] = {}  # copy -> start of its open pause
     found: dict[int, list[str]] = {}
     for event in trace.events:
-        if event.kind == "pause-begin":
-            begun[event.copy] = event.t  # overwrites restart the clock
+        if event.kind == "arrival":
+            begun[event.copy] = event.t  # a newer arrival restarts the clock
         elif event.kind == "pause-end":
             copy = event.copy
             begun_at = begun.pop(copy, None)
@@ -381,7 +379,7 @@ def check_transit_bounds(trace: SchemeTrace, tau_transit: float) -> list[str]:
     send_times = {}
     arrivals = []
     for event in trace.events:
-        if event.kind == "send":
+        if event.receiver is not None:
             send_times[(event.copy, event.value)] = event.t
         elif event.kind == "arrival":
             arrivals.append(event)
@@ -407,7 +405,7 @@ def check_contiguous_pause_decrements(trace: SchemeTrace, eps: float) -> list[st
     chains: dict[int, float] = {}  # copy -> candidate value of its open pause chain
     found: dict[int, list[str]] = {}
     for event in trace.events:
-        if event.kind == "pause-begin":
+        if event.kind == "arrival":
             copy = event.copy
             chain_value = chains.get(copy)
             sender_dec = _decrement(copy + 1, eps)

@@ -222,11 +222,11 @@ def test_suspension_resume_and_mid_epoch_restart():
     # so the call started at 2.0 lands at 3.25 instead of 3.0.
     assert [ev.t for ev in trace.of_kind("iterate", copy=1)] == [1.0, 2.0, 3.25]
     pauses = [(ev.t, ev.kind, ev.value) for ev in trace.events
-              if ev.copy == 1 and ev.kind.startswith("pause")]
+              if ev.copy == 1 and ev.kind in ("arrival", "pause-end")]
     assert pauses == [
-        (2.5, "pause-begin", 3.0),
+        (2.5, "arrival", 3.0),
         (2.75, "pause-end", 3.0),
-        (3.5, "pause-begin", 2.0),
+        (3.5, "arrival", 2.0),
         (3.75, "pause-end", 2.0),
     ]
     # First pause resumed (candidate 3.0 did not fulfill); the second ended
@@ -261,11 +261,11 @@ def test_coincident_arrival_tie_keeps_own_point():
         (3.25, 2.0, "inbox"),
     ]
     pauses = [(ev.t, ev.kind, ev.value) for ev in trace.events
-              if ev.copy == 1 and ev.kind.startswith("pause")]
+              if ev.copy == 1 and ev.kind in ("arrival", "pause-end")]
     assert pauses == [
-        (2.0, "pause-begin", 3.0),
+        (2.0, "arrival", 3.0),
         (2.25, "pause-end", 3.0),
-        (3.0, "pause-begin", 2.0),
+        (3.0, "arrival", 2.0),
         (3.25, "pause-end", 2.0),
     ]
     assert check_trace(trace, eps=0.25, N=2, f_star=0.0,
@@ -281,7 +281,7 @@ def test_pause_overwrite_restarts_the_clock():
                                N=2, delay_model=model)
 
     assert summary["time_to_eps"] == 4.0
-    begins = [(ev.t, ev.copy, ev.value) for ev in trace.of_kind("pause-begin")]
+    begins = [(ev.t, ev.copy, ev.value) for ev in trace.of_kind("arrival")]
     assert begins == [
         (2.0, 1, 3.0),
         (2.0, 0, 3.5),
@@ -304,7 +304,8 @@ def test_top_copy_never_pauses():
         model = DelayModel(tau_transit=tau, tau_pause=0.25)
         trace, summary = run_async(ABS, "subgrad", 0.25, x0=np.array([4.0]),
                                    N=2, delay_model=model)
-        assert all(ev.copy != summary["N"] for ev in trace.of_kind("pause-begin"))
+        assert all(ev.copy != summary["N"] for ev in trace.of_kind("arrival"))
+        assert all(ev.copy != summary["N"] for ev in trace.of_kind("pause-end"))
         assert trace.of_kind("restart", copy=summary["N"]) == []
 
 
@@ -325,7 +326,9 @@ def test_single_server_delivery():
         "-1": 1, "0": 1, "1": 1, "2": 2, "3": 0
     }
     # Five sends go out but the server only lands one of them before the halt.
-    assert len(trace.of_kind("send")) == 5
+    sends = [ev for ev in trace.events if ev.receiver is not None]
+    assert len(sends) == summary["messages_total"] == 5
+    assert {ev.kind for ev in sends} == {"restart", "task-update"}
     assert [(ev.t, ev.copy, ev.value) for ev in trace.of_kind("arrival")] == [
         (1.5, 2, 2.0)
     ]

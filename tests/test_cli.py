@@ -376,3 +376,21 @@ def test_oversized_integers_outside_the_config_fields_exit_2(tmp_path, capsys):
     config.write_text(config.read_text().replace('"gap": 3.0', '"gap": 1' + "0" * 5000))
     assert main(["grid", "--config", str(config), "--out", out]) == 2
     assert "error: not valid JSON: " in capsys.readouterr().err
+
+
+def test_a_config_that_is_not_utf8_exits_2_at_its_path(tmp_path, capsys):
+    config = tmp_path / "bad.json"
+    config.write_bytes(b"\xff\xfe")
+    assert main(["grid", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert f"error: {config}: cannot read config: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", [["verify"], ["fit", "log"]])
+def test_summaries_that_are_not_utf8_exit_2_at_their_path(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "summaries.json").write_bytes(b'{"summaries": [\xff]}')
+    assert main(command + ["--out", str(out)]) == 2
+    assert f"error: {out / 'summaries.json'}: not a UTF-8 JSON document: " in (
+        capsys.readouterr().err)

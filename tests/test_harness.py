@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -427,6 +428,19 @@ def test_csv_read_rejects_empty_required_column(tmp_path):
     assert "eps" in err.value.path
 
 
+def test_csv_read_locates_an_unparsable_cell(tmp_path):
+    path = tmp_path / "summary.csv"
+    write_summaries_csv(path, [sample_summary()])
+    text = path.read_text().splitlines()
+    header, row = text[0].split(","), text[1].split(",")
+    row[header.index("time_to_eps")] = "soon"
+    path.write_text("\n".join([text[0], ",".join(row)]) + "\n")
+    with pytest.raises(ConfigError) as err:
+        read_summaries_csv(path)
+    assert err.value.path == f"{path}:2.time_to_eps"
+    assert "cannot parse 'soon'" in str(err.value)
+
+
 @given(
     eps=st.floats(1e-9, 1.0),
     time_to_eps=st.one_of(st.none(), st.floats(0, 1e12)),
@@ -771,6 +785,23 @@ def test_accel_corollary_uses_the_L_the_method_ran_with(tmp_path):
         expected = bound_cor_accel(metadata, summary.f_x0, summary.eps, summary.N).total
         assert summary.bound_corollary == expected
         assert summary.bound_reports["corollary"]["total"] == expected
+    assert verify_bounds(summaries).failed == 0
+
+
+@pytest.mark.parametrize("problem, method", [
+    pytest.param({"family": "least-squares", "dimension": 3, "num_rows": 5, "gap": 4.0},
+                 "subgrad", id="subgrad-least-squares"),
+    pytest.param({"family": "norm-power", "dimension": 2, "mu": 1.0, "d": 1.5, "gap": 3.0},
+                 {"kind": "univ", "L0": 1.0}, id="univ"),
+])
+def test_lockstep_cell_gets_a_finite_sync_theorem_bound_and_verifies(tmp_path, problem, method):
+    config = parse_config(minimal_config(problem=problem, method=method, seed=0))
+    summaries = run_grid(config, out_dir=tmp_path)
+    for summary in summaries:
+        assert summary.error is None and summary.complete
+        assert math.isfinite(summary.bound_theorem)
+        assert summary.bound_reports["theorem"]["total"] == summary.bound_theorem
+        assert summary.compliant is True
     assert verify_bounds(summaries).failed == 0
 
 

@@ -92,15 +92,22 @@ def test_early_return_when_gap_already_within_eps():
 REFERENCE_EVENTS = [
     (0.0, 0, "init", 3.0), (0.0, -1, "init", 3.0),
     (1.0, 0, "iterate", 2.5), (1.0, -1, "iterate", 2.75),
-    (2.0, 0, "task-update", 2.5), (2.0, 0, "send", 2.5), (2.0, 0, "iterate", 2.0),
+    (2.0, 0, "task-update", 2.5), (2.0, 0, "iterate", 2.0),
     (2.0, -1, "restart", 2.75), (2.0, -1, "iterate", 2.5),
-    (3.0, 0, "task-update", 2.0), (3.0, 0, "send", 2.0), (3.0, 0, "iterate", 1.5),
+    (3.0, 0, "task-update", 2.0), (3.0, 0, "iterate", 1.5),
     (3.0, -1, "restart", 2.5), (3.0, -1, "iterate", 2.25),
-    (4.0, 0, "task-update", 1.5), (4.0, 0, "send", 1.5), (4.0, 0, "iterate", 1.0),
+    (4.0, 0, "task-update", 1.5), (4.0, 0, "iterate", 1.0),
     (4.0, -1, "restart", 2.0), (4.0, -1, "iterate", 1.75),
-    (5.0, 0, "task-update", 1.0), (5.0, 0, "send", 1.0), (5.0, 0, "iterate", 0.5),
+    (5.0, 0, "task-update", 1.0), (5.0, 0, "iterate", 0.5),
     (5.0, -1, "restart", 1.5), (5.0, -1, "iterate", 1.25),
 ]
+
+
+def sends(trace, copy=None):
+    """The events that sent a message: those that name a receiver."""
+
+    return [e for e in trace.events
+            if e.receiver is not None and (copy is None or e.copy == copy)]
 
 
 def reference_run():
@@ -126,7 +133,11 @@ def test_reference_trace_details():
     restarts = trace.of_kind("restart", -1)
     assert [e.source for e in restarts] == ["own", "inbox", "inbox", "inbox"]
     assert trace.restart_points(-1) == [(2.75,), (2.5,), (2.0,), (1.5,)]
-    assert all(e.receiver == -1 for e in trace.of_kind("send", 0))
+    updates = trace.of_kind("task-update", 0)
+    assert sends(trace) == updates
+    assert [e.point for e in updates] == [(2.5,), (2.0,), (1.5,), (1.0,)]
+    assert all(e.receiver == -1 for e in updates)
+    assert all(e.receiver is None for e in restarts)
     assert check_trace(trace, eps=0.5, N=0, f_star=0.0) == []
 
 
@@ -140,10 +151,10 @@ def test_reference_oracle_accounting():
 
 def test_inbox_restart_follows_send_by_one_period():
     trace, _ = reference_run()
-    sends = {(e.value, e.t) for e in trace.of_kind("send")}
+    sent = {(e.value, e.t) for e in sends(trace)}
     for event in trace.of_kind("restart"):
         if event.source == "inbox":
-            assert (event.value, event.t - 1.0) in sends
+            assert (event.value, event.t - 1.0) in sent
 
 
 def test_degenerate_single_copy_updates_tasks_without_restarting():
@@ -152,7 +163,8 @@ def test_degenerate_single_copy_updates_tasks_without_restarting():
     assert [e.value for e in updates] == [2.75, 2.5, 2.25, 2.0, 1.75, 1.5, 1.25, 1.0, 0.75]
     assert [e.t for e in updates] == [float(t) for t in range(2, 11)]
     assert summary["restarts_per_copy"] == {"-1": 0}
-    assert trace.of_kind("send") == []
+    assert sends(trace) == []
+    assert [e.point for e in updates] == [(e.value,) for e in updates]
     assert summary["time_to_eps"] == 10.0
     assert check_trace(trace, eps=0.5, N=-1, f_star=0.0) == []
 
@@ -173,7 +185,7 @@ def test_three_rung_run_meets_theorem_bound():
 
 def test_top_copy_consecutive_sends_decrease_by_decrement():
     trace, _ = reference_run()
-    values = [e.value for e in trace.of_kind("send", 0)]
+    values = [e.value for e in sends(trace, 0)]
     assert all(b <= a - 0.5 for a, b in zip(values, values[1:]))
 
 
@@ -188,7 +200,7 @@ def test_budget_exhaustion_flags_incomplete():
 def test_halt_is_prompt_on_dyadic_instance():
     trace, summary = run_sync(abs_problem(), "subgrad", 1.0, x0=np.array([3.0]), N=0)
     assert summary["time_to_eps"] == 2.0
-    assert [e.value for e in trace.of_kind("send", 0)] == [2.0]
+    assert [e.value for e in sends(trace, 0)] == [2.0]
 
 
 def test_metadata_free_run_goes_to_budget_and_keeps_sending():
@@ -198,8 +210,7 @@ def test_metadata_free_run_goes_to_budget_and_keeps_sending():
     trace, summary = run_sync(p, "subgrad", 0.5, x0=np.array([3.0]), N=0, budget=12)
     assert not summary["complete"]
     assert summary["time_to_eps"] is None
-    sends = [e.value for e in trace.of_kind("send", 0)]
-    assert sends == [2.5, 2.0, 1.5, 1.0, 0.5, 0.0]
+    assert [e.value for e in sends(trace, 0)] == [2.5, 2.0, 1.5, 1.0, 0.5, 0.0]
     # First send strictly below 0 + 2*(2**0)*0.5 = 1.0 is 0.5; one more after.
     assert check_near_optimal_send_cap(trace, 0.0, 0.5) == []
     assert check_trace(trace, eps=0.5, N=0, f_star=0.0) == []
@@ -279,10 +290,23 @@ def test_checker_flags_small_restart_decrement():
 def test_checker_flags_bad_topology():
     trace = SchemeTrace([
         _ev(0, 1, "init", 3.0),
-        _ev(1, 1, "send", 2.0, receiver=1),
+        _ev(1, 1, "restart", 2.0, receiver=1),
         _ev(2, 0, "arrival", 2.0, sender=2),
     ])
     assert len(check_message_topology(trace, 1)) == 2
+
+
+@pytest.mark.parametrize("event", [
+    pytest.param(_ev(1, 0, "restart", 2.0, source="own"), id="restart-that-did-not-send"),
+    pytest.param(_ev(1, 1, "task-update", 2.0), id="task-update-that-did-not-send"),
+    pytest.param(_ev(1, -1, "restart", 2.0, receiver=-2, source="own"),
+                 id="copy-minus-one-sent"),
+    pytest.param(_ev(1, -1, "task-update", 2.0, receiver=-2),
+                 id="copy-minus-one-task-update-sent"),
+    pytest.param(_ev(1, 0, "iterate", 2.0, receiver=-1), id="iterate-sent"),
+])
+def test_checker_flags_a_send_the_action_does_not_make(event):
+    assert len(check_message_topology(SchemeTrace([_ev(0, 1, "init", 3.0), event]), 1)) == 1
 
 
 def test_checker_flags_top_copy_restart():
@@ -293,16 +317,16 @@ def test_checker_flags_top_copy_restart():
 def test_checker_flags_chatter_after_near_optimal_send():
     trace = SchemeTrace([
         _ev(0, 0, "init", 3.0),
-        _ev(1, 0, "send", 0.9, receiver=-1),  # strictly below 0 + 2*1*0.5
-        _ev(2, 0, "send", 0.3, receiver=-1),
-        _ev(3, 0, "send", 0.1, receiver=-1),
+        _ev(1, 0, "task-update", 0.9, receiver=-1),  # strictly below 0 + 2*1*0.5
+        _ev(2, 0, "task-update", 0.3, receiver=-1),
+        _ev(3, 0, "task-update", 0.1, receiver=-1),
     ])
     assert check_near_optimal_send_cap(trace, 0.0, 0.5) != []
 
 
 def test_checker_flags_send_count_overflow():
     events = [_ev(0, 0, "init", 1.0)]
-    events += [_ev(t, 0, "send", 1.0 - 0.1 * t, receiver=-1) for t in range(1, 4)]
+    events += [_ev(t, 0, "restart", 1.0 - 0.1 * t, receiver=-1) for t in range(1, 4)]
     # gap 1.0, decrement 0.5 -> cap 2 sends; trace has 3.
     assert check_send_counts(SchemeTrace(events), 0.0, 0.5) != []
 
@@ -318,7 +342,7 @@ def test_checker_flags_missing_lockstep_iterate():
 def test_checker_flags_pause_and_transit_violations():
     trace = SchemeTrace([
         _ev(0, 0, "init", 3.0),
-        _ev(1.0, 0, "pause-begin", 2.0),
+        _ev(1.0, 0, "arrival", 2.0, sender=1),  # no matching send
         _ev(3.5, 0, "pause-end", 2.0),  # longer than tau_pause = 2
         _ev(4.0, 0, "arrival", 1.5, sender=1),  # no matching send
     ])
@@ -328,7 +352,7 @@ def test_checker_flags_pause_and_transit_violations():
 
 def test_checker_flags_late_transit():
     trace = SchemeTrace([
-        _ev(1.0, 1, "send", 2.0, receiver=0),
+        _ev(1.0, 1, "restart", 2.0, receiver=0),
         _ev(4.0, 0, "arrival", 2.0, sender=1),
     ])
     assert check_transit_bounds(trace, 1.0) != []
@@ -339,14 +363,14 @@ def test_checker_flags_weak_overwrite_decrement():
     # Sender is copy 1 (decrement 2^1 * 0.5 = 1): the overwrite at t=2 must
     # undercut 2.0 by at least 1.
     trace = SchemeTrace([
-        _ev(1.0, 0, "pause-begin", 2.0),
-        _ev(2.0, 0, "pause-begin", 1.5),
+        _ev(1.0, 0, "arrival", 2.0, sender=1),
+        _ev(2.0, 0, "arrival", 1.5, sender=1),
         _ev(2.5, 0, "pause-end", 1.5),
     ])
     assert check_contiguous_pause_decrements(trace, 0.5) != []
     good = SchemeTrace([
-        _ev(1.0, 0, "pause-begin", 2.0),
-        _ev(2.0, 0, "pause-begin", 1.0),
+        _ev(1.0, 0, "arrival", 2.0, sender=1),
+        _ev(2.0, 0, "arrival", 1.0, sender=1),
         _ev(2.5, 0, "pause-end", 1.0),
     ])
     assert check_contiguous_pause_decrements(good, 0.5) == []

@@ -1,4 +1,4 @@
-"""Trace files: the format-3 point table and event blocks, the header they
+"""Trace files: the format-4 point table and event blocks, the header they
 need, valid JSON only."""
 
 import base64
@@ -12,12 +12,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from restartfom.async_scheme import DelayModel, run_async
 from restartfom.bounds import EPS_MIN
 from restartfom.cli import main
 from restartfom.errors import ConfigError, NonFiniteValueError
 from restartfom.problems import make_piecewise_max_problem
 from restartfom.sync_scheme import run_sync
-from restartfom.traces import BLOCK_EVENTS, SchemeTrace, TraceEvent, check_send_counts
+from restartfom.traces import (
+    BLOCK_EVENTS,
+    EVENT_KINDS,
+    SchemeTrace,
+    TraceEvent,
+    check_send_counts,
+)
 
 BLOCK_ENCODER = json.JSONEncoder(allow_nan=False, separators=(",", ":"))
 COLUMNS = ("copy", "kind", "point_id", "sender", "receiver", "source")
@@ -27,6 +34,14 @@ def lockstep_run():
     p = make_piecewise_max_problem(4, 12, seed=2)
     x0 = p.point_at_gap(8.0, rng=np.random.default_rng(0))
     return run_sync(p, "subgrad", 0.25, x0=x0)
+
+
+def async_run():
+    p = make_piecewise_max_problem(4, 12, seed=2)
+    x0 = p.point_at_gap(8.0, rng=np.random.default_rng(0))
+    model = DelayModel(transit_kind="uniform", tau_transit=2.0,
+                       pause_kind="uniform", tau_pause=1.0, seed=3)
+    return run_async(p, "subgrad", 0.25, x0=x0, delay_model=model)
 
 
 def b64_floats(values):
@@ -74,7 +89,7 @@ def test_format_two_header_comes_first_and_holds_every_distinct_point(tmp_path):
     trace.write_jsonl(path, summary)
     lines = path.read_text().splitlines()
     header = json.loads(lines[0])
-    assert header["format"] == 3
+    assert header["format"] == 4
     table = header["points"]
     assert table["dtype"] == "<f8"
     rows = np.frombuffer(base64.b64decode(table["b64"]), dtype="<f8").reshape(table["shape"])
@@ -96,16 +111,21 @@ def test_format_two_round_trip_shares_one_row_per_restart_and_send(tmp_path):
     assert back == trace
     assert summary_back == summary
 
+    # A restart records its own send: one event, one row, the receiver set.
     kinds, copies = column(path, "kind"), column(path, "copy")
-    point_ids = column(path, "point_id")
+    receivers, point_ids = column(path, "receiver"), column(path, "point_id")
+    sent = {}  # (copy, value) of each send -> its row
     pairs = 0
     for i, kind in enumerate(kinds):
-        if kind == "restart" and copies[i] > -1:
-            assert kinds[i + 1] == "send" and copies[i + 1] == copies[i]
-            assert point_ids[i + 1] == point_ids[i]
-            assert back.events[i + 1].point is back.events[i].point
-            pairs += 1
+        if kind == "restart":
+            assert receivers[i] == (copies[i] - 1 if copies[i] > -1 else None)
+            if back.events[i].source == "inbox":  # the row its sender's send wrote
+                assert point_ids[i] == sent[(copies[i] + 1, back.events[i].value)]
+                pairs += 1
+        if receivers[i] is not None:
+            sent[(copies[i], back.events[i].value)] = point_ids[i]
     assert pairs > 0
+    assert len(sent) == summary["messages_total"]
 
 
 def test_format_two_rewrite_is_byte_identical(tmp_path):
@@ -160,7 +180,10 @@ def test_edge_floats_read_back_bit_for_bit(tmp_path):
                  id="other-format"),
     pytest.param('{"format": 2, "points": {"dtype": "<f8", "shape": [0], "b64": ""}}\n'
                  '{"t": 0.0, "copy": 0, "kind": "init", "value": 3.0}\n', id="format-two"),
-    pytest.param("\n" + '{"format": 3, "points": {"dtype": "<f8", "shape": [0], "b64": ""}}\n',
+    pytest.param('{"format": 3, "points": {"dtype": "<f8", "shape": [0], "b64": ""}}\n'
+                 '{"events":0,"t":"","value":"","copy":[],"kind":[],"point_id":[],'
+                 '"sender":[],"receiver":[],"source":[]}\n', id="format-three"),
+    pytest.param("\n" + '{"format": 4, "points": {"dtype": "<f8", "shape": [0], "b64": ""}}\n',
                  id="header-not-first"),
 ])
 def test_a_file_without_the_format_two_header_is_refused_at_line_one(tmp_path, capsys, text):
@@ -185,7 +208,8 @@ def test_send_counts_at_the_smallest_eps_meet_caps_too_large_for_a_float(gap):
 
 def test_a_finite_send_cap_still_reports_its_count():
     events = [TraceEvent(0.0, 0, "init", 1.0)]
-    events += [TraceEvent(float(t), 0, "send", 1.0 - 0.1 * t, receiver=-1) for t in range(1, 4)]
+    events += [TraceEvent(float(t), 0, "restart", 1.0 - 0.1 * t, receiver=-1)
+               for t in range(1, 4)]
     assert check_send_counts(SchemeTrace(events), 0.0, 0.5) == ["copy 0: 3 sends exceed cap 2"]
 
 
@@ -224,13 +248,15 @@ def _dump_text(trace, summary):
 
 
 def test_trace_dump_of_a_file_matches_the_in_memory_trace(tmp_path, capsys):
-    trace, summary = lockstep_run()
-    trace.events += _long_trace(BLOCK_EVENTS + 3).events  # more than one block
-    path = tmp_path / "trace.jsonl"
-    trace.write_jsonl(path, summary)
-    capsys.readouterr()
-    assert main(["trace-dump", str(path)]) == 0
-    assert capsys.readouterr().out == _dump_text(trace, summary)
+    for name, run in (("lockstep", lockstep_run), ("async", async_run)):
+        trace, summary = run()
+        trace.events += _long_trace(BLOCK_EVENTS + 3).events  # more than one block
+        path = tmp_path / f"{name}.jsonl"
+        trace.write_jsonl(path, summary)
+        capsys.readouterr()
+        assert main(["trace-dump", str(path)]) == 0
+        assert capsys.readouterr().out == _dump_text(trace, summary)
+    assert any(e.sender is not None for e in trace.events)  # the async run's arrivals
 
 
 def _edit_block(lines, name, index, value):
@@ -303,6 +329,8 @@ def _edit_event(lines, text):
     pytest.param(lambda lines: _drop_field(lines, "receiver"), id="missing-column"),
     pytest.param(lambda lines: _edit_block(lines, "copy", 7, 1.5), id="copy-type"),
     pytest.param(lambda lines: _edit_block(lines, "kind", 9, 3), id="kind-type"),
+    pytest.param(lambda lines: _edit_block(lines, "kind", 9, "restrat"), id="unknown-kind"),
+    pytest.param(lambda lines: _edit_block(lines, "kind", 9, "send"), id="send-kind"),
     pytest.param(lambda lines: _edit_block(lines, "sender", 11, "x"), id="sender-type"),
     pytest.param(lambda lines: _edit_block(lines, "receiver", 13, [1]), id="receiver-type"),
     pytest.param(lambda lines: _edit_block(lines, "source", 15, 1), id="source-type"),
@@ -456,7 +484,7 @@ def test_lines_that_cancel_out_in_one_chunk_are_still_refused(tmp_path, merge):
 @pytest.mark.parametrize("event", [
     TraceEvent(0, 1, "init", 2),
     TraceEvent(0.5, True, "iterate", 1.5),
-    TraceEvent(1.0, 0, "send", 1.5, sender=False, receiver=-1),
+    TraceEvent(1.0, 0, "task-update", 1.5, sender=False, receiver=-1),
     TraceEvent(1.0, 0, "restart", 1.5, source="ünïcode"),
 ])
 def test_fields_of_other_types_are_written_as_the_json_encoder_writes_them(tmp_path, event):
@@ -467,8 +495,6 @@ def test_fields_of_other_types_are_written_as_the_json_encoder_writes_them(tmp_p
     assert back == SchemeTrace([event])
 
 
-KINDS = ("init", "iterate", "restart", "task-update", "send", "arrival",
-         "pause-begin", "pause-end", "epoch-begin")
 EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
                                -1.7976931348623157e308, 0.1, 1e16, 1e-7])
 FLOATS = (EDGE_FLOATS | st.floats(allow_nan=False, allow_infinity=False)
@@ -486,14 +512,14 @@ def trace_events(draw):
     for has in itertools.product((False, True), repeat=4):
         events.append(TraceEvent(
             t=draw(FLOATS | st.integers(-5, 5)), copy=draw(COPIES),
-            kind=draw(st.sampled_from(KINDS)), value=draw(FLOATS),
+            kind=draw(st.sampled_from(sorted(EVENT_KINDS))), value=draw(FLOATS),
             point=draw(POINTS) if has[0] else None,
             sender=draw(COPIES) if has[1] else None,
             receiver=draw(COPIES) if has[2] else None,
             source=draw(st.sampled_from(("own", "inbox"))) if has[3] else None))
     for point in draw(st.lists(st.sampled_from([e.point for e in events if e.point]), max_size=4)):
-        events.append(TraceEvent(1.0, 0, "restart", 2.0, point=point, source="own"))
-        events.append(TraceEvent(1.0, 0, "send", 2.0, point=point, receiver=-1))
+        events.append(TraceEvent(1.0, 0, "restart", 2.0, point=point, receiver=-1, source="own"))
+        events.append(TraceEvent(2.0, -1, "restart", 2.0, point=point, source="inbox"))
     return draw(st.permutations(events))
 
 
