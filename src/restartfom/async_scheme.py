@@ -241,7 +241,7 @@ class _AsyncEngine(Ladder):
         self.trace.events.append(TraceEvent(
             now, copy.index, "iterate", copy.method.best_value,
         ))
-        if self.solved(now, (copy,)):
+        if self.solved(now, copy.method.best_value):
             return
         if copy.index == self.N:
             self.update_top(copy, now)

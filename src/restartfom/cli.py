@@ -49,7 +49,12 @@ def _read_config(path):
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(str(path), f"cannot read config: {exc}") from exc
-    return parse_config(text)
+    try:
+        return parse_config(text)
+    except ConfigError as exc:
+        if exc.path:
+            raise
+        raise ConfigError(str(path), exc.message) from exc  # e.g. not valid JSON
 
 
 def _load_config(args):

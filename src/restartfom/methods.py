@@ -21,10 +21,14 @@ the oracle calls they made, an int, so over any run
 State is typed: :class:`MethodState` holds what every method keeps, and
 :class:`SubgradState`, :class:`AccelState` and :class:`UnivState` add each
 method's own recursion; one constructor builds the state of every (re)start.
-Ownership rule: an array a caller passes in is copied once on entry, and no
-step writes into an array, so states and their shallow ``clone()`` (for the
-asynchronous engine's discard-on-restart) share arrays.
-Each state is exclusively owned by one scheme copy.
+Ownership rule: :func:`method_init` and :func:`method_restart` copy the
+caller's point once (and a known gradient).  Past that, nothing copies: the
+problem's ``evaluate`` and ``project`` pass a float64 array of the right
+shape through as it is (``AllSpace.project`` returns its argument), and
+states and their shallow ``clone()`` (for the asynchronous engine's
+discard-on-restart) share arrays.  That is safe because no step writes into
+an array; each one rebinds fields to new arrays.  Each state is exclusively
+owned by one scheme copy.
 """
 
 from __future__ import annotations
@@ -117,9 +121,10 @@ class MethodState:
 
 @dataclasses.dataclass
 class SubgradState(MethodState):
-    """Projected subgradient: the subgradient at the current iterate."""
+    """Projected subgradient: the subgradient g at the current iterate, and g·g."""
 
     grad: np.ndarray | None
+    grad_sq: float | None
 
 
 @dataclasses.dataclass
@@ -146,7 +151,7 @@ class UnivState(MethodState):
 
 def _is_zero(g: np.ndarray) -> bool:
     """Whether a subgradient vanishes; the same test as a zero 2-norm."""
-    return float(g @ g) == 0.0
+    return float(g.dot(g)) == 0.0
 
 
 def resolve_L(spec: MethodSpec, problem: ProblemInstance) -> float:
@@ -163,6 +168,7 @@ def _fresh_epoch(spec: MethodSpec, problem: ProblemInstance, start: np.ndarray,
                  value: float, grad: np.ndarray | None, target_accuracy: float) -> MethodState:
     """The state of every (re)start: ``start`` is the state's own array, its
     value is known, and ``grad`` is None when nobody has computed its gradient."""
+    grad_sq = None if grad is None else float(grad.dot(grad))
     common = dict(
         spec=spec,
         restart_point=start,
@@ -172,11 +178,11 @@ def _fresh_epoch(spec: MethodSpec, problem: ProblemInstance, start: np.ndarray,
         best_grad=grad,
         target_accuracy=target_accuracy,
         iterate_index=0,
-        converged=grad is not None and _is_zero(grad),
+        converged=grad_sq == 0.0,
         needs_prime=grad is None and spec.kind != "univ",
     )
     if spec.kind == "subgrad":
-        return SubgradState(**common, grad=grad)
+        return SubgradState(**common, grad=grad, grad_sq=grad_sq)
     if spec.kind == "accel":
         return AccelState(**common, L=resolve_L(spec, problem), t=1.0, x_prev=start,
                           y=start, grad_y=grad)
@@ -229,13 +235,14 @@ def prime(state: MethodState, problem: ProblemInstance) -> int:
         return 0
     out = problem.evaluate(state.current_iterate)
     grad = out.subgradient
+    grad_sq = float(grad.dot(grad))
     if isinstance(state, SubgradState):
-        state.grad = grad
+        state.grad, state.grad_sq = grad, grad_sq
     elif isinstance(state, AccelState):
         state.grad_y = grad
     state.best_grad = grad if out.value <= state.best_value else state.best_grad
     state.needs_prime = False
-    if _is_zero(grad):
+    if grad_sq == 0.0:
         state.converged = True
     return 1
 
@@ -252,8 +259,7 @@ def subgrad_step(state: SubgradState, problem: ProblemInstance) -> int:
     if state.spec.kind != "subgrad":
         raise ParameterError(f"subgrad_step on a {state.spec.kind} state")
     _require_primed(state)
-    g = state.grad
-    g_norm_sq = float(g @ g)
+    g, g_norm_sq = state.grad, state.grad_sq
     if g_norm_sq == 0.0:
         # Optimal point in hand: no move (and no division), one confirming call.
         out = problem.evaluate(state.current_iterate)
@@ -264,11 +270,12 @@ def subgrad_step(state: SubgradState, problem: ProblemInstance) -> int:
     x_new = problem.project(
         state.current_iterate - (state.target_accuracy / g_norm_sq) * g)
     out = problem.evaluate(x_new)
+    g = out.subgradient
     state.current_iterate = x_new
-    state.grad = out.subgradient
+    state.grad, state.grad_sq = g, float(g.dot(g))
     state.iterate_index += 1
-    state._offer(x_new, out.value, out.subgradient)
-    if _is_zero(out.subgradient):
+    state._offer(x_new, out.value, g)
+    if state.grad_sq == 0.0:
         state.converged = True
     return 1
 

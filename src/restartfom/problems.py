@@ -59,6 +59,9 @@ class OracleOutput(NamedTuple):
     subgradient: np.ndarray
 
 
+_FLOAT64 = np.dtype(float)
+
+
 # ---------------------------------------------------------------------------
 # Feasible sets
 # ---------------------------------------------------------------------------
@@ -78,6 +81,10 @@ class AllSpace(Domain):
     """The unconstrained domain; projection is the identity."""
 
     def project(self, x: np.ndarray) -> np.ndarray:
+        # A float64 ndarray is returned as is, which np.asarray would do at a
+        # higher price per call.
+        if type(x) is np.ndarray and x.dtype is _FLOAT64:
+            return x
         return np.asarray(x, dtype=float)
 
     def contains(self, x: np.ndarray, tol: float = 1e-12) -> bool:
@@ -191,9 +198,10 @@ class ProblemInstance:
     """A convex objective over a closed convex domain, with oracles.
 
     Subclasses implement :meth:`_value` and :meth:`_subgradient`, and may
-    override :meth:`_oracle` to compute both in one pass; everything else
-    (validation, projection, metadata plumbing) lives here.  Instances are
-    immutable after construction and safe to share between copies.
+    override :meth:`_oracle` to compute both in one pass, bitwise equal to
+    the pair, which stays as its reference; everything else (validation,
+    projection, metadata plumbing) lives here.  Instances are immutable after
+    construction and safe to share between copies.
     """
 
     def __init__(
@@ -213,7 +221,9 @@ class ProblemInstance:
     # -- oracle ------------------------------------------------------------
 
     def _check_point(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+        # np.asarray would return a float64 ndarray as is, at a higher price.
+        if type(x) is not np.ndarray or x.dtype is not _FLOAT64:
+            x = np.asarray(x, dtype=float)
         if x.shape != (self.dimension,):
             raise DimensionMismatchError(
                 f"{self.name}: expected a point of shape ({self.dimension},), "
@@ -314,6 +324,9 @@ class NormPowerProblem(ProblemInstance):
         if not self.domain.contains(center):
             raise ParameterError("center must be feasible")
         self.center = center
+        # While every |center_i| < 2**970, half an ulp of the largest float,
+        # x - center overflows at no x, and _oracle needs no np.errstate.
+        self._exact_offset = bool(np.all(np.abs(center) < 2.0 ** 970))
         self.mu = float(mu)
         self.d = float(d)
 
@@ -334,6 +347,23 @@ class NormPowerProblem(ProblemInstance):
             # 0 is a valid subgradient at the minimizer for every d >= 1.
             return np.zeros_like(offset)
         return (self.mu * self.d * r ** (self.d - 2.0)) * offset
+
+    def _oracle(self, x: np.ndarray) -> tuple[float, np.ndarray | None]:
+        if not self._exact_offset:
+            return super()._oracle(x)
+        offset = x - self.center
+        # np.vdot raises no floating-point warning, and on a contiguous array
+        # the square root has the bits of np.linalg.norm.
+        r = math.sqrt(np.vdot(offset, offset))
+        try:
+            value = self.mu * r ** self.d
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            return value, None
+        if r == 0.0:
+            return value, np.zeros_like(offset)
+        return value, (self.mu * self.d * r ** (self.d - 2.0)) * offset
 
     def distance_to_opt(self, x) -> float:
         return float(np.linalg.norm(self._check_point(x) - self.center))
@@ -385,8 +415,9 @@ class PiecewiseMaxProblem(ProblemInstance):
         return self.A[idx].copy()
 
     def _oracle(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        z = self.A @ x + self.b
-        idx = int(np.argmax(z))
+        z = self.A.dot(x)  # the bits of A @ x, at a lower price per call
+        z += self.b
+        idx = int(z.argmax())
         return float(z[idx]), self.A[idx].copy()
 
     def distance_to_opt(self, x) -> float:
@@ -438,6 +469,9 @@ class LeastSquaresProblem(ProblemInstance):
         self.A = A
         self.b = b
         self._pinv = np.linalg.pinv(A)
+        # Below this ||x||**2, ||A x|| <= sqrt(L) ||x|| < 1e150: the residual
+        # cannot overflow, and _oracle needs no np.errstate.
+        self._near_sq = 1e300 / L
         residual = float(np.linalg.norm(A @ (self._pinv @ b) - b))
         if residual > 1e-8 * max(1.0, float(np.linalg.norm(b))):
             raise ParameterError("b must lie in the range of A (consistent system)")
@@ -453,9 +487,12 @@ class LeastSquaresProblem(ProblemInstance):
         return self.A.T @ (self.A @ x - self.b)
 
     def _oracle(self, x: np.ndarray) -> tuple[float, np.ndarray | None]:
-        with np.errstate(over="ignore", invalid="ignore"):
-            r = self.A @ x - self.b
-            value = 0.5 * float(r @ r)
+        # np.vdot raises no floating-point warning: a far or non-finite x
+        # fails the test and takes the guarded reference path.
+        if not np.vdot(x, x) < self._near_sq:
+            return super()._oracle(x)
+        r = self.A @ x - self.b
+        value = 0.5 * float(np.vdot(r, r))
         return value, self.A.T @ r if math.isfinite(value) else None
 
     def distance_to_opt(self, x) -> float:

@@ -123,14 +123,13 @@ class Ladder:
                     self.time_to_eps = 0.0
                     return
 
-    def solved(self, now: float, copies) -> bool:
-        """Whether one of ``copies`` holds an eps-solution; records ``now`` if so.
-        Engines pass the copies that iterated since the last check: a restart
-        installs only a value some copy already held, so no other can have dropped."""
+    def solved(self, now: float, best_value: float) -> bool:
+        """Whether ``best_value`` is within eps of f*; records ``now`` if so.
+        Engines pass the best value of the copies that iterated since the last
+        check: a restart installs only a value some copy already held, so no
+        other copy's value can have dropped."""
 
-        if self.f_star is None:
-            return False
-        if min(copy.method.best_value for copy in copies) - self.f_star <= self.eps:
+        if self.f_star is not None and best_value - self.f_star <= self.eps:
             self.time_to_eps = now
             return True
         return False
@@ -279,6 +278,6 @@ def run_sync(
             served = ladder[start:start + width]
             for copy in served:
                 engine.serve_copy(copy, now)
-            if engine.solved(now, served):
+            if engine.solved(now, min(copy.method.best_value for copy in served)):
                 break
     return engine.trace, engine.summary(f"sync-{mode}", None, periods=ticks)

@@ -375,7 +375,16 @@ def test_oversized_integers_outside_the_config_fields_exit_2(tmp_path, capsys):
     # Longer than the interpreter converts from a decimal string.
     config.write_text(config.read_text().replace('"gap": 3.0', '"gap": 1' + "0" * 5000))
     assert main(["grid", "--config", str(config), "--out", out]) == 2
-    assert "error: not valid JSON: " in capsys.readouterr().err
+    assert f"error: {config}: not valid JSON: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [('{"problem": ', "not valid JSON: "),
+                                           ("[1, 2]", "config must be a JSON object")])
+def test_a_config_that_is_no_json_object_exits_2_at_its_path(tmp_path, capsys, text, message):
+    config = tmp_path / "bad.json"
+    config.write_text(text)
+    assert main(["grid", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert f"error: {config}: {message}" in capsys.readouterr().err
 
 
 def test_a_config_that_is_not_utf8_exits_2_at_its_path(tmp_path, capsys):

@@ -21,6 +21,7 @@ from restartfom.problems import (
     Box,
     CountingProblem,
     LeastSquaresProblem,
+    NormPowerProblem,
     PiecewiseMaxProblem,
     ProblemInstance,
     make_least_squares_problem,
@@ -562,3 +563,122 @@ def test_finite_point_with_non_finite_value_raises():
                 lsq.evaluate(np.full(6, scale))
             with pytest.raises(NonFiniteValueError):
                 lsq.value(np.full(6, scale))
+
+
+# ---------------------------------------------------------------------------
+# Fused oracles against the reference pair, and the point fast path
+# ---------------------------------------------------------------------------
+
+FUSED = {
+    "norm-power-d1": lambda: make_norm_power_problem(4, 1.5, 1.0, center=np.arange(4.0) - 1.5),
+    "norm-power-d1.5": lambda: make_norm_power_problem(4, 1.5, 1.5, center=np.arange(4.0)),
+    "norm-power-d2": lambda: make_norm_power_problem(4, 0.5, 2.0),
+    "norm-power-d3": lambda: make_norm_power_problem(4, 2.0, 3.0, center=-np.arange(4.0)),
+    # mu * r**d overflows in a Python multiply, not in the power.
+    "norm-power-steep": lambda: make_norm_power_problem(4, 1e300, 1.5),
+    # x - center can overflow: the oracle takes the guarded reference path.
+    "norm-power-far-center": lambda: make_norm_power_problem(
+        4, 1.0, 1.5, center=np.array([2.0 ** 1000, 0.0, 0.0, 0.0])),
+    "least-squares": lambda: make_least_squares_problem(4, 6, seed=5),
+}
+
+
+def _minimizer(p):
+    return p.center.copy() if isinstance(p, NormPowerProblem) else p._pinv @ p.b
+
+
+@pytest.mark.parametrize("name", FUSED)
+def test_fused_oracle_is_bitwise_equal_to_value_and_subgradient(name):
+    p = FUSED[name]()
+    rng = np.random.default_rng(len(name))
+    points = [_minimizer(p)]  # r = 0: a zero subgradient
+    points += [_minimizer(p) + rng.normal(scale=3.0, size=4) for _ in range(50)]
+    # Far points, where a squared norm, a power or the residual overflows.
+    points += [rng.normal(size=4) * scale
+               for scale in (1e100, 1e120, 1e150, 1e155, 1e200, 1e300)]
+    top = np.finfo(float).max
+    points += [np.full(4, top), np.full(4, -top), np.array([-top, top, 0.0, 1.0])]
+    finite = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in points:
+            value, grad = p._oracle(x)
+            assert value.hex() == p._value(x).hex()
+            if math.isfinite(value):
+                finite += 1
+                assert grad.dtype == np.float64
+                assert grad.tobytes() == p._subgradient(x).tobytes()
+                assert p.evaluate(x).subgradient.tobytes() == grad.tobytes()
+            else:
+                assert grad is None
+                with pytest.raises(NonFiniteValueError):
+                    p.evaluate(x)
+                with pytest.raises(NonFiniteValueError):
+                    p.value(x)
+    assert 1 < finite < len(points)
+    if isinstance(p, NormPowerProblem):
+        assert not p._oracle(p.center)[1].any()
+
+
+def test_fused_least_squares_oracle_agrees_on_both_sides_of_its_guard():
+    p = FUSED["least-squares"]()
+    u = np.ones(4) / 2.0  # a unit vector
+    for factor in (0.5, 0.999, 1.001, 2.0):
+        x = math.sqrt(factor * p._near_sq) * u  # ||x||**2 = factor * the guard
+        value, grad = p._oracle(x)
+        assert math.isfinite(value)
+        assert value.hex() == p._value(x).hex()
+        assert grad.tobytes() == p._subgradient(x).tobytes()
+
+
+def _misses_of_the_fast_path(base: np.ndarray) -> dict:
+    strided = np.empty(2 * base.size)
+    strided[::2] = base
+    return {
+        "list": base.tolist(),
+        "tuple": tuple(base.tolist()),
+        "int": np.round(base).astype(np.int64),
+        "float32": base.astype(np.float32),
+        "strided": strided[::2],
+        "column": base.reshape(-1, 1),
+        "0-d": np.array(base[0]),
+        "non-finite": [math.nan] + base.tolist()[1:],
+    }
+
+
+def test_all_space_projection_returns_a_float64_array_as_is():
+    x = np.array([1.5, -2.0])
+    assert AllSpace().project(x) is x
+    for form, y in _misses_of_the_fast_path(x).items():
+        got = AllSpace().project(y)
+        assert type(got) is np.ndarray and got.dtype == np.float64, form
+        assert got.tobytes() == np.asarray(y, dtype=float).tobytes(), form
+
+
+@pytest.mark.parametrize("factory", [
+    lambda: make_norm_power_problem(3, 1.0, 1.5, center=np.array([0.5, -1.0, 2.0])),
+    lambda: make_norm_power_problem(3, 1.0, 1.0, domain=Ball(np.zeros(3), 2.0)),
+    lambda: make_norm_power_problem(3, 1.0, 2.0, domain=Box(-np.ones(3), np.ones(3))),
+    lambda: make_piecewise_max_problem(3, 9, seed=2),
+    lambda: make_least_squares_problem(3, 5, seed=2),
+])
+def test_points_off_the_fast_path_behave_as_their_float64_array(factory):
+    p = factory()
+    for form, x in _misses_of_the_fast_path(np.array([1.25, -3.0, 0.5])).items():
+        reference = np.asarray(x, dtype=float)
+        for query in ("evaluate", "value", "project"):
+            try:
+                expected = getattr(p, query)(reference)
+            except (DimensionMismatchError, NonFiniteInputError) as exc:
+                with pytest.raises(type(exc)):
+                    getattr(p, query)(x)
+                continue
+            got = getattr(p, query)(x)
+            if query == "evaluate":
+                assert got.value.hex() == expected.value.hex(), form
+                assert got.subgradient.tobytes() == expected.subgradient.tobytes(), form
+            elif query == "value":
+                assert got.hex() == expected.hex(), form
+            else:
+                assert type(got) is np.ndarray and got.dtype == np.float64, form
+                assert got.tobytes() == expected.tobytes(), form
