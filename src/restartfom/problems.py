@@ -60,6 +60,20 @@ class OracleOutput(NamedTuple):
 
 
 _FLOAT64 = np.dtype(float)
+_NORMAL_MIN = 2.0 ** -1022  # the smallest normal float
+
+
+def _norm(offset: np.ndarray) -> tuple[float, np.ndarray | None]:
+    """||offset||; where offset·offset falls below the normal range, also its
+    direction (0 at 0), from the offset scaled by its largest entry."""
+
+    square = np.vdot(offset, offset)  # as in NormPowerProblem._oracle
+    if not square < _NORMAL_MIN:
+        return math.sqrt(square), None
+    scale = float(np.abs(offset).max()) or 1.0
+    unit = offset / scale
+    length = math.sqrt(np.vdot(unit, unit))
+    return scale * length, unit / (length or 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +348,7 @@ class NormPowerProblem(ProblemInstance):
         # A far-away finite point overflows: the norm to inf, or the power
         # to a Python OverflowError; either way the value is inf.
         with np.errstate(over="ignore"):
-            r = float(np.linalg.norm(x - self.center))
+            r = _norm(x - self.center)[0]
         try:
             return self.mu * r ** self.d
         except OverflowError:
@@ -342,11 +356,11 @@ class NormPowerProblem(ProblemInstance):
 
     def _subgradient(self, x: np.ndarray) -> np.ndarray:
         offset = x - self.center
-        r = float(np.linalg.norm(offset))
-        if r == 0.0:
-            # 0 is a valid subgradient at the minimizer for every d >= 1.
-            return np.zeros_like(offset)
-        return (self.mu * self.d * r ** (self.d - 2.0)) * offset
+        r, direction = _norm(offset)
+        if direction is None:
+            return (self.mu * self.d * r ** (self.d - 2.0)) * offset
+        # Near the center; at it, 0 is a valid subgradient for every d >= 1.
+        return (self.mu * self.d * r ** (self.d - 1.0)) * direction
 
     def _oracle(self, x: np.ndarray) -> tuple[float, np.ndarray | None]:
         if not self._exact_offset:
@@ -354,19 +368,20 @@ class NormPowerProblem(ProblemInstance):
         offset = x - self.center
         # np.vdot raises no floating-point warning, and on a contiguous array
         # the square root has the bits of np.linalg.norm.
-        r = math.sqrt(np.vdot(offset, offset))
+        square = np.vdot(offset, offset)
+        if square < _NORMAL_MIN:  # see _norm
+            return self._value(x), self._subgradient(x)
+        r = math.sqrt(square)
         try:
             value = self.mu * r ** self.d
         except OverflowError:
             value = math.inf
         if not math.isfinite(value):
             return value, None
-        if r == 0.0:
-            return value, np.zeros_like(offset)
         return value, (self.mu * self.d * r ** (self.d - 2.0)) * offset
 
     def distance_to_opt(self, x) -> float:
-        return float(np.linalg.norm(self._check_point(x) - self.center))
+        return _norm(self._check_point(x) - self.center)[0]
 
     def subgradient_norm_bound(self, f_hat: float) -> float:
         return self.mu * self.d * self.growth_envelope(f_hat) ** (self.d - 1.0)

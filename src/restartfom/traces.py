@@ -8,9 +8,11 @@ field: ``t`` and ``value`` as base64 float64, ``point_id`` as table rows,
 ``null`` where a field is absent), and a ``{"summary": {...}}`` record.  A
 file without that header is refused, as is an event whose kind is not one of
 ``EVENT_KINDS``.  Format 3 had the same layout but logged each send and each
-pause start as events of their own, so its files are refused too.  The
-checkers validate the messaging and restart discipline of a finished run
-from its trace alone, each in one pass over the events.
+pause start as events of their own, so its files are refused too.  A trace
+read from a file holds numpy columns (:class:`TraceColumns`) and builds its
+``events`` only when read.  The checkers validate the messaging and restart
+discipline of a finished run from its trace alone, each as numpy passes over
+the columns (``tests/reference_checkers.py`` keeps the loops they replaced).
 
 Event kinds
 -----------
@@ -36,14 +38,19 @@ from __future__ import annotations
 import base64
 import json
 import math
-from itertools import repeat
+from functools import cached_property
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
 
 from restartfom.errors import ConfigError, NonFiniteValueError, ParameterError
 
-EVENT_KINDS = frozenset({"init", "iterate", "restart", "task-update", "arrival", "pause-end"})
+KINDS = ("init", "iterate", "restart", "task-update", "arrival", "pause-end")  # by kind code
+EVENT_KINDS = frozenset(KINDS)
+_KIND_CODES = {kind: code for code, kind in enumerate(KINDS)}
+_INIT, _ITERATE, _RESTART, _UPDATE, _ARRIVAL, _PAUSE_END = range(len(KINDS))
+NO_COPY = np.iinfo(np.int64).min  # an absent sender or receiver in a column
 BLOCK_EVENTS = 4096  # events per block line; bounds what one block holds in memory
 _ENCODER = json.JSONEncoder(allow_nan=False)
 _BLOCK_ENCODER = json.JSONEncoder(allow_nan=False, separators=(",", ":"))  # no space per entry
@@ -86,7 +93,7 @@ def _b64(values) -> str:
     return base64.b64encode(column.tobytes()).decode("ascii")
 
 
-def _floats(text, count: int, name: str) -> list[float]:
+def _floats(text, count: int, name: str) -> np.ndarray:
     """The ``count`` finite floats of a base64 column."""
 
     column = np.frombuffer(base64.b64decode(text, validate=True), dtype="<f8")
@@ -96,12 +103,30 @@ def _floats(text, count: int, name: str) -> list[float]:
     if not finite.all():
         index = int(finite.argmin())
         raise ValueError(f"event {index} of the block: {name} {column[index]} is not finite")
-    return column.tolist()
+    return column
 
 
 def _first_bad(column: list, name: str, ok, expected: str):
     index = next(i for i, item in enumerate(column) if not ok(item))
     raise TypeError(f"event {index} of the block: {name} {column[index]!r} is not {expected}")
+
+
+def _ints(column, name: str) -> np.ndarray:
+    """An int column as int64, None as NO_COPY (which no int may equal)."""
+
+    try:
+        ints = np.array([NO_COPY if item is None else item for item in column], dtype=np.int64)
+    except OverflowError:
+        ints = None
+    if ints is None or np.count_nonzero(ints == NO_COPY) != column.count(None):
+        raise ValueError(f"{name} holds an int beyond int64, or {NO_COPY}")
+    return ints
+
+
+def _kind_codes(kind) -> np.ndarray:
+    if not EVENT_KINDS.issuperset(kind):
+        _first_bad(kind, "kind", EVENT_KINDS.__contains__, "an event kind")
+    return np.fromiter(map(_KIND_CODES.__getitem__, kind), np.int8, len(kind))
 
 
 class TraceEvent(NamedTuple):
@@ -115,6 +140,11 @@ class TraceEvent(NamedTuple):
     source: str | None = None
 
 
+# The fields the checkers read, in event order; kind indexes KINDS, NO_COPY is no id.
+TraceColumns = NamedTuple("TraceColumns", [(name, np.ndarray) for name in (
+    "t", "value", "copy", "kind", "sender", "receiver")])
+
+
 def _block_line(block: list[TraceEvent], point_ids: list[int | None]) -> str:
     t, copy, kind, value, _, sender, receiver, source = zip(*block)
     # One encode per column: the C encoder keeps every chunk until it joins them all.
@@ -123,9 +153,9 @@ def _block_line(block: list[TraceEvent], point_ids: list[int | None]) -> str:
         in zip(_COLUMNS, (copy, kind, point_ids, sender, receiver, source))), "}"])
 
 
-def _block_events(record: dict, rows: dict):
-    """The events of one block record; ``rows`` maps each point id (and None)
-    to its point."""
+def _block_columns(record: dict, rows: int) -> tuple:
+    """The columns of one block record, then its ``point_id`` and ``source``
+    lists; ``rows`` is the number of rows in the point table."""
 
     count = record["events"]
     t, value = _floats(record["t"], count, "t"), _floats(record["value"], count, "value")
@@ -138,21 +168,48 @@ def _block_events(record: dict, rows: dict):
             _first_bad(column, name, lambda item: type(item) in types, expected)
         columns.append(column)
     copy, kind, point_id, sender, receiver, source = columns
-    if not EVENT_KINDS.issuperset(kind):
-        _first_bad(kind, "kind", EVENT_KINDS.__contains__, "an event kind")
-    if not rows.keys() >= set(point_id):
-        _first_bad(point_id, "point_id", rows.__contains__, "a row of the point table")
-    points = map(rows.__getitem__, point_id)
-    # tuple.__new__ skips the generated __new__ and its argument handling.
-    return map(tuple.__new__, repeat(TraceEvent, count),
-               zip(t, copy, kind, value, points, sender, receiver, source))
+    kind, known = _kind_codes(kind), {None, *range(rows)}
+    if not known.issuperset(point_id):
+        _first_bad(point_id, "point_id", known.__contains__, "a row of the point table")
+    return (t, value, _ints(copy, "copy"), kind, _ints(sender, "sender"),
+            _ints(receiver, "receiver"), point_id, source)
 
 
 class SchemeTrace:
     """Time-ordered event log of one scheme run with derived views."""
 
     def __init__(self, events: list[TraceEvent] | None = None):
-        self.events: list[TraceEvent] = list(events) if events else []
+        self.events = list(events) if events else []  # a plain attribute the engines append to
+        self._columns: TraceColumns | None = None
+        self._described = None  # a copy of the events the columns hold
+        self._unbuilt = None  # a read trace's point ids, sources and point table
+
+    @cached_property
+    def events(self) -> list[TraceEvent]:
+        """A read trace's events, built from its columns on first access."""
+
+        point_ids, sources, table = self._unbuilt
+        rows = dict(enumerate(map(tuple, table.tolist())))
+        rows[None] = None
+        t, value, copy, kind, sender, receiver = self._columns
+        sender, receiver = (map(_or_none, column.tolist()) for column in (sender, receiver))
+        # tuple.__new__ skips the generated __new__ and its argument handling.
+        events = list(map(tuple.__new__, repeat(TraceEvent), zip(
+            t.tolist(), copy.tolist(), map(KINDS.__getitem__, kind.tolist()), value.tolist(),
+            map(rows.__getitem__, point_ids), sender, receiver, sources)))
+        self._described, self._unbuilt = list(events), None
+        return events
+
+    def columns(self) -> TraceColumns:
+        """The columnar form, built again only if ``events`` changed since."""
+        events = self.__dict__.get("events")  # a read trace has none until they are read
+        if events is not None and events != self._described:
+            self._described = list(events)
+            t, copy, kind, value, _, sender, receiver, _ = [*zip(*events)] or [()] * 8
+            self._columns = TraceColumns(
+                np.array(t, dtype=float), np.array(value, dtype=float), _ints(copy, "copy"),
+                _kind_codes(kind), _ints(sender, "sender"), _ints(receiver, "receiver"))
+        return self._columns
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SchemeTrace) and self.events == other.events
@@ -167,9 +224,9 @@ class SchemeTrace:
         return sorted({e.copy for e in self.events})
 
     def initial_value(self) -> float:
-        for event in self.events:
-            if event.kind == "init":
-                return event.value
+        c = self.columns()
+        for value in c.value[c.kind == _INIT][:1].tolist():
+            return value
         raise ParameterError("trace has no init events")
 
     def restart_points(self, copy: int) -> list[tuple[float, ...]]:
@@ -193,11 +250,11 @@ class SchemeTrace:
 
     @classmethod
     def read_jsonl(cls, path) -> tuple["SchemeTrace", dict | None]:
-        """Read a format-4 file; a first line that is not the format-4 header,
-        or a malformed line, raises :class:`ConfigError` located as
-        ``path:line``."""
+        """Read a format-4 file into columns; a first line that is not the
+        format-4 header, or a malformed line, raises :class:`ConfigError`
+        located as ``path:line``."""
 
-        trace = cls()
+        blocks = []
         summary = None
         number = 1  # the line being read
         with open(path, "r", encoding="utf-8") as handle:
@@ -210,8 +267,9 @@ class SchemeTrace:
                                        dtype=table["dtype"])
                 if not np.isfinite(points).all():
                     raise ValueError("the point table holds a value that is not finite")
-                rows = dict(enumerate(map(tuple, points.reshape(table["shape"]).tolist())))
-                rows[None] = None
+                points = points.reshape(table["shape"])
+                if points.ndim < 2 and points.size:
+                    raise ValueError("the point table holds no rows of points")
                 for number, line in enumerate(handle, 2):
                     if line.isspace():
                         continue
@@ -221,214 +279,215 @@ class SchemeTrace:
                     if "summary" in record:
                         summary = record["summary"]
                     else:
-                        trace.events.extend(_block_events(record, rows))
+                        blocks.append(_block_columns(record, len(points)))
             except (KeyError, TypeError, ValueError) as exc:
                 # binascii.Error (from base64) and JSONDecodeError are ValueErrors
                 raise ConfigError(f"{path}:{number}",
                                   f"malformed trace record: {exc}") from exc
+        trace = cls()
+        if blocks:
+            *columns, point_ids, sources = zip(*blocks)
+            del trace.events
+            trace._columns = TraceColumns(*map(np.concatenate, columns))
+            trace._unbuilt = (chain.from_iterable(point_ids), chain.from_iterable(sources), points)
         return trace, summary
 
 
 # ---------------------------------------------------------------------------
-# Invariant checkers: each returns a list of violation descriptions.
+# Invariant checkers: each returns a list of violation descriptions.  Floats
+# leave the arrays through tolist(), so a message shows repr(float).
 # ---------------------------------------------------------------------------
 
 
-def _decrement(copy: int, eps: float) -> float:
-    return (2.0 ** copy) * eps
+def _by_copy(columns: TraceColumns, mask: np.ndarray) -> np.ndarray:
+    """The indices of the events in ``mask``, by copy and in order within one."""
+
+    at = mask.nonzero()[0]
+    return at[np.argsort(columns.copy[at], kind="stable")]
 
 
-def _copy_by_copy(found: dict) -> list[str]:
-    """The problems a one-pass checker collected under sortable keys that
-    start with the copy, in the order of those keys."""
+def _new_run(*keys: np.ndarray) -> np.ndarray:
+    """Whether each entry is the first, or differs in a key from the one before."""
 
-    return [problem for key in sorted(found) for problem in found[key]]
+    new = np.zeros(len(keys[0]), dtype=bool)
+    new[:1] = True
+    for key in keys:
+        new[1:] |= key[1:] != key[:-1]
+    return new
 
 
+def _previous(column: np.ndarray) -> np.ndarray:
+    return np.concatenate([column[:1], column[:-1]])
+
+
+def _pauses(c: TraceColumns):
+    """Arrivals and pause ends by copy, which are arrivals, which follow one."""
+
+    at = _by_copy(c, (c.kind == _ARRIVAL) | (c.kind == _PAUSE_END))
+    arrival = c.kind[at] == _ARRIVAL
+    return at, arrival, _previous(arrival) & ~_new_run(c.copy[at])
+
+
+def _rows(mask: np.ndarray, *columns: np.ndarray):
+    """The Python values of ``columns`` where ``mask`` holds, row by row."""
+
+    flagged = mask.nonzero()[0]
+    return zip(*(column[flagged].tolist() for column in columns)) if len(flagged) else ()
+
+
+def _or_none(copy: int) -> int | None:
+    return None if copy == NO_COPY else copy
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def check_restart_decrements(trace: SchemeTrace, eps: float) -> list[str]:
     """Restart (and top-copy update) values drop by at least the decrement."""
 
     f_x0 = trace.initial_value()
-    previous: dict[tuple[int, str], float] = {}
-    found: dict[tuple[int, str], list[str]] = {}  # "restart" sorts before "task-update"
-    for event in trace.events:
-        kind = event.kind
-        if kind == "restart" or kind == "task-update":
-            key = (event.copy, kind)
-            before = previous.get(key, f_x0)
-            dec = _decrement(event.copy, eps)
-            if event.value > before - dec:
-                found.setdefault(key, []).append(
-                    f"copy {event.copy}: {kind} value {event.value!r} at t={event.t} "
-                    f"exceeds {before!r} - {dec!r}"
-                )
-            previous[key] = event.value
-    return _copy_by_copy(found)
+    c = trace.columns()
+    at = ((c.kind == _RESTART) | (c.kind == _UPDATE)).nonzero()[0]
+    at = at[np.lexsort((c.kind[at], c.copy[at]))]  # by copy, "restart" before "task-update"
+    copy, kind, value = c.copy[at], c.kind[at], c.value[at]
+    before = np.where(_new_run(copy, kind), f_x0, _previous(value))
+    dec = np.ldexp(float(eps), copy)
+    return [f"copy {n}: {KINDS[k]} value {v!r} at t={s} exceeds {b!r} - {d!r}" for n, k, v, s, b, d
+            in _rows(value > before - dec, copy, kind, value, c.t[at], before, dec)]
 
 
 def check_message_topology(trace: SchemeTrace, N: int) -> list[str]:
-    """Messages flow only from copy n to copy n - 1; copy N receives none.
-    Every restart or task update above copy -1 sends, and nothing else does."""
+    """Copies lie on the ladder -1..N, and messages flow only from copy n to
+    copy n - 1: every restart or task update above copy -1 sends, nothing
+    else does, and copy N receives none."""
 
-    problems = []
-    for event in trace.events:
-        kind, copy = event.kind, event.copy
-        sends_down = (kind == "restart" or kind == "task-update") and copy > -1
-        if event.receiver != (copy - 1 if sends_down else None):
-            problems.append(f"{kind} at t={event.t} on copy {copy}: receiver {event.receiver}")
-        if kind == "arrival" and event.sender != copy + 1:
-            problems.append(f"arrival at t={event.t} on copy {copy} from {event.sender}")
-        if kind == "arrival" and copy == N:
-            problems.append(f"copy {N} received a message at t={event.t}")
+    c = trace.columns()
+    copy, arrival = c.copy, c.kind == _ARRIVAL
+    problems = [f"copy {n} lies outside the ladder -1..{N}"
+                for n in sorted(set(copy[(copy < -1) | (copy > N)].tolist()))]
+    sends = ((c.kind == _RESTART) | (c.kind == _UPDATE)) & (copy > -1)
+    wrong_receiver = c.receiver != np.where(sends, copy - 1, NO_COPY)
+    wrong_sender = arrival & (c.sender != copy + 1)
+    at_top = arrival & (copy == N)
+    for k, s, n, receiver, sender, bad_receiver, bad_sender, top in _rows(
+            wrong_receiver | wrong_sender | at_top, c.kind, c.t, copy, c.receiver, c.sender,
+            wrong_receiver, wrong_sender, at_top):
+        if bad_receiver:
+            problems.append(f"{KINDS[k]} at t={s} on copy {n}: receiver {_or_none(receiver)}")
+        if bad_sender:
+            problems.append(f"arrival at t={s} on copy {n} from {_or_none(sender)}")
+        if top:
+            problems.append(f"copy {N} received a message at t={s}")
     return problems
 
 
 def check_top_copy_never_restarts(trace: SchemeTrace, N: int) -> list[str]:
-    return [
-        f"copy {N} restarted at t={e.t}"
-        for e in trace.of_kind("restart", N)
-    ]
+    c = trace.columns()
+    return [f"copy {N} restarted at t={s}"
+            for s in c.t[(c.kind == _RESTART) & (c.copy == N)].tolist()]
 
 
-def _sends_by_copy(trace: SchemeTrace) -> dict[int, list[TraceEvent]]:
-    sends: dict[int, list[TraceEvent]] = {}
-    for event in trace.events:
-        if event.receiver is not None:
-            sends.setdefault(event.copy, []).append(event)
-    return sends
-
-
+@np.errstate(over="ignore", invalid="ignore")
 def check_near_optimal_send_cap(trace: SchemeTrace, f_star: float, eps: float) -> list[str]:
     """After a send with value < f_star + 2 * 2^n eps, at most one more send."""
 
-    problems = []
-    by_copy = _sends_by_copy(trace)
-    for copy in sorted(by_copy):
-        sends = by_copy[copy]
-        threshold = f_star + 2.0 * _decrement(copy, eps)
-        for i, event in enumerate(sends):
-            if event.value < threshold:
-                extra = len(sends) - i - 1
-                if extra > 1:
-                    problems.append(
-                        f"copy {copy}: {extra} sends after near-optimal send "
-                        f"(value {event.value!r} < {threshold!r}) at t={event.t}"
-                    )
-                break
-    return problems
+    c = trace.columns()
+    at = _by_copy(c, c.receiver != NO_COPY)
+    copy, value = c.copy[at], c.value[at]
+    starts = _new_run(copy).nonzero()[0]  # each copy's first send
+    threshold = f_star + 2.0 * np.ldexp(float(eps), copy)
+    near = (value < threshold).nonzero()[0]
+    group = np.searchsorted(starts, near, side="right") - 1
+    first = _new_run(group)  # each copy's first near-optimal send
+    near, group = near[first], group[first]
+    extra = np.append(starts[1:], len(at))[group] - near - 1
+    return [f"copy {n}: {e} sends after near-optimal send (value {v!r} < {b!r}) at t={s}"
+            for n, e, v, b, s in _rows(extra > 1, copy[near], extra, value[near],
+                                       threshold[near], c.t[at[near]])]
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def check_send_counts(trace: SchemeTrace, f_star: float, eps: float) -> list[str]:
     """Total sends by copy n stay within ceil(gap / 2^n eps)."""
 
-    problems = []
     gap = trace.initial_value() - f_star
-    if gap <= 0.0:
-        return problems
-    by_copy = _sends_by_copy(trace)
-    for copy in sorted(by_copy):
-        cap = gap / _decrement(copy, eps)  # inf when it overflows, and no count exceeds that
-        sent = len(by_copy[copy])
-        if sent > cap and sent > math.ceil(cap):
-            problems.append(f"copy {copy}: {sent} sends exceed cap {math.ceil(cap)}")
-    return problems
+    c = trace.columns()
+    copies, sent = np.unique(c.copy[c.receiver != NO_COPY], return_counts=True)
+    cap = gap / np.ldexp(float(eps), copies)  # inf when it overflows, and no count exceeds that
+    return [f"copy {n}: {k} sends exceed cap {math.ceil(b)}" for n, k, b
+            in _rows((gap > 0.0) & (sent > cap) & (sent > np.ceil(cap)), copies, sent, cap)]
 
 
 def check_lockstep_iterates(trace: SchemeTrace, periods: int) -> list[str]:
     """Lockstep runs log exactly one iterate per copy per period 1..periods."""
 
-    times: dict[int, list[float]] = {copy: [] for copy in trace.copies()}
-    for event in trace.events:
-        if event.kind == "iterate":
-            times[event.copy].append(event.t)
-    expected = [float(p) for p in range(1, periods + 1)]
-    return [
-        f"copy {copy}: iterate times {copy_times} differ from periods {expected}"
-        for copy, copy_times in times.items() if copy_times != expected
-    ]
+    c = trace.columns()
+    copies = np.unique(c.copy)
+    at = _by_copy(c, c.kind == _ITERATE)
+    starts = np.searchsorted(c.copy[at], copies)
+    counts = np.diff(starts, append=len(at))
+    # The k-th iterate of a copy (k from 0) belongs at t = k + 1.
+    on = np.cumsum(np.r_[0, c.t[at] == np.arange(1, len(at) + 1) - np.repeat(starts, counts)])
+    bad = (counts != max(periods, 0)) | (on[starts + counts] - on[starts] != counts)
+    return [f"copy {n}: iterate times {c.t[at[start:start + count]].tolist()} differ from "
+            f"periods {[float(p) for p in range(1, periods + 1)]}"
+            for n, start, count in _rows(bad, copies, starts, counts)]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def check_pause_bounds(trace: SchemeTrace, tau_pause: float) -> list[str]:
     """Every realized pause lasts a positive time of at most tau_pause."""
 
-    begun: dict[int, float] = {}  # copy -> start of its open pause
-    found: dict[int, list[str]] = {}
-    for event in trace.events:
-        if event.kind == "arrival":
-            begun[event.copy] = event.t  # a newer arrival restarts the clock
-        elif event.kind == "pause-end":
-            copy = event.copy
-            begun_at = begun.pop(copy, None)
-            if begun_at is None:
-                found.setdefault(copy, []).append(
-                    f"copy {copy}: pause-end at t={event.t} without begin")
-                continue
-            duration = event.t - begun_at
-            if not (0.0 < duration <= tau_pause + 1e-9):
-                found.setdefault(copy, []).append(
-                    f"copy {copy}: pause of {duration} at t={event.t} "
-                    f"outside (0, {tau_pause}]"
-                )
-    return _copy_by_copy(found)
+    c = trace.columns()
+    at, arrival, begun = _pauses(c)  # a newer arrival restarts the clock
+    t = c.t[at]
+    span = t - _previous(t)
+    fits = (0.0 < span) & (span <= tau_pause + 1e-9)
+    return [f"copy {n}: pause of {d} at t={s} outside (0, {tau_pause}]" if opened else
+            f"copy {n}: pause-end at t={s} without begin"
+            for n, s, d, opened in _rows(~(arrival | begun & fits), c.copy[at], t, span, begun)]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def check_transit_bounds(trace: SchemeTrace, tau_transit: float) -> list[str]:
-    """Every delivered message arrives within (0, tau_transit] of its send."""
+    """Every delivered message arrives within (0, tau_transit] of its send,
+    the last one of its sender with its value."""
 
-    problems = []
-    send_times = {}
-    arrivals = []
-    for event in trace.events:
-        if event.receiver is not None:
-            send_times[(event.copy, event.value)] = event.t
-        elif event.kind == "arrival":
-            arrivals.append(event)
-    for event in arrivals:
-        sent = send_times.get((event.sender, event.value))
-        if sent is None:
-            problems.append(
-                f"arrival at t={event.t} on copy {event.copy} matches no send"
-            )
-            continue
-        transit = event.t - sent
-        if not (0.0 < transit <= tau_transit + 1e-9):
-            problems.append(
-                f"message from copy {event.sender} took {transit} "
-                f"(outside (0, {tau_transit}])"
-            )
-    return problems
+    c = trace.columns()
+    sends = (c.receiver != NO_COPY).nonzero()[0]
+    arrivals = ((c.kind == _ARRIVAL) & (c.receiver == NO_COPY)).nonzero()[0]
+    # Sends, then arrivals under their sender, stably sorted by (copy, value):
+    # an arrival follows every send of its key, the last of them nearest.
+    events = np.concatenate([sends, arrivals])
+    copy, value = np.concatenate([c.copy[sends], c.sender[arrivals]]), c.value[events]
+    order = np.lexsort((value, copy))
+    latest = np.maximum.accumulate(np.where(order < len(sends), np.arange(len(order)), -1))
+    latest = latest[np.argsort(order)[len(sends):]]  # each arrival's candidate, -1 if none
+    send = order[np.maximum(latest, 0)]
+    matched = ((latest >= 0) & (copy[send] == copy[len(sends):])
+               & (value[send] == value[len(sends):]))
+    transit = c.t[arrivals] - c.t[events[send]]
+    fits = (0.0 < transit) & (transit <= tau_transit + 1e-9)
+    return [f"message from copy {sender} took {d} (outside (0, {tau_transit}])" if found else
+            f"arrival at t={s} on copy {n} matches no send" for s, n, sender, d, found in _rows(
+                ~(matched & fits), c.t[arrivals], c.copy[arrivals], c.sender[arrivals],
+                transit, matched)]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def check_contiguous_pause_decrements(trace: SchemeTrace, eps: float) -> list[str]:
     """Candidates overwriting within one pause chain drop by the sender's decrement."""
 
-    chains: dict[int, float] = {}  # copy -> candidate value of its open pause chain
-    found: dict[int, list[str]] = {}
-    for event in trace.events:
-        if event.kind == "arrival":
-            copy = event.copy
-            chain_value = chains.get(copy)
-            sender_dec = _decrement(copy + 1, eps)
-            if chain_value is not None and event.value > chain_value - sender_dec:
-                found.setdefault(copy, []).append(
-                    f"copy {copy}: overwrite candidate {event.value!r} at "
-                    f"t={event.t} exceeds {chain_value!r} - {sender_dec!r}"
-                )
-            chains[copy] = event.value
-        elif event.kind == "pause-end":
-            chains.pop(event.copy, None)
-    return _copy_by_copy(found)
+    c = trace.columns()
+    at, arrival, chained = _pauses(c)
+    j = (arrival & chained).nonzero()[0]  # an arrival that overwrites an open pause's candidate
+    new, old = at[j], at[j - 1]
+    dec = np.ldexp(float(eps), c.copy[new] + 1)
+    return [f"copy {n}: overwrite candidate {v!r} at t={s} exceeds {b!r} - {d!r}"
+            for n, v, s, b, d in _rows(c.value[new] > c.value[old] - dec, c.copy[new],
+                                       c.value[new], c.t[new], c.value[old], dec)]
 
 
-def check_trace(
-    trace: SchemeTrace,
-    *,
-    eps: float,
-    N: int,
-    f_star: float | None = None,
-    tau_pause: float | None = None,
-    tau_transit: float | None = None,
-) -> list[str]:
+def check_trace(trace: SchemeTrace, *, eps: float, N: int, f_star: float | None = None,
+                tau_pause: float | None = None, tau_transit: float | None = None) -> list[str]:
     """Run every applicable invariant checker and collect violations."""
 
     problems = []

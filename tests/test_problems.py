@@ -682,3 +682,20 @@ def test_points_off_the_fast_path_behave_as_their_float64_array(factory):
             else:
                 assert type(got) is np.ndarray and got.dtype == np.float64, form
                 assert got.tobytes() == expected.tobytes(), form
+
+
+@pytest.mark.parametrize("d", [1.0, 1.5, 2.0])
+@pytest.mark.parametrize("offset", [[1e-200, 0.0, 0.0], [3e-170, -4e-170, 0.0],
+                                    [5e-324, 0.0, 0.0], [0.0, 0.0, 0.0]])
+def test_norm_power_keeps_offsets_whose_square_underflows(d, offset):
+    # ||offset||^2 lies below the smallest normal float: the plain norm reads 0.
+    p = make_norm_power_problem(3, 1.0, d)
+    x = np.array(offset)
+    r = math.hypot(*offset)
+    assert p.distance_to_opt(x) == pytest.approx(r, rel=1e-15, abs=0.0)
+    out = p.evaluate(x)
+    assert out.value.hex() == p.value(x).hex()
+    assert out.value == pytest.approx(r ** d, rel=1e-14, abs=0.0)
+    assert out.subgradient.tobytes() == p._subgradient(x).tobytes()
+    expected = d * r ** (d - 1.0) * (x / r) if r else np.zeros(3)
+    np.testing.assert_allclose(out.subgradient, expected, rtol=1e-14, atol=0.0)
