@@ -468,10 +468,11 @@ def _epoch_budget(problem: ProblemInstance, spec: MethodSpec, f_x0: float, calls
 
 
 def _report_or_none(bound) -> BoundReport | None:
-    """``bound()``, or None when the instance does not support that guarantee."""
+    """``bound()``, or None when the instance does not support that guarantee
+    or its value overflows the float range."""
     try:
         return bound()
-    except (UnsupportedQueryError, ParameterError):
+    except (UnsupportedQueryError, ParameterError, OverflowError):
         return None
 
 

@@ -1,18 +1,19 @@
 """Trace records shared by both scheme engines, plus invariant checkers.
 
 Every engine emits a flat, time-ordered list of :class:`TraceEvent` records,
-one per ladder action.  The JSON-lines export (format 4) writes a header
+one per ladder action.  The JSON-lines export (format 5) writes a header
 holding the distinct points as one base64 little-endian float64 table, the
-events in blocks of at most ``BLOCK_EVENTS`` (a line each, one array per
-field: ``t`` and ``value`` as base64 float64, ``point_id`` as table rows,
-``null`` where a field is absent), and a ``{"summary": {...}}`` record.  A
-file without that header is refused, as is an event whose kind is not one of
-``EVENT_KINDS``.  Format 3 had the same layout but logged each send and each
-pause start as events of their own, so its files are refused too.  A trace
-read from a file holds numpy columns (:class:`TraceColumns`) and builds its
-``events`` only when read.  The checkers validate the messaging and restart
-discipline of a finished run from its trace alone, each as numpy passes over
-the columns (``tests/reference_checkers.py`` keeps the loops they replaced).
+events in blocks of at most ``BLOCK_EVENTS`` (a line each, holding every
+field of :class:`TraceColumns` as a base64 little-endian array of its
+``DTYPES`` entry), and a ``{"summary": {...}}`` record.  ``copy``, ``sender``
+and ``receiver`` are int16 with ``NO_COPY`` for none, ``kind`` and ``source``
+index ``KINDS`` and ``SOURCES`` (-1 for no source), and ``point_id`` is a row
+of the table (-1 for no point).  A file without the format-5 header, such as
+one of formats 1-4, is refused.  A trace read from a file holds the columns
+it stored and builds its ``events`` only when read.  The checkers validate
+the messaging and restart discipline of a finished run from its trace alone,
+each as numpy passes over the columns (``tests/reference_checkers.py`` keeps
+the loops they replaced).
 
 Event kinds
 -----------
@@ -39,7 +40,7 @@ import base64
 import json
 import math
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -48,22 +49,18 @@ from restartfom.errors import ConfigError, NonFiniteValueError, ParameterError
 
 KINDS = ("init", "iterate", "restart", "task-update", "arrival", "pause-end")  # by kind code
 EVENT_KINDS = frozenset(KINDS)
+SOURCES = ("own", "inbox")  # by source code
 _KIND_CODES = {kind: code for code, kind in enumerate(KINDS)}
+_SOURCE_CODES = {None: -1, **{source: code for code, source in enumerate(SOURCES)}}
 _INIT, _ITERATE, _RESTART, _UPDATE, _ARRIVAL, _PAUSE_END = range(len(KINDS))
-NO_COPY = np.iinfo(np.int64).min  # an absent sender or receiver in a column
+NO_COPY = np.iinfo(np.int16).min  # an absent sender or receiver; ids lie in -32767..32767
 BLOCK_EVENTS = 4096  # events per block line; bounds what one block holds in memory
+# The event fields in order, each with the dtype of its column and of its block entry.
+DTYPES = {"t": "<f8", "value": "<f8", "copy": "<i2", "kind": "i1", "sender": "<i2",
+          "receiver": "<i2", "source": "i1", "point_id": "<i4"}
+TraceColumns = NamedTuple("TraceColumns", [(name, np.ndarray) for name in DTYPES])
+_NO_EVENTS = TraceColumns(*(np.empty(0, dtype) for dtype in DTYPES.values()))
 _ENCODER = json.JSONEncoder(allow_nan=False)
-_BLOCK_ENCODER = json.JSONEncoder(allow_nan=False, separators=(",", ":"))  # no space per entry
-_NULL = type(None)
-# The fields a block stores as JSON arrays: name, entry types, what an entry must be.
-_COLUMNS = (
-    ("copy", {int, bool}, "an int"),
-    ("kind", {str}, "a str"),
-    ("point_id", {int, _NULL}, "null or a row of the point table"),
-    ("sender", {int, bool, _NULL}, "null or an int"),
-    ("receiver", {int, bool, _NULL}, "null or an int"),
-    ("source", {str, _NULL}, "null or a str"),
-)
 
 
 def _refuse_constant(name: str):
@@ -74,59 +71,61 @@ def _refuse_constant(name: str):
 _DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
 
 
-def _dumps(record: dict, encoder: json.JSONEncoder = _ENCODER) -> str:
+def _dumps(record: dict) -> str:
     try:
-        return encoder.encode(record)
+        return _ENCODER.encode(record)
     except ValueError as exc:  # NaN and infinities are not JSON
         raise NonFiniteValueError(f"trace record: {exc}") from exc
 
 
-def _b64(values) -> str:
-    """Finite floats (a time or value column, or the point table) as base64
-    little-endian float64."""
-
-    column = np.asarray(values, dtype="<f8")
-    finite = np.isfinite(column)
-    if not finite.all():
-        bad = float(column[~finite][0])
-        raise NonFiniteValueError(f"a trace holds finite floats only, not {bad}")
+def _b64(column: np.ndarray) -> str:
     return base64.b64encode(column.tobytes()).decode("ascii")
 
 
-def _floats(text, count: int, name: str) -> np.ndarray:
-    """The ``count`` finite floats of a base64 column."""
+def _array(text, dtype: str) -> np.ndarray:
+    """The array a base64 string holds; characters outside the alphabet are refused."""
 
-    column = np.frombuffer(base64.b64decode(text, validate=True), dtype="<f8")
-    if len(column) != count:
-        raise ValueError(f"{name} holds {len(column)} floats, not {count}")
-    finite = np.isfinite(column)
-    if not finite.all():
-        index = int(finite.argmin())
-        raise ValueError(f"event {index} of the block: {name} {column[index]} is not finite")
-    return column
+    return np.frombuffer(base64.b64decode(text, validate=True), dtype)
 
 
-def _first_bad(column: list, name: str, ok, expected: str):
-    index = next(i for i, item in enumerate(column) if not ok(item))
-    raise TypeError(f"event {index} of the block: {name} {column[index]!r} is not {expected}")
-
-
-def _ints(column, name: str) -> np.ndarray:
-    """An int column as int64, None as NO_COPY (which no int may equal)."""
+def _ids(column: tuple, name: str, nulls: int = 0) -> np.ndarray:
+    """Copy ids as int16, None as NO_COPY; an int outside -32767..32767, or a
+    None beyond the ``nulls`` the column may hold, is refused."""
 
     try:
-        ints = np.array([NO_COPY if item is None else item for item in column], dtype=np.int64)
-    except OverflowError:
-        ints = None
-    if ints is None or np.count_nonzero(ints == NO_COPY) != column.count(None):
-        raise ValueError(f"{name} holds an int beyond int64, or {NO_COPY}")
-    return ints
+        ids = np.fromiter(map({None: NO_COPY}.get, column, column), np.int64, len(column))
+    except OverflowError:  # beyond int64
+        ids = None
+    if ids is None or np.count_nonzero((ids < -32767) | (ids > 32767)) != nulls:
+        raise ParameterError(f"{name} holds an id outside -32767..32767")
+    return ids.astype(DTYPES[name])
 
 
-def _kind_codes(kind) -> np.ndarray:
-    if not EVENT_KINDS.issuperset(kind):
-        _first_bad(kind, "kind", EVENT_KINDS.__contains__, "an event kind")
-    return np.fromiter(map(_KIND_CODES.__getitem__, kind), np.int8, len(kind))
+def _codes(column: tuple, codes: dict, name: str) -> np.ndarray:
+    try:
+        return np.fromiter(map(codes.__getitem__, column), DTYPES[name], len(column))
+    except KeyError as exc:
+        raise ParameterError(f"{name} {exc} is not one of {[*codes]}") from None
+
+
+def _block_columns(record: dict, rows: int) -> TraceColumns:
+    """The columns of one block record; ``rows`` is the point table's length."""
+
+    c = TraceColumns(*(_array(record[name], dtype) for name, dtype in DTYPES.items()))
+    for name, column in zip(DTYPES, c):
+        if len(column) != record["events"]:
+            raise ValueError(f"{name} holds {len(column)} entries, not {record['events']}")
+    for name, ok, expected in (
+            ("t", np.isfinite(c.t), "finite"), ("value", np.isfinite(c.value), "finite"),
+            ("copy", c.copy != NO_COPY, "a copy"),
+            ("kind", (0 <= c.kind) & (c.kind < len(KINDS)), "a kind code"),
+            ("source", (-1 <= c.source) & (c.source < len(SOURCES)), "-1 or a source code"),
+            ("point_id", (-1 <= c.point_id) & (c.point_id < rows), "-1 or a table row")):
+        if not ok.all():
+            index = int(ok.argmin())
+            raise ValueError(f"event {index} of the block: {name} "
+                             f"{getattr(c, name)[index].item()!r} is not {expected}")
+    return c
 
 
 class TraceEvent(NamedTuple):
@@ -140,85 +139,54 @@ class TraceEvent(NamedTuple):
     source: str | None = None
 
 
-# The fields the checkers read, in event order; kind indexes KINDS, NO_COPY is no id.
-TraceColumns = NamedTuple("TraceColumns", [(name, np.ndarray) for name in (
-    "t", "value", "copy", "kind", "sender", "receiver")])
-
-
-def _block_line(block: list[TraceEvent], point_ids: list[int | None]) -> str:
-    t, copy, kind, value, _, sender, receiver, source = zip(*block)
-    # One encode per column: the C encoder keeps every chunk until it joins them all.
-    return "".join([f'{{"events":{len(block)},"t":"{_b64(t)}","value":"{_b64(value)}"', *(
-        f',"{name}":{_dumps(column, _BLOCK_ENCODER)}' for (name, _, _), column
-        in zip(_COLUMNS, (copy, kind, point_ids, sender, receiver, source))), "}"])
-
-
-def _block_columns(record: dict, rows: int) -> tuple:
-    """The columns of one block record, then its ``point_id`` and ``source``
-    lists; ``rows`` is the number of rows in the point table."""
-
-    count = record["events"]
-    t, value = _floats(record["t"], count, "t"), _floats(record["value"], count, "value")
-    columns = []
-    for name, types, expected in _COLUMNS:
-        column = record[name]
-        if type(column) is not list or len(column) != count:
-            raise ValueError(f"{name} is not an array of {count} entries")
-        if not types.issuperset(map(type, column)):
-            _first_bad(column, name, lambda item: type(item) in types, expected)
-        columns.append(column)
-    copy, kind, point_id, sender, receiver, source = columns
-    kind, known = _kind_codes(kind), {None, *range(rows)}
-    if not known.issuperset(point_id):
-        _first_bad(point_id, "point_id", known.__contains__, "a row of the point table")
-    return (t, value, _ints(copy, "copy"), kind, _ints(sender, "sender"),
-            _ints(receiver, "receiver"), point_id, source)
-
-
 class SchemeTrace:
     """Time-ordered event log of one scheme run with derived views."""
 
     def __init__(self, events: list[TraceEvent] | None = None):
         self.events = list(events) if events else []  # a plain attribute the engines append to
+        self.points = np.empty((0, 0))  # the distinct points, the rows point_id names
         self._columns: TraceColumns | None = None
         self._described = None  # a copy of the events the columns hold
-        self._unbuilt = None  # a read trace's point ids, sources and point table
 
     @cached_property
     def events(self) -> list[TraceEvent]:
         """A read trace's events, built from its columns on first access."""
 
-        point_ids, sources, table = self._unbuilt
-        rows = dict(enumerate(map(tuple, table.tolist())))
-        rows[None] = None
-        t, value, copy, kind, sender, receiver = self._columns
+        t, value, copy, kind, sender, receiver, source, point_id = self._columns
+        rows = [*map(tuple, self.points.tolist()), None]  # point_id -1 is None
         sender, receiver = (map(_or_none, column.tolist()) for column in (sender, receiver))
         # tuple.__new__ skips the generated __new__ and its argument handling.
         events = list(map(tuple.__new__, repeat(TraceEvent), zip(
             t.tolist(), copy.tolist(), map(KINDS.__getitem__, kind.tolist()), value.tolist(),
-            map(rows.__getitem__, point_ids), sender, receiver, sources)))
-        self._described, self._unbuilt = list(events), None
+            map(rows.__getitem__, point_id.tolist()), sender, receiver,
+            map((*SOURCES, None).__getitem__, source.tolist()))))
+        self._described = list(events)
         return events
 
     def columns(self) -> TraceColumns:
-        """The columnar form, built again only if ``events`` changed since."""
+        """The columnar form, built again (with ``points``) only if ``events``
+        changed since."""
+
         events = self.__dict__.get("events")  # a read trace has none until they are read
         if events is not None and events != self._described:
             self._described = list(events)
-            t, copy, kind, value, _, sender, receiver, _ = [*zip(*events)] or [()] * 8
+            t, copy, kind, value, point, sender, receiver, source = [*zip(*events)] or [()] * 8
+            rows = {}  # the distinct points in first-seen order, each with its row
+            point_id = [-1 if p is None else rows.setdefault(p, len(rows)) for p in point]
+            self.points = np.array([*rows], dtype="<f8") if rows else np.empty((0, 0))
             self._columns = TraceColumns(
-                np.array(t, dtype=float), np.array(value, dtype=float), _ints(copy, "copy"),
-                _kind_codes(kind), _ints(sender, "sender"), _ints(receiver, "receiver"))
+                np.array(t, dtype="<f8"), np.array(value, dtype="<f8"), _ids(copy, "copy"),
+                _codes(kind, _KIND_CODES, "kind"), _ids(sender, "sender", sender.count(None)),
+                _ids(receiver, "receiver", receiver.count(None)),
+                _codes(source, _SOURCE_CODES, "source"),
+                np.array(point_id, dtype=DTYPES["point_id"]))
         return self._columns
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SchemeTrace) and self.events == other.events
 
     def of_kind(self, kind: str, copy: int | None = None) -> list[TraceEvent]:
-        return [
-            e for e in self.events
-            if e.kind == kind and (copy is None or e.copy == copy)
-        ]
+        return [e for e in self.events if e.kind == kind and (copy is None or e.copy == copy)]
 
     def copies(self) -> list[int]:
         return sorted({e.copy for e in self.events})
@@ -233,43 +201,47 @@ class SchemeTrace:
         return [e.point for e in self.of_kind("restart", copy)]
 
     def write_jsonl(self, path, summary: dict | None = None) -> None:
-        """Write the format-4 file: point table header, event blocks, summary."""
+        """Write the format-5 file: point table header, event blocks, summary."""
 
-        rows: dict[tuple[float, ...], int] = {}
-        add = rows.setdefault
-        point_ids = [None if e.point is None else add(e.point, len(rows)) for e in self.events]
-        table = np.array(list(rows), dtype="<f8")
-        points = {"dtype": "<f8", "shape": list(table.shape), "b64": _b64(table)}
+        c = self.columns()
+        for floats in (c.t, c.value, self.points):
+            if not np.isfinite(floats).all():
+                bad = floats[~np.isfinite(floats)][0]
+                raise NonFiniteValueError(f"a trace holds finite floats only, not {bad}")
+        points = {"shape": list(self.points.shape), "b64": _b64(self.points)}
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(_dumps({"format": 4, "points": points}) + "\n")
-            for start in range(0, len(self.events), BLOCK_EVENTS):
-                stop = start + BLOCK_EVENTS
-                handle.write(_block_line(self.events[start:stop], point_ids[start:stop]) + "\n")
+            handle.write(_dumps({"format": 5, "points": points}) + "\n")
+            for start in range(0, len(c.t), BLOCK_EVENTS):
+                block = [column[start:start + BLOCK_EVENTS] for column in c]
+                handle.write(f'{{"events":{len(block[0])}' + "".join(
+                    f',"{name}":"{_b64(column)}"' for name, column in zip(DTYPES, block)) + "}\n")
             if summary is not None:
                 handle.write(_dumps({"summary": summary}) + "\n")
 
     @classmethod
     def read_jsonl(cls, path) -> tuple["SchemeTrace", dict | None]:
-        """Read a format-4 file into columns; a first line that is not the
-        format-4 header, or a malformed line, raises :class:`ConfigError`
+        """Read a format-5 file into columns; a first line that is not the
+        format-5 header, or a malformed line, raises :class:`ConfigError`
         located as ``path:line``."""
 
-        blocks = []
+        trace = cls()
+        blocks = [_NO_EVENTS]
         summary = None
         number = 1  # the line being read
         with open(path, "r", encoding="utf-8") as handle:
             try:
                 header = _DECODER.decode(handle.readline())
-                if not isinstance(header, dict) or header.get("format") != 4:
-                    raise ValueError("the first line is not the format-4 header")
-                table = header["points"]
-                points = np.frombuffer(base64.b64decode(table["b64"], validate=True),
-                                       dtype=table["dtype"])
+                if not isinstance(header, dict) or header.get("format") != 5:
+                    raise ValueError("the first line is not the format-5 header")
+                points, shape = _array(header["points"]["b64"], "<f8"), header["points"]["shape"]
+                if (type(shape) is not list or len(shape) != 2
+                        or not all(type(n) is int and n >= 0 for n in shape)
+                        or shape[0] * shape[1] != len(points)):
+                    raise ValueError(f"the point table's shape {shape!r} is not two "
+                                     f"non-negative ints whose product is {len(points)}")
                 if not np.isfinite(points).all():
                     raise ValueError("the point table holds a value that is not finite")
-                points = points.reshape(table["shape"])
-                if points.ndim < 2 and points.size:
-                    raise ValueError("the point table holds no rows of points")
+                trace.points = points.reshape(shape)
                 for number, line in enumerate(handle, 2):
                     if line.isspace():
                         continue
@@ -279,17 +251,13 @@ class SchemeTrace:
                     if "summary" in record:
                         summary = record["summary"]
                     else:
-                        blocks.append(_block_columns(record, len(points)))
+                        blocks.append(_block_columns(record, shape[0]))
             except (KeyError, TypeError, ValueError) as exc:
                 # binascii.Error (from base64) and JSONDecodeError are ValueErrors
                 raise ConfigError(f"{path}:{number}",
                                   f"malformed trace record: {exc}") from exc
-        trace = cls()
-        if blocks:
-            *columns, point_ids, sources = zip(*blocks)
-            del trace.events
-            trace._columns = TraceColumns(*map(np.concatenate, columns))
-            trace._unbuilt = (chain.from_iterable(point_ids), chain.from_iterable(sources), points)
+        del trace.events
+        trace._columns = TraceColumns(*map(np.concatenate, zip(*blocks)))
         return trace, summary
 
 
@@ -360,7 +328,7 @@ def check_message_topology(trace: SchemeTrace, N: int) -> list[str]:
     else does, and copy N receives none."""
 
     c = trace.columns()
-    copy, arrival = c.copy, c.kind == _ARRIVAL
+    copy, arrival = c.copy.astype(int), c.kind == _ARRIVAL  # copy + 1 must not wrap
     problems = [f"copy {n} lies outside the ladder -1..{N}"
                 for n in sorted(set(copy[(copy < -1) | (copy > N)].tolist()))]
     sends = ((c.kind == _RESTART) | (c.kind == _UPDATE)) & (copy > -1)
@@ -480,7 +448,7 @@ def check_contiguous_pause_decrements(trace: SchemeTrace, eps: float) -> list[st
     at, arrival, chained = _pauses(c)
     j = (arrival & chained).nonzero()[0]  # an arrival that overwrites an open pause's candidate
     new, old = at[j], at[j - 1]
-    dec = np.ldexp(float(eps), c.copy[new] + 1)
+    dec = np.ldexp(float(eps), c.copy[new].astype(int) + 1)
     return [f"copy {n}: overwrite candidate {v!r} at t={s} exceeds {b!r} - {d!r}"
             for n, v, s, b, d in _rows(c.value[new] > c.value[old] - dec, c.copy[new],
                                        c.value[new], c.t[new], c.value[old], dec)]

@@ -1,6 +1,7 @@
 """The numpy invariant checkers against the event-loop reference, on drawn
 traces, on engine runs read back from disk, and on copies off the ladder."""
 
+import base64
 import json
 import warnings
 
@@ -97,6 +98,8 @@ def test_numpy_checkers_match_the_loop_reference(tmp_path_factory, scenario):
             expected = _outcome(getattr(reference, name), SchemeTrace(events), *args, **kwargs)
             for trace in (SchemeTrace(events), read):
                 assert _outcome(getattr(traces, name), trace, *args, **kwargs) == expected, name
+    assert all(mine.dtype == back.dtype and np.array_equal(mine, back)
+               for mine, back in zip(SchemeTrace(events).columns(), read.columns()))
 
 
 def _lockstep():
@@ -159,19 +162,26 @@ def test_columns_follow_events_appended_after_a_check():
     assert len(traces.check_top_copy_never_restarts(trace, 1)) == 2
 
 
+def _column(record, name, dtype):
+    return np.frombuffer(base64.b64decode(record[name]), dtype).copy()
+
+
 def _set_copy(path, copy):
     """Set the copy of the trace's first restart to ``copy``."""
 
+    restart = traces.KINDS.index("restart")
     lines = path.read_text().splitlines()
     number, record = next((n, json.loads(line)) for n, line in enumerate(lines[1:], 2)
-                          if "restart" in json.loads(line).get("kind", ()))
-    record["copy"][record["kind"].index("restart")] = copy
+                          if restart in _column(json.loads(line), "kind", "i1"))
+    copies = _column(record, "copy", "<i2")
+    copies[_column(record, "kind", "i1").tolist().index(restart)] = copy
+    record["copy"] = base64.b64encode(copies.tobytes()).decode()
     lines[number - 1] = json.dumps(record)
     path.write_text("\n".join(lines) + "\n")
     return number
 
 
-@pytest.mark.parametrize("copy", [2000, -2000, 2 ** 63 - 1, -2 ** 63 + 1])
+@pytest.mark.parametrize("copy", [2000, -2000, 2 ** 15 - 1, -2 ** 15 + 1])
 def test_a_copy_off_the_ladder_is_a_violation_not_a_crash(tmp_path, copy):
     trace, summary, _ = _lockstep()
     path = tmp_path / "trace.jsonl"
@@ -186,7 +196,7 @@ def test_a_copy_off_the_ladder_is_a_violation_not_a_crash(tmp_path, copy):
     assert f"copy {copy} lies outside the ladder -1..{summary['N']}" in found
 
 
-@pytest.mark.parametrize("copy", [2 ** 63, -2 ** 63, 10 ** 30])
+@pytest.mark.parametrize("copy", [-2 ** 15])
 def test_an_int_outside_int64_or_equal_to_the_null_id_is_a_located_config_error(tmp_path, copy):
     trace, summary, _ = _lockstep()
     path = tmp_path / "trace.jsonl"
@@ -195,7 +205,7 @@ def test_an_int_outside_int64_or_equal_to_the_null_id_is_a_located_config_error(
     with pytest.raises(ConfigError) as err:
         SchemeTrace.read_jsonl(path)
     assert err.value.path == f"{path}:{number}"
-    assert "copy holds an int beyond int64, or -9223372036854775808" in str(err.value)
+    assert "copy -32768 is not a copy" in str(err.value)
 
 
 def test_a_read_trace_builds_its_events_only_when_they_are_read(tmp_path):
@@ -208,3 +218,11 @@ def test_a_read_trace_builds_its_events_only_when_they_are_read(tmp_path):
     assert "events" not in vars(back)
     assert back.events == trace.events
     assert "events" in vars(back)
+
+
+def test_copy_arithmetic_does_not_wrap_at_the_int16_edge():
+    top = 2 ** 15 - 1  # top + 1 in int16 would be NO_COPY, and 2^(top + 1) would be 2^-32768
+    trace = SchemeTrace([TraceEvent(0.0, 0, "init", 4.0), TraceEvent(1.0, top, "arrival", 3.0),
+                         TraceEvent(2.0, top, "arrival", 2.0)])
+    assert f"arrival at t=1.0 on copy {top} from None" in traces.check_message_topology(trace, 5)
+    assert len(traces.check_contiguous_pause_decrements(trace, 0.5)) == 1  # the decrement is inf

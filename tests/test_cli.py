@@ -403,3 +403,23 @@ def test_summaries_that_are_not_utf8_exit_2_at_their_path(tmp_path, capsys, comm
     assert main(command + ["--out", str(out)]) == 2
     assert f"error: {out / 'summaries.json'}: not a UTF-8 JSON document: " in (
         capsys.readouterr().err)
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} in summaries.json")
+
+
+def test_a_guarantee_that_overflows_leaves_its_cell_unverifiable(tmp_path, capsys):
+    # At eps 1e-300 and gap 1e10 the subgradient epoch budget exceeds the float range.
+    config = write_config(
+        tmp_path, problem={"family": "norm-power", "dimension": 2, "mu": 1.0, "d": 2.0,
+                           "gap": 1e10},
+        eps=[1e-300], budget=3)
+    out = tmp_path / "out"
+    assert main(["grid", "--config", str(config), "--out", str(out)]) == 0
+    assert "0 pass, 0 fail, 1 unverifiable" in capsys.readouterr().out
+    (record,) = json.loads((out / "summaries.json").read_text(),
+                           parse_constant=_refuse_constant)["summaries"]
+    assert record["bound_theorem"] is None and record["bound_corollary"] is None
+    assert record["error"] is None
+    assert main(["verify", "--out", str(out)]) == 0

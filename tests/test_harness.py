@@ -539,6 +539,18 @@ def test_run_cell_reports_simulation_errors(tmp_path):
     assert summary.complete is False and summary.compliant is None
 
 
+def test_sequential_theorem_bound_is_n_plus_two_lockstep_bounds():
+    problem = {"family": "norm-power", "dimension": 1, "mu": 1.0, "d": 1.0, "gap": 30.0}
+    lockstep, sequential = (run_cell(parse_config(minimal_config(problem=problem, scheme=scheme)),
+                                     0.25, 0) for scheme in ("sync-lockstep", "sync-sequential"))
+    assert sequential.N == lockstep.N == 2
+    # One lockstep period is N + 2 single-copy slots.
+    assert lockstep.bound_theorem == 1203.0
+    assert sequential.bound_theorem == (sequential.N + 2) * lockstep.bound_theorem == 4812.0
+    assert sequential.bound_corollary is None
+    assert sequential.compliant is True
+
+
 def test_trace_filenames_embed_cell_key():
     assert _trace_filename(0.5, 3) == "trace-eps0.5-seed3.jsonl"
     assert _trace_filename(2.0 ** -10, 0) == "trace-eps0.0009765625-seed0.jsonl"

@@ -1,4 +1,4 @@
-"""Trace files: the format-4 point table and event blocks, the header they
+"""Trace files: the format-5 point table and event blocks, the header they
 need, valid JSON only."""
 
 import base64
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from restartfom.async_scheme import DelayModel, run_async
 from restartfom.bounds import EPS_MIN
 from restartfom.cli import main
-from restartfom.errors import ConfigError, NonFiniteValueError
+from restartfom.errors import ConfigError, NonFiniteValueError, ParameterError
 from restartfom.problems import make_piecewise_max_problem
 from restartfom.sync_scheme import run_sync
 from restartfom.traces import (
@@ -26,8 +26,12 @@ from restartfom.traces import (
     check_send_counts,
 )
 
-BLOCK_ENCODER = json.JSONEncoder(allow_nan=False, separators=(",", ":"))
-COLUMNS = ("copy", "kind", "point_id", "sender", "receiver", "source")
+# The fields of a format-5 block, each with the struct code of its entries.
+FIELDS = {"t": "d", "value": "d", "copy": "h", "kind": "b", "sender": "h", "receiver": "h",
+          "source": "b", "point_id": "i"}
+KINDS = ("init", "iterate", "restart", "task-update", "arrival", "pause-end")
+SOURCES = {None: -1, "own": 0, "inbox": 1}
+NULL = -32768  # no sender or receiver
 
 
 def lockstep_run():
@@ -44,27 +48,32 @@ def async_run():
     return run_async(p, "subgrad", 0.25, x0=x0, delay_model=model)
 
 
-def b64_floats(values):
-    return base64.b64encode(b"".join(struct.pack("<d", v) for v in values)).decode()
+def packed(values, code="d"):
+    """``values`` as base64 little-endian entries of struct ``code``."""
+
+    return base64.b64encode(b"".join(struct.pack("<" + code, v) for v in values)).decode()
 
 
-def floats_of(text):
+def unpacked(text, code="d"):
     raw = base64.b64decode(text)
-    return [value for (value,) in struct.iter_unpack("<d", raw)]
+    return [value for (value,) in struct.iter_unpack("<" + code, raw)]
 
 
 def expected_block(events, point_ids):
-    """The block line of ``events`` as the JSON encoder writes it."""
+    """The block line of ``events``, packed field by field."""
 
-    return BLOCK_ENCODER.encode({
-        "events": len(events),
-        "t": b64_floats(e.t for e in events),
-        "value": b64_floats(e.value for e in events),
-        "copy": [e.copy for e in events], "kind": [e.kind for e in events],
-        "point_id": point_ids,
-        "sender": [e.sender for e in events], "receiver": [e.receiver for e in events],
-        "source": [e.source for e in events],
-    })
+    def null(copy):
+        return NULL if copy is None else copy
+
+    fields = {"t": [e.t for e in events], "value": [e.value for e in events],
+              "copy": [e.copy for e in events], "kind": [KINDS.index(e.kind) for e in events],
+              "sender": [null(e.sender) for e in events],
+              "receiver": [null(e.receiver) for e in events],
+              "source": [SOURCES[e.source] for e in events],
+              "point_id": [-1 if i is None else i for i in point_ids]}
+    return json.dumps({"events": len(events), **{
+        name: packed(fields[name], code) for name, code in FIELDS.items()}},
+        separators=(",", ":"))
 
 
 def block_records(path):
@@ -77,10 +86,8 @@ def block_records(path):
 def column(path, name):
     """One field over every block of a trace file, in event order."""
 
-    records = block_records(path)
-    if name in ("t", "value"):
-        return [value for record in records for value in floats_of(record[name])]
-    return [item for record in records for item in record[name]]
+    return [item for record in block_records(path)
+            for item in unpacked(record[name], FIELDS[name])]
 
 
 def test_format_two_header_comes_first_and_holds_every_distinct_point(tmp_path):
@@ -89,16 +96,16 @@ def test_format_two_header_comes_first_and_holds_every_distinct_point(tmp_path):
     trace.write_jsonl(path, summary)
     lines = path.read_text().splitlines()
     header = json.loads(lines[0])
-    assert header["format"] == 4
+    assert header["format"] == 5
     table = header["points"]
-    assert table["dtype"] == "<f8"
+    assert set(table) == {"shape", "b64"}  # the table is float64 by definition
     rows = np.frombuffer(base64.b64decode(table["b64"]), dtype="<f8").reshape(table["shape"])
     distinct = list(dict.fromkeys(e.point for e in trace.events if e.point is not None))
     assert [tuple(row) for row in rows.tolist()] == distinct
     blocks = [json.loads(line) for line in lines[1:-1]]
     assert sum(block["events"] for block in blocks) == len(trace.events)
-    assert all(set(block) == {"events", "t", "value", *COLUMNS} for block in blocks)
-    assert column(path, "point_id") == [None if e.point is None else distinct.index(e.point)
+    assert all(set(block) == {"events", *FIELDS} for block in blocks)
+    assert column(path, "point_id") == [-1 if e.point is None else distinct.index(e.point)
                                         for e in trace.events]
     assert json.loads(lines[-1]) == {"summary": summary}
 
@@ -117,12 +124,12 @@ def test_format_two_round_trip_shares_one_row_per_restart_and_send(tmp_path):
     sent = {}  # (copy, value) of each send -> its row
     pairs = 0
     for i, kind in enumerate(kinds):
-        if kind == "restart":
-            assert receivers[i] == (copies[i] - 1 if copies[i] > -1 else None)
+        if kind == KINDS.index("restart"):
+            assert receivers[i] == (copies[i] - 1 if copies[i] > -1 else NULL)
             if back.events[i].source == "inbox":  # the row its sender's send wrote
                 assert point_ids[i] == sent[(copies[i] + 1, back.events[i].value)]
                 pairs += 1
-        if receivers[i] is not None:
+        if receivers[i] != NULL:
             sent[(copies[i], back.events[i].value)] = point_ids[i]
     assert pairs > 0
     assert len(sent) == summary["messages_total"]
@@ -171,6 +178,10 @@ def test_edge_floats_read_back_bit_for_bit(tmp_path):
             == [struct.pack("<d", -t) for t in edges])
 
 
+# A format-5 header whose table holds the one point (1.0, -2.0).
+TABLE = '{"format": 5, "points": {"shape": [1, 2], "b64": "AAAAAAAA8D8AAAAAAAAAwA=="}}\n'
+
+
 @pytest.mark.parametrize("text", [
     pytest.param("", id="empty"),
     pytest.param('{"t": 0.0, "copy": 0, "kind": "init", "value": 3.0}\n'
@@ -183,8 +194,22 @@ def test_edge_floats_read_back_bit_for_bit(tmp_path):
     pytest.param('{"format": 3, "points": {"dtype": "<f8", "shape": [0], "b64": ""}}\n'
                  '{"events":0,"t":"","value":"","copy":[],"kind":[],"point_id":[],'
                  '"sender":[],"receiver":[],"source":[]}\n', id="format-three"),
-    pytest.param("\n" + '{"format": 4, "points": {"dtype": "<f8", "shape": [0], "b64": ""}}\n',
+    pytest.param('{"format": 4, "points": {"dtype": "<f8", "shape": [0], "b64": ""}}\n'
+                 '{"events":0,"t":"","value":"","copy":[],"kind":[],"point_id":[],'
+                 '"sender":[],"receiver":[],"source":[]}\n', id="format-four"),
+    pytest.param("\n" + '{"format": 5, "points": {"shape": [0, 0], "b64": ""}}\n',
                  id="header-not-first"),
+    # The point table is two non-negative ints of rows and dimension, their
+    # product its entry count.
+    pytest.param(TABLE.replace("[1, 2]", "[1, 1, 2]"), id="three-dimensional-table"),
+    pytest.param('{"format": 5, "points": {"shape": [-1, 2], "b64": ""}}\n',
+                 id="negative-rows"),
+    pytest.param('{"format": 5, "points": {"shape": [1, -1], "b64": ""}}\n',
+                 id="negative-dimension"),
+    pytest.param(TABLE.replace("[1, 2]", "[-1, -2]"), id="negative-shape-of-the-right-size"),
+    pytest.param(TABLE.replace("[1, 2]", "[1.0, 2]"), id="float-rows"),
+    pytest.param(TABLE.replace("[1, 2]", "[2, 2]"), id="shape-larger-than-the-table"),
+    pytest.param(TABLE.replace("[1, 2]", "2"), id="shape-not-a-list"),
 ])
 def test_a_file_without_the_format_two_header_is_refused_at_line_one(tmp_path, capsys, text):
     path = tmp_path / "trace.jsonl"
@@ -194,6 +219,14 @@ def test_a_file_without_the_format_two_header_is_refused_at_line_one(tmp_path, c
     assert err.value.path == f"{path}:1"
     assert main(["trace-dump", str(path)]) == 2
     assert f"error: {path}:1: malformed trace record" in capsys.readouterr().err
+
+
+def test_the_table_the_refused_headers_edit_reads_as_one_point(tmp_path):
+    path = tmp_path / "trace.jsonl"
+    path.write_text(TABLE)
+    trace, summary = SchemeTrace.read_jsonl(path)
+    assert trace.points.tolist() == [[1.0, -2.0]]
+    assert trace.events == [] and summary is None
 
 
 @pytest.mark.parametrize("gap", [0.5, 1.0, 4.0, 30.0])
@@ -263,14 +296,26 @@ def _edit_block(lines, name, index, value):
     """Set entry ``index`` of field ``name`` in the first block line."""
 
     record = json.loads(lines[1])
-    record[name][index] = value
+    entries = unpacked(record[name], FIELDS[name])
+    entries[index] = value
+    record[name] = packed(entries, FIELDS[name])
     lines[1] = json.dumps(record)
     return 2, f"event {index} of the block"
 
 
 def _set_point_id(lines, value):
-    index = json.loads(lines[1])["point_id"].index(0)
+    index = unpacked(json.loads(lines[1])["point_id"], "i").index(0)
     return _edit_block(lines, "point_id", index, value)
+
+
+def _repack(code, new_code):
+    """Field text of ``code`` entries rewritten with entries of ``new_code``
+    (a struct code) or, given None, as the JSON array format 4 stored."""
+
+    def repack(text):
+        entries = unpacked(text, code)
+        return entries if new_code is None else packed(entries, new_code)
+    return repack
 
 
 def _edit_field(lines, name, value):
@@ -289,7 +334,7 @@ def _drop_field(lines, name):
 
 def _edit_table(lines, key, value):
     header = json.loads(lines[0])
-    header["points"][key] = value
+    header["points"][key] = value(header["points"][key]) if callable(value) else value
     lines[0] = json.dumps(header)
     return 1, None
 
@@ -301,12 +346,19 @@ def _edit_event(lines, text):
 
 @pytest.mark.parametrize("edit", [
     pytest.param(lambda lines: _set_point_id(lines, 10**6), id="point-id-out-of-range"),
-    pytest.param(lambda lines: _set_point_id(lines, -1), id="point-id-negative"),
-    pytest.param(lambda lines: _set_point_id(lines, 0.0), id="point-id-float"),
+    pytest.param(lambda lines: _set_point_id(lines, -2), id="point-id-negative"),
+    pytest.param(lambda lines: _edit_field(lines, "point_id", _repack("i", "d")),
+                 id="point-id-float"),
     pytest.param(lambda lines: _edit_table(lines, "b64", "not base64!"), id="bad-base64"),
     pytest.param(lambda lines: _edit_table(lines, "shape", [3, 3, 3]), id="wrong-shape"),
-    pytest.param(lambda lines: _edit_table(lines, "b64", b64_floats(
-        [math.inf, *floats_of(json.loads(lines[0])["points"]["b64"])[1:]])), id="non-finite-point"),
+    pytest.param(lambda lines: _edit_table(lines, "shape", lambda shape: [shape[0], 1, shape[1]]),
+                 id="three-dimensional-shape"),
+    pytest.param(lambda lines: _edit_table(lines, "shape", lambda shape: [-shape[0], -shape[1]]),
+                 id="negative-shape"),
+    pytest.param(lambda lines: _edit_table(lines, "shape", lambda shape: [
+        True, shape[0] * shape[1]]), id="bool-in-shape"),
+    pytest.param(lambda lines: _edit_table(lines, "b64", packed(
+        [math.inf, *unpacked(json.loads(lines[0])["points"]["b64"])[1:]])), id="non-finite-point"),
     pytest.param(lambda lines: _edit_event(lines, "[1, 2, 3]"), id="non-object-line"),
     pytest.param(lambda lines: _edit_field(lines, "t", "abc"), id="bad-time"),
     pytest.param(lambda lines: _edit_field(lines, "value", "not base64!"),
@@ -322,18 +374,21 @@ def _edit_event(lines, text):
         lines, "b64", " " + json.loads(lines[0])["points"]["b64"]), id="space-in-point-table"),
     pytest.param(lambda lines: _edit_field(lines, "t", lambda text: text[:-12] + "="),
                  id="float-column-one-short"),
-    pytest.param(lambda lines: _edit_field(lines, "copy", lambda items: items[:-1]),
-                 id="ragged-column"),
+    pytest.param(lambda lines: _edit_field(lines, "copy", lambda text: packed(
+        unpacked(text, "h")[:-1], "h")), id="ragged-column"),
     pytest.param(lambda lines: _edit_field(lines, "source", None), id="column-not-an-array"),
     pytest.param(lambda lines: _edit_field(lines, "events", "172"), id="count-not-an-int"),
     pytest.param(lambda lines: _drop_field(lines, "receiver"), id="missing-column"),
-    pytest.param(lambda lines: _edit_block(lines, "copy", 7, 1.5), id="copy-type"),
-    pytest.param(lambda lines: _edit_block(lines, "kind", 9, 3), id="kind-type"),
-    pytest.param(lambda lines: _edit_block(lines, "kind", 9, "restrat"), id="unknown-kind"),
-    pytest.param(lambda lines: _edit_block(lines, "kind", 9, "send"), id="send-kind"),
-    pytest.param(lambda lines: _edit_block(lines, "sender", 11, "x"), id="sender-type"),
-    pytest.param(lambda lines: _edit_block(lines, "receiver", 13, [1]), id="receiver-type"),
-    pytest.param(lambda lines: _edit_block(lines, "source", 15, 1), id="source-type"),
+    pytest.param(lambda lines: _edit_field(lines, "copy", _repack("h", None)), id="copy-type"),
+    pytest.param(lambda lines: _edit_field(lines, "kind", lambda text: [
+        KINDS[code] for code in unpacked(text, "b")]), id="kind-type"),
+    pytest.param(lambda lines: _edit_block(lines, "kind", 9, len(KINDS)), id="unknown-kind"),
+    pytest.param(lambda lines: _edit_block(lines, "kind", 9, -1), id="send-kind"),
+    pytest.param(lambda lines: _edit_field(lines, "sender", _repack("h", "i")), id="sender-type"),
+    pytest.param(lambda lines: _edit_field(lines, "receiver", _repack("h", None)),
+                 id="receiver-type"),
+    pytest.param(lambda lines: _edit_block(lines, "source", 15, 2), id="source-type"),
+    pytest.param(lambda lines: _edit_block(lines, "copy", 7, NULL), id="null-copy"),
 ])
 def test_malformed_trace_is_a_located_config_error(tmp_path, capsys, edit):
     trace, summary = lockstep_run()
@@ -355,23 +410,22 @@ def _first_restart(path):
     """The 1-based line of the first block holding a restart, that block's
     record and the restart's index in it."""
 
+    restart = KINDS.index("restart")
     for number, line in enumerate(path.read_text().splitlines()[1:], 2):
         record = json.loads(line)
-        if "restart" in record.get("kind", ()):
-            return number, record, record["kind"].index("restart")
+        kinds = unpacked(record["kind"], "b") if "kind" in record else []
+        if restart in kinds:
+            return number, record, kinds.index(restart)
     raise AssertionError("no restart")
 
 
-def _replace_field(path, name, text, index=None):
-    """Write ``text`` as the raw JSON of field ``name`` (or of its entry
-    ``index``) in the first block with a restart; returns that block's line."""
+def _replace_field(path, name, text):
+    """Write ``text`` as the raw JSON of field ``name`` in the first block
+    with a restart; returns that block's line."""
 
     number, record, _ = _first_restart(path)
     lines = path.read_text().splitlines()
-    if index is None:
-        record[name] = "@"
-    else:
-        record[name][index] = "@"
+    record[name] = "@"
     lines[number - 1] = json.dumps(record).replace('"@"', text)
     path.write_text("\n".join(lines) + "\n")
     return number
@@ -381,9 +435,9 @@ def _replace_restart_bits(path, bits):
     """Store ``bits`` as the float64 value of the first restart."""
 
     number, record, index = _first_restart(path)
-    values = floats_of(record["value"])
+    values = unpacked(record["value"])
     values[index] = struct.unpack("<d", bits)[0]
-    record["value"] = b64_floats(values)
+    record["value"] = packed(values)
     lines = path.read_text().splitlines()
     lines[number - 1] = json.dumps(record)
     path.write_text("\n".join(lines) + "\n")
@@ -392,9 +446,8 @@ def _replace_restart_bits(path, bits):
 
 @pytest.mark.parametrize("corrupt", [
     pytest.param(lambda path: (_replace_field(path, "value", "NaN"), None), id="NaN"),
-    pytest.param(lambda path: (_replace_field(path, "copy", "Infinity", 0), None),
-                 id="Infinity"),
-    pytest.param(lambda path: (_replace_field(path, "sender", "-Infinity", 0), None),
+    pytest.param(lambda path: (_replace_field(path, "copy", "Infinity"), None), id="Infinity"),
+    pytest.param(lambda path: (_replace_field(path, "sender", "-Infinity"), None),
                  id="-Infinity"),
     pytest.param(lambda path: (_replace_field(path, "value", "1e999"), None), id="1e999"),
     pytest.param(lambda path: (_replace_field(path, "value", '"nan"'), None), id='"nan"'),
@@ -430,7 +483,9 @@ def _corrupt_event(lines, where, name="kind", value=7):
 
     number = 2 + where // BLOCK_EVENTS
     record = json.loads(lines[number - 1])
-    record[name][where % BLOCK_EVENTS] = value
+    entries = unpacked(record[name], FIELDS[name])
+    entries[where % BLOCK_EVENTS] = value
+    record[name] = packed(entries, FIELDS[name])
     lines[number - 1] = json.dumps(record)
     return number
 
@@ -445,21 +500,22 @@ def test_malformed_line_in_a_long_trace_is_located(tmp_path, where):
     with pytest.raises(ConfigError) as err:
         SchemeTrace.read_jsonl(path)
     assert err.value.path == f"{path}:{number}"
-    assert f"event {where % BLOCK_EVENTS} of the block: kind 7 is not a str" in str(err.value)
+    index = where % BLOCK_EVENTS
+    assert f"event {index} of the block: kind 7 is not a kind code" in str(err.value)
 
 
 def test_the_first_malformed_line_is_the_one_reported(tmp_path):
     path = tmp_path / "trace.jsonl"
     _long_trace(LONG).write_jsonl(path)
     lines = path.read_text().splitlines()
-    _corrupt_event(lines, BLOCK_EVENTS + 40, "copy", "abc")  # parses, but is no event
-    _corrupt_event(lines, BLOCK_EVENTS + 20, "copy", "def")  # an earlier event, same block
+    _corrupt_event(lines, BLOCK_EVENTS + 40, "copy", NULL)  # decodes, but is no event
+    _corrupt_event(lines, BLOCK_EVENTS + 20, "copy", NULL)  # an earlier event, same block
     lines[3] = lines[3][:-1]  # the next block does not parse
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ConfigError) as err:
         SchemeTrace.read_jsonl(path)
     assert err.value.path == f"{path}:3"
-    assert "event 20 of the block: copy 'def' is not an int" in str(err.value)
+    assert "event 20 of the block: copy -32768 is not a copy" in str(err.value)
 
 
 @pytest.mark.parametrize("merge", [
@@ -485,14 +541,31 @@ def test_lines_that_cancel_out_in_one_chunk_are_still_refused(tmp_path, merge):
     TraceEvent(0, 1, "init", 2),
     TraceEvent(0.5, True, "iterate", 1.5),
     TraceEvent(1.0, 0, "task-update", 1.5, sender=False, receiver=-1),
-    TraceEvent(1.0, 0, "restart", 1.5, source="ünïcode"),
+    TraceEvent(np.float32(1.0), np.int16(0), "restart", np.float64(1.5), source="inbox"),
 ])
 def test_fields_of_other_types_are_written_as_the_json_encoder_writes_them(tmp_path, event):
+    # The name dates from JSON-array blocks; each field is now packed as its dtype.
     path = tmp_path / "trace.jsonl"
     SchemeTrace([event]).write_jsonl(path)
     assert path.read_text(encoding="utf-8").splitlines()[1] == expected_block([event], [None])
     back, _ = SchemeTrace.read_jsonl(path)
     assert back == SchemeTrace([event])
+
+
+@pytest.mark.parametrize("event", [
+    pytest.param(TraceEvent(0.0, 32768, "iterate", 1.0), id="copy-above-int16"),
+    pytest.param(TraceEvent(0.0, NULL, "iterate", 1.0), id="copy-equal-to-the-null-id"),
+    pytest.param(TraceEvent(0.0, None, "iterate", 1.0), id="copy-none"),
+    pytest.param(TraceEvent(0.0, 0, "arrival", 1.0, sender=-40000), id="sender-below-int16"),
+    pytest.param(TraceEvent(0.0, 1, "restart", 1.0, receiver=2 ** 64), id="receiver-beyond-int64"),
+    pytest.param(TraceEvent(0.0, 0, "send", 1.0), id="unknown-kind"),
+    pytest.param(TraceEvent(0.0, 0, "restart", 1.0, source="ünïcode"), id="unknown-source"),
+])
+def test_an_event_the_columns_cannot_hold_is_refused_not_wrapped(tmp_path, event):
+    path = tmp_path / "trace.jsonl"
+    with pytest.raises(ParameterError):
+        SchemeTrace([TraceEvent(0.0, 0, "init", 2.0), event]).write_jsonl(path)
+    assert not path.exists()
 
 
 EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
