@@ -38,7 +38,7 @@ from restartfom.errors import ParameterError
 from restartfom.methods import MethodState, method_init, method_restart, prime, step  # noqa: F401
 from restartfom.problems import ProblemInstance
 from restartfom.sync_scheme import DEFAULT_BUDGET, Ladder, LadderCopy, Message
-from restartfom.traces import SchemeTrace, TraceEvent
+from restartfom.traces import SchemeTrace
 
 _PRIO_COMPLETE = 0
 _PRIO_ARRIVAL = 1
@@ -238,9 +238,7 @@ class _AsyncEngine(Ladder):
             return
         copy.method = copy.inflight_state
         copy.inflight_state = None
-        self.trace.events.append(TraceEvent(
-            now, copy.index, "iterate", copy.method.best_value,
-        ))
+        self.trace.record(now, copy.index, "iterate", copy.method.best_value)
         if self.solved(now, copy.method.best_value):
             return
         if copy.index == self.N:
@@ -254,9 +252,7 @@ class _AsyncEngine(Ladder):
             self.begin_iteration(copy, now)
 
     def on_arrival(self, now: float, copy: AsyncCopy, message: Message) -> None:
-        self.trace.events.append(TraceEvent(
-            now, copy.index, "arrival", message.value, sender=message.sender,
-        ))
+        self.trace.record(now, copy.index, "arrival", message.value, sender=message.sender)
         if self.server is not None:
             self.schedule_arrivals(self.server.service_done(now))
         if copy.phase == "idle":
@@ -276,9 +272,7 @@ class _AsyncEngine(Ladder):
             return
         candidate = copy.pause_candidate
         copy.pause_candidate = None
-        self.trace.events.append(TraceEvent(
-            now, copy.index, "pause-end", candidate.value, sender=candidate.sender,
-        ))
+        self.trace.record(now, copy.index, "pause-end", candidate.value, sender=candidate.sender)
         # A restart discards the suspended call outright.
         if not self.restart_at_best(copy, candidate, False, now):
             # The epoch survives: resume the suspended call with what remains.

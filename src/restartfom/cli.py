@@ -125,12 +125,8 @@ def cmd_trace_dump(args) -> int:
     for event in trace.events:
         parts = [f"t={event.t:.6f}", f"copy={event.copy}", event.kind,
                  f"value={event.value!r}"]
-        if event.source is not None:
-            parts.append(f"source={event.source}")
-        if event.sender is not None:
-            parts.append(f"sender={event.sender}")
-        if event.receiver is not None:
-            parts.append(f"receiver={event.receiver}")
+        parts += [f"{name}={getattr(event, name)}" for name in ("source", "sender", "receiver")
+                  if getattr(event, name) is not None]
         if event.point is not None:
             parts.append(f"point={list(event.point)!r}")
         print(" ".join(parts))

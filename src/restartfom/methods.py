@@ -151,7 +151,7 @@ class UnivState(MethodState):
 
 def _is_zero(g: np.ndarray) -> bool:
     """Whether a subgradient vanishes; the same test as a zero 2-norm."""
-    return float(g.dot(g)) == 0.0
+    return float(np.vdot(g, g)) == 0.0
 
 
 def resolve_L(spec: MethodSpec, problem: ProblemInstance) -> float:
@@ -168,7 +168,7 @@ def _fresh_epoch(spec: MethodSpec, problem: ProblemInstance, start: np.ndarray,
                  value: float, grad: np.ndarray | None, target_accuracy: float) -> MethodState:
     """The state of every (re)start: ``start`` is the state's own array, its
     value is known, and ``grad`` is None when nobody has computed its gradient."""
-    grad_sq = None if grad is None else float(grad.dot(grad))
+    grad_sq = None if grad is None else float(np.vdot(grad, grad))
     common = dict(
         spec=spec,
         restart_point=start,
@@ -235,7 +235,7 @@ def prime(state: MethodState, problem: ProblemInstance) -> int:
         return 0
     out = problem.evaluate(state.current_iterate)
     grad = out.subgradient
-    grad_sq = float(grad.dot(grad))
+    grad_sq = float(np.vdot(grad, grad))
     if isinstance(state, SubgradState):
         state.grad, state.grad_sq = grad, grad_sq
     elif isinstance(state, AccelState):
@@ -272,7 +272,7 @@ def subgrad_step(state: SubgradState, problem: ProblemInstance) -> int:
     out = problem.evaluate(x_new)
     g = out.subgradient
     state.current_iterate = x_new
-    state.grad, state.grad_sq = g, float(g.dot(g))
+    state.grad, state.grad_sq = g, float(np.vdot(g, g))
     state.iterate_index += 1
     state._offer(x_new, out.value, g)
     if state.grad_sq == 0.0:

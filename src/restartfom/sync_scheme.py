@@ -31,7 +31,7 @@ from restartfom.bounds import default_N, n_bar
 from restartfom.errors import ParameterError
 from restartfom.methods import MethodSpec, MethodState, method_init, method_restart, prime, step
 from restartfom.problems import ProblemInstance
-from restartfom.traces import SchemeTrace, TraceEvent
+from restartfom.traces import SchemeTrace
 
 DEFAULT_BUDGET = 100_000.0  # periods, slots or simulated time units
 
@@ -54,12 +54,6 @@ class LadderCopy:
         """Whether ``value`` accomplishes the task (non-strict threshold)."""
 
         return value <= self.reference - self.decrement
-
-
-def point_tuple(point) -> tuple[float, ...]:
-    """The immutable copy of a point that trace events and messages share."""
-
-    return point if isinstance(point, tuple) else tuple(point.tolist())
 
 
 class Message(NamedTuple):
@@ -116,7 +110,7 @@ class Ladder:
             state = method_init(self.spec, self.problem, x0, decrement)
             self.oracle_calls += 1
             self.copies[n] = self.copy_class(n, state.best_value, decrement, state)
-            self.trace.events.append(TraceEvent(0.0, n, "init", state.best_value))
+            self.trace.record(0.0, n, "init", state.best_value)
             if n == self.N:
                 self.f_x0 = state.best_value
                 if self.f_star is not None and self.f_x0 - self.f_star <= self.eps:
@@ -134,21 +128,17 @@ class Ladder:
             return True
         return False
 
-    def send_down(self, copy: LadderCopy, point, value: float, now: float) -> None:
-        self.messages_sent += 1
-        self.deliver(copy, Message(point, value, copy.index), now)
-
     def log_action(self, copy: LadderCopy, kind: str, point, value: float, now: float,
                    source: str | None = None) -> None:
         """Log a restart or task update; above copy -1 the same event records
         the send of ``point`` to the receiver, copy index - 1."""
 
-        point = point_tuple(point)
+        point = point if isinstance(point, tuple) else tuple(point.tolist())  # shared, immutable
         receiver = copy.index - 1 if copy.index > -1 else None
-        self.trace.events.append(TraceEvent(now, copy.index, kind, value, point=point,
-                                            receiver=receiver, source=source))
+        self.trace.record(now, copy.index, kind, value, point, receiver=receiver, source=source)
         if receiver is not None:
-            self.send_down(copy, point, value, now)
+            self.messages_sent += 1
+            self.deliver(copy, Message(point, value, copy.index), now)
 
     def update_top(self, copy: LadderCopy, now: float) -> None:
         """The top copy's rule: on a fulfilling value, move the reference there
@@ -239,7 +229,7 @@ class _SyncEngine(Ladder):
                 inbox = copy.pending.pop(0)[1]
             self.restart_at_best(copy, inbox, True, now)
         self.iterate(copy.method)
-        self.trace.events.append(TraceEvent(now, copy.index, "iterate", copy.method.best_value))
+        self.trace.record(now, copy.index, "iterate", copy.method.best_value)
 
 
 def run_sync(

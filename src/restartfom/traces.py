@@ -1,19 +1,22 @@
 """Trace records shared by both scheme engines, plus invariant checkers.
 
-Every engine emits a flat, time-ordered list of :class:`TraceEvent` records,
-one per ladder action.  The JSON-lines export (format 5) writes a header
-holding the distinct points as one base64 little-endian float64 table, the
-events in blocks of at most ``BLOCK_EVENTS`` (a line each, holding every
-field of :class:`TraceColumns` as a base64 little-endian array of its
+An engine logs each ladder action through :meth:`SchemeTrace.record`, which
+appends the fields of one :class:`TraceEvent` to a list per field and gives
+its point the row of the first equal point seen.  ``columns()`` finalizes the
+lists once into :class:`TraceColumns` and the point table ``points``, and
+``events`` is the read-only view of those columns: a tuple of events, so an
+edit is made by recording the edited events into a new ``SchemeTrace``.  The
+JSON-lines export (format 5) writes a header holding ``points`` as one base64
+little-endian float64 table, the events in blocks of at most ``BLOCK_EVENTS``
+(a line each, holding every column as a base64 little-endian array of its
 ``DTYPES`` entry), and a ``{"summary": {...}}`` record.  ``copy``, ``sender``
 and ``receiver`` are int16 with ``NO_COPY`` for none, ``kind`` and ``source``
 index ``KINDS`` and ``SOURCES`` (-1 for no source), and ``point_id`` is a row
 of the table (-1 for no point).  A file without the format-5 header, such as
 one of formats 1-4, is refused.  A trace read from a file holds the columns
-it stored and builds its ``events`` only when read.  The checkers validate
-the messaging and restart discipline of a finished run from its trace alone,
-each as numpy passes over the columns (``tests/reference_checkers.py`` keeps
-the loops they replaced).
+it stored, and the checkers validate the messaging and restart discipline of
+a finished run from those alone, each as numpy passes
+(``tests/reference_checkers.py`` keeps the loops they replaced).
 
 Event kinds
 -----------
@@ -39,9 +42,8 @@ from __future__ import annotations
 import base64
 import json
 import math
-from functools import cached_property
 from itertools import repeat
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -59,7 +61,6 @@ BLOCK_EVENTS = 4096  # events per block line; bounds what one block holds in mem
 DTYPES = {"t": "<f8", "value": "<f8", "copy": "<i2", "kind": "i1", "sender": "<i2",
           "receiver": "<i2", "source": "i1", "point_id": "<i4"}
 TraceColumns = NamedTuple("TraceColumns", [(name, np.ndarray) for name in DTYPES])
-_NO_EVENTS = TraceColumns(*(np.empty(0, dtype) for dtype in DTYPES.values()))
 _ENCODER = json.JSONEncoder(allow_nan=False)
 
 
@@ -88,7 +89,7 @@ def _array(text, dtype: str) -> np.ndarray:
     return np.frombuffer(base64.b64decode(text, validate=True), dtype)
 
 
-def _ids(column: tuple, name: str, nulls: int = 0) -> np.ndarray:
+def _ids(column: list, name: str, nulls: int = 0) -> np.ndarray:
     """Copy ids as int16, None as NO_COPY; an int outside -32767..32767, or a
     None beyond the ``nulls`` the column may hold, is refused."""
 
@@ -101,7 +102,7 @@ def _ids(column: tuple, name: str, nulls: int = 0) -> np.ndarray:
     return ids.astype(DTYPES[name])
 
 
-def _codes(column: tuple, codes: dict, name: str) -> np.ndarray:
+def _codes(column: list, codes: dict, name: str) -> np.ndarray:
     try:
         return np.fromiter(map(codes.__getitem__, column), DTYPES[name], len(column))
     except KeyError as exc:
@@ -142,45 +143,57 @@ class TraceEvent(NamedTuple):
 class SchemeTrace:
     """Time-ordered event log of one scheme run with derived views."""
 
-    def __init__(self, events: list[TraceEvent] | None = None):
-        self.events = list(events) if events else []  # a plain attribute the engines append to
+    def __init__(self, events: Iterable[TraceEvent] = ()):
         self.points = np.empty((0, 0))  # the distinct points, the rows point_id names
+        self._recorded = TraceColumns(*([] for _ in DTYPES))  # one list per field
+        self._rows: dict[tuple[float, ...], int] = {}  # each distinct point's row
         self._columns: TraceColumns | None = None
-        self._described = None  # a copy of the events the columns hold
+        for event in events:
+            self.record(*event)
 
-    @cached_property
-    def events(self) -> list[TraceEvent]:
-        """A read trace's events, built from its columns on first access."""
+    def record(self, t: float, copy: int, kind: str, value: float, point=None, sender=None,
+               receiver=None, source=None) -> None:
+        """Append one event, its fields as in :class:`TraceEvent`."""
 
-        t, value, copy, kind, sender, receiver, source, point_id = self._columns
-        rows = [*map(tuple, self.points.tolist()), None]  # point_id -1 is None
-        sender, receiver = (map(_or_none, column.tolist()) for column in (sender, receiver))
-        # tuple.__new__ skips the generated __new__ and its argument handling.
-        events = list(map(tuple.__new__, repeat(TraceEvent), zip(
-            t.tolist(), copy.tolist(), map(KINDS.__getitem__, kind.tolist()), value.tolist(),
-            map(rows.__getitem__, point_id.tolist()), sender, receiver,
-            map((*SOURCES, None).__getitem__, source.tolist()))))
-        self._described = list(events)
-        return events
+        self._columns = None
+        r = self._recorded
+        r.t.append(t)
+        r.value.append(value)
+        r.copy.append(copy)
+        r.kind.append(kind)
+        r.sender.append(sender)
+        r.receiver.append(receiver)
+        r.source.append(source)
+        r.point_id.append(-1 if point is None else self._rows.setdefault(point, len(self._rows)))
 
     def columns(self) -> TraceColumns:
-        """The columnar form, built again (with ``points``) only if ``events``
-        changed since."""
+        """The recorded fields as arrays, with ``points``; built again only after a record."""
 
-        events = self.__dict__.get("events")  # a read trace has none until they are read
-        if events is not None and events != self._described:
-            self._described = list(events)
-            t, copy, kind, value, point, sender, receiver, source = [*zip(*events)] or [()] * 8
-            rows = {}  # the distinct points in first-seen order, each with its row
-            point_id = [-1 if p is None else rows.setdefault(p, len(rows)) for p in point]
+        if self._columns is None:
+            r, rows = self._recorded, self._rows
             self.points = np.array([*rows], dtype="<f8") if rows else np.empty((0, 0))
+            self.__dict__.pop("events", None)  # a view of older columns
             self._columns = TraceColumns(
-                np.array(t, dtype="<f8"), np.array(value, dtype="<f8"), _ids(copy, "copy"),
-                _codes(kind, _KIND_CODES, "kind"), _ids(sender, "sender", sender.count(None)),
-                _ids(receiver, "receiver", receiver.count(None)),
-                _codes(source, _SOURCE_CODES, "source"),
-                np.array(point_id, dtype=DTYPES["point_id"]))
+                np.array(r.t, dtype="<f8"), np.array(r.value, dtype="<f8"), _ids(r.copy, "copy"),
+                _codes(r.kind, _KIND_CODES, "kind"), _ids(r.sender, "sender", r.sender.count(None)),
+                _ids(r.receiver, "receiver", r.receiver.count(None)),
+                _codes(r.source, _SOURCE_CODES, "source"), np.array(r.point_id, DTYPES["point_id"]))
         return self._columns
+
+    @property
+    def events(self) -> tuple[TraceEvent, ...]:
+        """The columns read back as a tuple of events, built once and kept in ``vars(self)``."""
+
+        t, value, copy, kind, sender, receiver, source, point_id = self.columns()
+        if "events" not in self.__dict__:
+            rows = [*map(tuple, self.points.tolist()), None]  # point_id -1 is None
+            sender, receiver = (map(_or_none, column.tolist()) for column in (sender, receiver))
+            # tuple.__new__ skips the generated __new__ and its argument handling.
+            self.__dict__["events"] = tuple(map(tuple.__new__, repeat(TraceEvent), zip(
+                t.tolist(), copy.tolist(), map(KINDS.__getitem__, kind.tolist()), value.tolist(),
+                map(rows.__getitem__, point_id.tolist()), sender, receiver,
+                map((*SOURCES, None).__getitem__, source.tolist()))))
+        return self.__dict__["events"]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SchemeTrace) and self.events == other.events
@@ -225,7 +238,7 @@ class SchemeTrace:
         located as ``path:line``."""
 
         trace = cls()
-        blocks = [_NO_EVENTS]
+        blocks = [trace.columns()]  # no events: each column empty, of its dtype
         summary = None
         number = 1  # the line being read
         with open(path, "r", encoding="utf-8") as handle:
@@ -256,7 +269,6 @@ class SchemeTrace:
                 # binascii.Error (from base64) and JSONDecodeError are ValueErrors
                 raise ConfigError(f"{path}:{number}",
                                   f"malformed trace record: {exc}") from exc
-        del trace.events
         trace._columns = TraceColumns(*map(np.concatenate, zip(*blocks)))
         return trace, summary
 

@@ -130,12 +130,12 @@ def _corrupted():
     arrival that no send matches."""
 
     trace, summary, model = _single_server()
-    events = trace.events
+    events = list(trace.events)
     send = next(i for i, e in enumerate(events) if e.kind == "restart" and e.receiver is not None)
     events[send] = events[send]._replace(receiver=None)
     arrival = next(i for i, e in enumerate(events) if e.kind == "arrival")
     events[arrival] = events[arrival]._replace(value=events[arrival].value + 1.0)
-    return trace, summary, model
+    return SchemeTrace(events), summary, model
 
 
 @pytest.mark.parametrize("run", [_lockstep, _sequential, _single_server, _corrupted])
@@ -155,11 +155,18 @@ def test_a_trace_read_back_checks_as_the_trace_in_memory(tmp_path, run):
     assert SchemeTrace.read_jsonl(path)[0] == trace
 
 
-def test_columns_follow_events_appended_after_a_check():
+def test_events_refuse_edits_and_a_new_trace_checks_the_edit():
     trace = SchemeTrace([TraceEvent(0.0, 1, "init", 4.0), TraceEvent(1.0, 1, "restart", 3.0)])
     assert traces.check_top_copy_never_restarts(trace, 1) == ["copy 1 restarted at t=1.0"]
-    trace.events.append(TraceEvent(2.0, 1, "restart", 2.0))
-    assert len(traces.check_top_copy_never_restarts(trace, 1)) == 2
+    with pytest.raises(AttributeError):
+        trace.events.append(TraceEvent(2.0, 1, "restart", 2.0))
+    with pytest.raises(TypeError):
+        trace.events[1] = TraceEvent(1.0, 1, "iterate", 3.0)
+    with pytest.raises(AttributeError):  # the view has no setter
+        trace.events = [*trace.events, TraceEvent(2.0, 1, "restart", 2.0)]
+    assert len(traces.check_top_copy_never_restarts(trace, 1)) == 1
+    edited = SchemeTrace([*trace.events, TraceEvent(2.0, 1, "restart", 2.0)])
+    assert len(traces.check_top_copy_never_restarts(edited, 1)) == 2
 
 
 def _column(record, name, dtype):

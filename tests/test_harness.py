@@ -539,6 +539,20 @@ def test_run_cell_reports_simulation_errors(tmp_path):
     assert summary.complete is False and summary.compliant is None
 
 
+@pytest.mark.parametrize("method", ["subgrad", {"kind": "accel", "L": 1.0},
+                                    {"kind": "univ", "L0": 1.0}], ids=["subgrad", "accel", "univ"])
+def test_a_subgradient_whose_square_overflows_warns_nothing(method):
+    # Entries near 1e200 square beyond the float range: g·g must not warn.
+    problem = {"family": "norm-power", "dimension": 2, "mu": 1.0, "d": 3.0, "gap": 1e300}
+    config = parse_config(minimal_config(problem=problem, method=method, eps=[1e-100],
+                                         budget=2))
+    summary = run_cell(config, 1e-100, 0)
+    if method == "subgrad":
+        assert summary.error is None
+    else:  # the extrapolated point's value is inf
+        assert summary.error.startswith("NonFiniteValueError: ")
+
+
 def test_sequential_theorem_bound_is_n_plus_two_lockstep_bounds():
     problem = {"family": "norm-power", "dimension": 1, "mu": 1.0, "d": 1.0, "gap": 30.0}
     lockstep, sequential = (run_cell(parse_config(minimal_config(problem=problem, scheme=scheme)),

@@ -25,6 +25,7 @@ from restartfom.traces import (
     TraceEvent,
     check_send_counts,
 )
+from test_golden import FAMILIES, GAP, MATRIX, METHODS, SCHEMES
 
 # The fields of a format-5 block, each with the struct code of its entries.
 FIELDS = {"t": "d", "value": "d", "copy": "h", "kind": "b", "sender": "h", "receiver": "h",
@@ -226,7 +227,7 @@ def test_the_table_the_refused_headers_edit_reads_as_one_point(tmp_path):
     path.write_text(TABLE)
     trace, summary = SchemeTrace.read_jsonl(path)
     assert trace.points.tolist() == [[1.0, -2.0]]
-    assert trace.events == [] and summary is None
+    assert trace.events == () and summary is None
 
 
 @pytest.mark.parametrize("gap", [0.5, 1.0, 4.0, 30.0])
@@ -283,7 +284,7 @@ def _dump_text(trace, summary):
 def test_trace_dump_of_a_file_matches_the_in_memory_trace(tmp_path, capsys):
     for name, run in (("lockstep", lockstep_run), ("async", async_run)):
         trace, summary = run()
-        trace.events += _long_trace(BLOCK_EVENTS + 3).events  # more than one block
+        trace = SchemeTrace(trace.events + _long_trace(BLOCK_EVENTS + 3).events)  # > one block
         path = tmp_path / f"{name}.jsonl"
         trace.write_jsonl(path, summary)
         capsys.readouterr()
@@ -612,3 +613,16 @@ def test_event_lines_are_what_the_json_encoder_writes(tmp_path_factory, events):
     for a, b in itertools.combinations(back.events, 2):
         if a.point is not None and a.point == b.point:
             assert a.point is b.point
+
+
+@pytest.mark.parametrize("family, method", MATRIX)
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_recorded_columns_are_those_of_the_events_they_read_as(family, method, scheme):
+    problem = FAMILIES[family]()
+    x0 = problem.point_at_gap(GAP, rng=np.random.default_rng(0))
+    trace = SCHEMES[scheme](problem, METHODS[method], x0)[0]
+    again = SchemeTrace(trace.events)
+    assert all(mine.dtype == back.dtype and np.array_equal(mine, back)
+               for mine, back in zip(trace.columns(), again.columns(), strict=True))
+    assert trace.points.dtype == again.points.dtype
+    assert np.array_equal(trace.points, again.points)
