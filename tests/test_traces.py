@@ -151,6 +151,14 @@ def test_trace_without_points_round_trips(tmp_path):
     assert SchemeTrace.read_jsonl(path) == (trace, None)
 
 
+def test_a_record_after_a_read_of_the_columns_builds_them_again():
+    trace = SchemeTrace([TraceEvent(0.0, 0, "init", 3.0)])
+    assert len(trace.columns().t) == len(trace.events) == 1
+    trace.record(1.0, 0, "restart", 2.0, (1.0, -2.0), receiver=-1, source="own")
+    assert trace.columns().point_id.tolist() == [-1, 0] and trace.points.tolist() == [[1.0, -2.0]]
+    assert trace.events[1] == TraceEvent(1.0, 0, "restart", 2.0, (1.0, -2.0), None, -1, "own")
+
+
 def _long_trace(events):
     return SchemeTrace([TraceEvent(float(i), i % 5 - 1, "iterate", 100.0 - i * 1e-3)
                         for i in range(events)])
