@@ -31,23 +31,6 @@ from typing import Callable
 from restartfom.errors import ParameterError, UnsupportedQueryError
 from restartfom.problems import GrowthMetadata
 
-__all__ = [
-    "BoundReport",
-    "bound_async_theorem",
-    "bound_cor_accel",
-    "bound_cor_subgrad",
-    "bound_cor_univ",
-    "bound_sync_theorem",
-    "c_const",
-    "default_N",
-    "k_accel",
-    "k_subgrad",
-    "k_univ",
-    "l0_admissible",
-    "n_bar",
-    "t_univ",
-]
-
 EPS_MIN = sys.float_info.min  # the smallest normal float; 1/eps can overflow below it
 
 REGIME_STAGED = "below-5-2^N"

@@ -47,22 +47,6 @@ from restartfom.errors import (
 )
 from restartfom.problems import AllSpace, ProblemInstance
 
-__all__ = [
-    "AccelState",
-    "MethodSpec",
-    "MethodState",
-    "SubgradState",
-    "UnivState",
-    "accel_step",
-    "method_init",
-    "method_restart",
-    "prime",
-    "resolve_L",
-    "step",
-    "subgrad_step",
-    "univ_step",
-]
-
 _KINDS = ("subgrad", "accel", "univ")
 
 LINE_SEARCH_TRIAL_CAP = 200

@@ -34,23 +34,6 @@ from restartfom.errors import (
     UnsupportedQueryError,
 )
 
-__all__ = [
-    "AllSpace",
-    "Ball",
-    "Box",
-    "CountingProblem",
-    "Domain",
-    "GrowthMetadata",
-    "LeastSquaresProblem",
-    "NormPowerProblem",
-    "OracleOutput",
-    "PiecewiseMaxProblem",
-    "ProblemInstance",
-    "make_least_squares_problem",
-    "make_norm_power_problem",
-    "make_piecewise_max_problem",
-]
-
 
 class OracleOutput(NamedTuple):
     """Objective value and one subgradient at the queried point."""

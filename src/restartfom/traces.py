@@ -14,8 +14,8 @@ and ``receiver`` are int16 with ``NO_COPY`` for none, ``kind`` and ``source``
 index ``KINDS`` and ``SOURCES`` (-1 for no source), and ``point_id`` is a row
 of the table (-1 for no point).  A file without the format-5 header, such as
 one of formats 1-4, is refused.  A trace read from a file holds the columns
-it stored, and the checkers validate the messaging and restart discipline of
-a finished run from those alone, each as numpy passes
+it stored and refuses a record, and the checkers validate the messaging and
+restart discipline of a finished run from those alone, each as numpy passes
 (``tests/reference_checkers.py`` keeps the loops they replaced).
 
 Event kinds
@@ -153,10 +153,14 @@ class SchemeTrace:
 
     def record(self, t: float, copy: int, kind: str, value: float, point=None, sender=None,
                receiver=None, source=None) -> None:
-        """Append one event, its fields as in :class:`TraceEvent`."""
+        """Append one event, its fields as in :class:`TraceEvent`; a trace read
+        from a file is complete and refuses it."""
 
-        self._columns = None
         r = self._recorded
+        if r is None:
+            raise ParameterError("a trace read from a file records no events; "
+                                 "record into SchemeTrace(trace.events) instead")
+        self._columns = None
         r.t.append(t)
         r.value.append(value)
         r.copy.append(copy)
@@ -270,6 +274,7 @@ class SchemeTrace:
                 raise ConfigError(f"{path}:{number}",
                                   f"malformed trace record: {exc}") from exc
         trace._columns = TraceColumns(*map(np.concatenate, zip(*blocks)))
+        trace._recorded = None  # the columns were read, not recorded
         return trace, summary
 
 

@@ -159,6 +159,22 @@ def test_a_record_after_a_read_of_the_columns_builds_them_again():
     assert trace.events[1] == TraceEvent(1.0, 0, "restart", 2.0, (1.0, -2.0), None, -1, "own")
 
 
+def test_a_trace_read_from_a_file_refuses_a_record_and_keeps_its_events(tmp_path):
+    trace, summary = lockstep_run()
+    path = tmp_path / "trace.jsonl"
+    trace.write_jsonl(path, summary)
+    back, _ = SchemeTrace.read_jsonl(path)
+    events = back.events
+    with pytest.raises(ParameterError, match=r"SchemeTrace\(trace\.events\)"):
+        back.record(99.0, 0, "iterate", 1.0)
+    assert back.events is events and back == trace
+    for read, recorded in zip(back.columns(), trace.columns()):
+        np.testing.assert_array_equal(read, recorded)
+    edited = SchemeTrace(back.events)
+    edited.record(99.0, 0, "iterate", 1.0)
+    assert edited.events == (*trace.events, TraceEvent(99.0, 0, "iterate", 1.0))
+
+
 def _long_trace(events):
     return SchemeTrace([TraceEvent(float(i), i % 5 - 1, "iterate", 100.0 - i * 1e-3)
                         for i in range(events)])
