@@ -17,6 +17,10 @@ restart, so no unspent oracle work is ever credited.  Simulated work charges
 every oracle call when it is issued, including calls whose results end up
 discarded.  A copy whose method reaches a zero subgradient goes idle: it is
 at a global minimizer, so arrivals are logged but cannot improve it.
+A copy's state is ``idle``, ``pause_candidate`` (paused while set) and its
+call in flight.  It has at most one live completion, pause end or epoch
+start, stamped with its ``version``; ``schedule`` is the one writer of
+``version``, so each new event voids the one before, which ``run`` drops.
 
 Delivery is governed by :class:`DelayModel`: deterministic or uniform
 transit within (0, tau_transit], and optionally a shared single-server FIFO
@@ -45,11 +49,16 @@ _PRIO_ARRIVAL = 1
 _PRIO_PAUSE_END = 2
 _PRIO_EPOCH = 3
 
-_TRANSIT_KINDS = ("deterministic", "uniform", "single-server")
-_PAUSE_KINDS = ("deterministic", "uniform")
+_KINDS = {"transit_kind": ("deterministic", "uniform", "single-server"),
+          "pause_kind": ("deterministic", "uniform"),
+          "iteration_cost": ("per-call", "per-iteration")}
 
 
-_ITERATION_COSTS = ("per-call", "per-iteration")
+def _sample(kind: str, tau: float, rng) -> float:
+    if kind == "deterministic":
+        return tau
+    # tau - U[0, tau) lands in (0, tau].
+    return tau - rng.uniform(0.0, tau)
 
 
 @dataclass(frozen=True)
@@ -73,19 +82,14 @@ class DelayModel:
     iteration_cost: str = "per-call"
 
     def __post_init__(self):
-        if self.transit_kind not in _TRANSIT_KINDS:
-            raise ParameterError(f"unknown transit kind {self.transit_kind!r}")
-        if self.pause_kind not in _PAUSE_KINDS:
-            raise ParameterError(f"unknown pause kind {self.pause_kind!r}")
-        if self.iteration_cost not in _ITERATION_COSTS:
-            raise ParameterError(f"unknown iteration cost {self.iteration_cost!r}")
-        for label, value in (
-            ("tau_transit", self.tau_transit),
-            ("tau_pause", self.tau_pause),
-            ("service_time", self.service_time),
-        ):
+        for field, kinds in _KINDS.items():
+            kind = getattr(self, field)
+            if kind not in kinds:
+                raise ParameterError(f"unknown {field.replace('_', ' ')} {kind!r}")
+        for field in ("tau_transit", "tau_pause", "service_time"):
+            value = getattr(self, field)
             if not (value > 0.0 and math.isfinite(value)):
-                raise ParameterError(f"{label} must be positive, got {value}")
+                raise ParameterError(f"{field} must be positive, got {value}")
         if self.seed is not None and self.seed < 0:
             raise ParameterError(f"seed must be nonnegative, got {self.seed}")
 
@@ -97,15 +101,10 @@ class DelayModel:
         return self.tau_transit
 
     def sample_transit(self, rng) -> float:
-        if self.transit_kind == "deterministic":
-            return self.tau_transit
-        # tau - U[0, tau) lands in (0, tau].
-        return self.tau_transit - rng.uniform(0.0, self.tau_transit)
+        return _sample(self.transit_kind, self.tau_transit, rng)
 
     def sample_pause(self, rng) -> float:
-        if self.pause_kind == "deterministic":
-            return self.tau_pause
-        return self.tau_pause - rng.uniform(0.0, self.tau_pause)
+        return _sample(self.pause_kind, self.tau_pause, rng)
 
     def describe(self, N: int) -> dict:
         record = {
@@ -154,14 +153,14 @@ class ServerQueue:
 
 @dataclass
 class AsyncCopy(LadderCopy):
-    """A ladder copy plus its place in the event loop."""
+    """A ladder copy plus its place in the event loop: idle at a minimizer,
+    paused while ``pause_candidate`` is set, and one call in flight."""
 
-    phase: str = "iterating"  # iterating | restarting | paused | idle
+    idle: bool = False
     inflight_state: MethodState | None = None
-    inflight_remaining: float = 0.0
     inflight_completes_at: float = 0.0
-    # Stamps the copy's one live complete, pause-end or epoch event;
-    # scheduling the next one bumps it, which voids the one before.
+    inflight_remaining: float = 0.0  # of the call a pause suspended
+    # Stamps the copy's one live event; only _AsyncEngine.schedule writes it.
     version: int = 0
     pause_candidate: Message | None = None
     last_arrival: float = -math.inf  # when this copy's latest send lands
@@ -189,6 +188,15 @@ class _AsyncEngine(Ladder):
         heapq.heappush(self.heap, (t, prio, self.seq, handler, copy, arg))
         self.seq += 1
 
+    def schedule(self, copy: AsyncCopy, t: float, prio: int, handler) -> None:
+        """Make ``handler`` at ``t`` the copy's one live event."""
+        copy.version += 1
+        self.push(t, prio, handler, copy, copy.version)
+
+    def resume(self, copy: AsyncCopy, completes_at: float) -> None:
+        copy.inflight_completes_at = completes_at
+        self.schedule(copy, completes_at, _PRIO_COMPLETE, _AsyncEngine.on_complete)
+
     def schedule_arrivals(self, started: list[tuple[float, Message]]) -> None:
         for arrive_at, msg in started:
             self.push(arrive_at, _PRIO_ARRIVAL, _AsyncEngine.on_arrival,
@@ -196,22 +204,14 @@ class _AsyncEngine(Ladder):
 
     def begin_iteration(self, copy: AsyncCopy, now: float) -> None:
         if copy.method.converged:
-            copy.phase = "idle"
+            copy.idle = True
             copy.inflight_state = None
             return
         nxt = copy.method.clone()
         calls = self.iterate(nxt)
-        if self.delay_model.iteration_cost == "per-iteration":
-            duration = 1.0
-        else:
-            duration = float(calls)
-        copy.phase = "iterating"
         copy.inflight_state = nxt
-        copy.inflight_remaining = duration
-        copy.inflight_completes_at = now + duration
-        copy.version += 1
-        self.push(copy.inflight_completes_at, _PRIO_COMPLETE, _AsyncEngine.on_complete,
-                  copy, copy.version)
+        self.resume(copy, now + (1.0 if self.delay_model.iteration_cost == "per-iteration"
+                                 else float(calls)))
 
     def deliver(self, copy: AsyncCopy, message: Message, now: float) -> None:
         if self.server is not None:
@@ -231,11 +231,9 @@ class _AsyncEngine(Ladder):
         super().restart(copy, point, value, known_grad, source, now)
         self.begin_iteration(copy, now)
 
-    # -- handlers --------------------------------------------------------------
+    # -- handlers: run() calls each only for its copy's live event -------------
 
     def on_complete(self, now: float, copy: AsyncCopy, version: int) -> None:
-        if version != copy.version:
-            return
         copy.method = copy.inflight_state
         copy.inflight_state = None
         self.trace.record(now, copy.index, "iterate", copy.method.best_value)
@@ -245,9 +243,7 @@ class _AsyncEngine(Ladder):
             self.update_top(copy, now)
             self.begin_iteration(copy, now)
         elif copy.fulfills(copy.method.best_value):
-            copy.phase = "restarting"
-            copy.version += 1
-            self.push(now, _PRIO_EPOCH, _AsyncEngine.on_epoch_begin, copy, copy.version)
+            self.schedule(copy, now, _PRIO_EPOCH, _AsyncEngine.on_epoch_begin)
         else:
             self.begin_iteration(copy, now)
 
@@ -255,48 +251,41 @@ class _AsyncEngine(Ladder):
         self.trace.record(now, copy.index, "arrival", message.value, sender=message.sender)
         if self.server is not None:
             self.schedule_arrivals(self.server.service_done(now))
-        if copy.phase == "idle":
+        if copy.idle:
             return
-        if copy.phase == "iterating":
-            # Suspend: the pause-end scheduled below voids the completion.
+        if copy.pause_candidate is None:
+            # Suspend: the pause-end scheduled below voids the completion (or
+            # the pending epoch start, which the pause end then performs).
             copy.inflight_remaining = copy.inflight_completes_at - now
         # The arrival starts the pause, or restarts it with the newer candidate.
-        copy.phase = "paused"
         copy.pause_candidate = message
-        copy.version += 1
-        self.push(now + self.delay_model.sample_pause(self.rng), _PRIO_PAUSE_END,
-                  _AsyncEngine.on_pause_end, copy, copy.version)
+        self.schedule(copy, now + self.delay_model.sample_pause(self.rng), _PRIO_PAUSE_END,
+                      _AsyncEngine.on_pause_end)
 
     def on_pause_end(self, now: float, copy: AsyncCopy, version: int) -> None:
-        if version != copy.version:
-            return
         candidate = copy.pause_candidate
         copy.pause_candidate = None
         self.trace.record(now, copy.index, "pause-end", candidate.value, sender=candidate.sender)
         # A restart discards the suspended call outright.
         if not self.restart_at_best(copy, candidate, False, now):
             # The epoch survives: resume the suspended call with what remains.
-            copy.phase = "iterating"
-            copy.version += 1
-            copy.inflight_completes_at = now + copy.inflight_remaining
-            self.push(copy.inflight_completes_at, _PRIO_COMPLETE, _AsyncEngine.on_complete,
-                      copy, copy.version)
+            self.resume(copy, now + copy.inflight_remaining)
 
     def on_epoch_begin(self, now: float, copy: AsyncCopy, version: int) -> None:
-        if version != copy.version:
-            return
         self.restart_at_best(copy, None, False, now)  # on_complete saw its point fulfill
 
     def run(self) -> None:
         for n in range(self.N, -2, -1):
             self.begin_iteration(self.copies[n], 0.0)
         while self.heap and self.time_to_eps is None:
-            t, _prio, _seq, handler, copy, arg = self.heap[0]
+            t, prio, _seq, handler, copy, arg = self.heap[0]
             if t > self.budget:
                 break
             heapq.heappop(self.heap)
             self.sim_time = max(self.sim_time, t)
-            handler(self, t, copy, arg)
+            # An arrival always lands; another entry only while still live.
+            if prio == _PRIO_ARRIVAL or arg == copy.version:
+                handler(self, t, copy, arg)
         self.heap.clear()  # a finished run leaves no scheduled events behind
 
 

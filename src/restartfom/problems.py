@@ -400,19 +400,27 @@ class PiecewiseMaxProblem(ProblemInstance):
         self.A = A
         self.b = b
         self.minimizer = minimizer
+        # Below this ||x||**2, |a_i' x| <= M ||x|| < 1e150: A x cannot overflow.
+        self._near_sq = 1e300 / metadata.M / metadata.M if metadata.M > 0 else math.inf
         value_at_min = self._value(minimizer)
         if abs(value_at_min) > 1e-9:
             raise ParameterError(f"f(minimizer) = {value_at_min}, expected 0")
 
     def _value(self, x: np.ndarray) -> float:
-        return float(np.max(self.A @ x + self.b))
+        # A far finite x overflows A x; evaluate/value report NonFiniteValueError.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(np.max(self.A @ x + self.b))
 
     def _subgradient(self, x: np.ndarray) -> np.ndarray:
         # np.argmax picks the first (lowest-index) maximal piece.
-        idx = int(np.argmax(self.A @ x + self.b))
+        with np.errstate(over="ignore", invalid="ignore"):
+            idx = int(np.argmax(self.A @ x + self.b))
         return self.A[idx].copy()
 
-    def _oracle(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+    def _oracle(self, x: np.ndarray) -> tuple[float, np.ndarray | None]:
+        # As in LeastSquaresProblem, a far x takes the guarded reference path.
+        if not np.vdot(x, x) < self._near_sq:
+            return super()._oracle(x)
         z = self.A.dot(x)  # the bits of A @ x, at a lower price per call
         z += self.b
         idx = int(z.argmax())

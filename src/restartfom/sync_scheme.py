@@ -113,8 +113,7 @@ class Ladder:
             self.trace.record(0.0, n, "init", state.best_value)
             if n == self.N:
                 self.f_x0 = state.best_value
-                if self.f_star is not None and self.f_x0 - self.f_star <= self.eps:
-                    self.time_to_eps = 0.0
+                if self.solved(0.0, self.f_x0):
                     return
 
     def solved(self, now: float, best_value: float) -> bool:

@@ -3,11 +3,18 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from restartfom.async_scheme import DelayModel, ServerQueue, run_async
 from restartfom.errors import ParameterError
 from restartfom.methods import MethodSpec
-from restartfom.problems import CountingProblem, make_norm_power_problem
+from restartfom.problems import (
+    CountingProblem,
+    make_least_squares_problem,
+    make_norm_power_problem,
+    make_piecewise_max_problem,
+)
 from restartfom.sync_scheme import Message, run_sync
 from restartfom.traces import check_trace
 
@@ -385,6 +392,45 @@ def test_seeded_runs_reproduce_exactly():
     assert trace_a == trace_b
     assert summary_a == summary_b
     assert trace_a != trace_c
+
+
+DELAY_CASES = {
+    "norm-power-d1-subgrad": (lambda: make_norm_power_problem(3, 1.0, 1.0), MethodSpec("subgrad")),
+    "piecewise-max-subgrad": (lambda: make_piecewise_max_problem(6, 18, seed=1),
+                              MethodSpec("subgrad")),
+    "norm-power-d1.5-univ": (lambda: make_norm_power_problem(3, 1.0, 1.5),
+                             MethodSpec("univ", L0=1.0)),
+    "least-squares-accel": (lambda: make_least_squares_problem(5, 8, seed=2),
+                            MethodSpec("accel")),
+}
+TAUS = st.floats(0.1, 3.0)
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=st.sampled_from(sorted(DELAY_CASES)),
+       eps=st.sampled_from([0.5, 0.125, 2.0 ** -6]),
+       model=st.builds(DelayModel,
+                       transit_kind=st.sampled_from(["deterministic", "uniform", "single-server"]),
+                       tau_transit=TAUS,
+                       pause_kind=st.sampled_from(["deterministic", "uniform"]),
+                       tau_pause=TAUS,
+                       service_time=TAUS,
+                       seed=st.integers(0, 2 ** 32 - 1),
+                       iteration_cost=st.sampled_from(["per-call", "per-iteration"])))
+def test_every_delay_model_keeps_the_invariants_and_reproduces(case, eps, model):
+    factory, spec = DELAY_CASES[case]
+    problem = factory()
+    x0 = problem.point_at_gap(20.0, rng=np.random.default_rng(0))
+
+    def run():
+        return run_async(problem, spec, eps, x0=x0, delay_model=model, budget=2000.0)
+
+    trace, summary = run()
+    N = summary["N"]
+    assert check_trace(trace, eps=eps, N=N, f_star=problem.metadata.f_star,
+                       tau_pause=model.tau_pause,
+                       tau_transit=model.effective_tau_transit(N)) == []
+    assert run() == (trace, summary)
 
 
 # ---------------------------------------------------------------------------

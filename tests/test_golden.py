@@ -57,6 +57,10 @@ SCHEMES = {
         p, spec, EPS, x0=x0, delay_model=DelayModel(
             transit_kind="single-server", service_time=0.5, pause_kind="uniform",
             tau_pause=2.0, seed=3)),
+    "async-uniform-per-iteration": lambda p, spec, x0: run_async(
+        p, spec, EPS, x0=x0, delay_model=DelayModel(
+            transit_kind="uniform", tau_transit=2.0, pause_kind="deterministic",
+            tau_pause=1.0, iteration_cost="per-iteration", seed=5)),
 }
 
 DOMAINS = {
@@ -98,6 +102,8 @@ GOLDEN = {
         (30.0, 162, 90, (11, 8, 8, 12, 7, 14, 2, 16, 1, 0)),
     ('norm-power-d1', 'subgrad', 'async-single-server'):
         (30.0, 291, 168, (17, 15, 20, 14, 16, 15, 20, 18, 28, 0)),
+    ('norm-power-d1', 'subgrad', 'async-uniform-per-iteration'):
+        (30.0, 331, 169, (18, 18, 19, 18, 20, 19, 17, 19, 17, 0)),
     ('norm-power-d2', 'accel', 'sync-lockstep'):
         (5.0, 96, 35, (4, 4, 4, 4, 4, 4, 4, 4, 4, 0)),
     ('norm-power-d2', 'accel', 'sync-sequential'):
@@ -106,6 +112,8 @@ GOLDEN = {
         (5.0, 42, 11, (1, 1, 1, 1, 1, 1, 1, 1, 1, 0)),
     ('norm-power-d2', 'accel', 'async-single-server'):
         (5.0, 58, 18, (2, 2, 2, 2, 2, 2, 2, 2, 1, 0)),
+    ('norm-power-d2', 'accel', 'async-uniform-per-iteration'):
+        (5.0, 74, 25, (3, 3, 3, 2, 3, 3, 3, 2, 3, 0)),
     ('norm-power-d1.5', 'univ', 'sync-lockstep'):
         (4.0, 128, 27, (3, 3, 3, 3, 3, 3, 3, 3, 3, 0)),
     ('norm-power-d1.5', 'univ', 'sync-sequential'):
@@ -114,6 +122,8 @@ GOLDEN = {
         (16.0, 124, 26, (3, 3, 3, 3, 3, 3, 3, 3, 2, 0)),
     ('norm-power-d1.5', 'univ', 'async-single-server'):
         (16.0, 184, 32, (4, 4, 4, 4, 4, 4, 3, 3, 3, 0)),
+    ('norm-power-d1.5', 'univ', 'async-uniform-per-iteration'):
+        (4.0, 80, 19, (2, 2, 2, 2, 2, 2, 2, 2, 2, 0)),
     ('piecewise-max', 'subgrad', 'sync-lockstep'):
         (167.0, 2342, 674, (138, 131, 115, 99, 89, 73, 60, 47, 35, 0)),
     ('piecewise-max', 'subgrad', 'sync-sequential'):
@@ -122,6 +132,8 @@ GOLDEN = {
         (182.0, 1151, 295, (28, 61, 24, 55, 22, 43, 16, 40, 9, 0)),
     ('piecewise-max', 'subgrad', 'async-single-server'):
         (166.42913543719914, 1563, 469, (86, 85, 79, 66, 63, 45, 46, 35, 25, 0)),
+    ('piecewise-max', 'subgrad', 'async-uniform-per-iteration'):
+        (159.39413765160785, 1748, 489, (92, 88, 78, 69, 62, 54, 45, 40, 28, 0)),
     ('piecewise-max', 'univ', 'sync-lockstep'):
         (102.0, 6088, 352, (79, 73, 64, 53, 43, 37, 29, 22, 18, 0)),
     ('piecewise-max', 'univ', 'sync-sequential'):
@@ -130,6 +142,8 @@ GOLDEN = {
         (476.0, 4596, 233, (43, 38, 37, 33, 30, 25, 22, 18, 17, 0)),
     ('piecewise-max', 'univ', 'async-single-server'):
         (450.4052064012977, 5124, 349, (59, 59, 53, 49, 45, 40, 35, 32, 23, 0)),
+    ('piecewise-max', 'univ', 'async-uniform-per-iteration'):
+        (99.83820041761933, 4850, 277, (58, 53, 48, 45, 33, 29, 21, 21, 14, 0)),
     ('least-squares', 'subgrad', 'sync-lockstep'):
         (39.0, 575, 178, (23, 23, 22, 22, 21, 21, 19, 18, 17, 0)),
     ('least-squares', 'subgrad', 'sync-sequential'):
@@ -138,6 +152,8 @@ GOLDEN = {
         (57.0, 330, 106, (6, 18, 6, 18, 6, 19, 5, 16, 3, 0)),
     ('least-squares', 'subgrad', 'async-single-server'):
         (50.91003463708399, 484, 164, (22, 20, 20, 18, 19, 21, 19, 15, 17, 0)),
+    ('least-squares', 'subgrad', 'async-uniform-per-iteration'):
+        (44.69959685676566, 520, 180, (23, 21, 23, 20, 22, 22, 19, 20, 18, 0)),
     ('least-squares', 'accel', 'sync-lockstep'):
         (10.0, 179, 64, (9, 9, 9, 9, 8, 7, 7, 6, 5, 0)),
     ('least-squares', 'accel', 'sync-sequential'):
@@ -146,6 +162,8 @@ GOLDEN = {
         (10.0, 65, 20, (2, 2, 2, 2, 2, 2, 2, 3, 1, 0)),
     ('least-squares', 'accel', 'async-single-server'):
         (10.0, 100, 35, (4, 5, 4, 4, 3, 4, 4, 4, 3, 0)),
+    ('least-squares', 'accel', 'async-uniform-per-iteration'):
+        (10.0, 126, 46, (5, 6, 6, 5, 5, 5, 5, 6, 4, 0)),
     ('least-squares', 'univ', 'sync-lockstep'):
         (5.0, 244, 29, (4, 4, 4, 4, 4, 3, 3, 3, 2, 0)),
     ('least-squares', 'univ', 'sync-sequential'):
@@ -154,6 +172,8 @@ GOLDEN = {
         (31.0, 252, 25, (3, 3, 3, 3, 3, 3, 3, 3, 2, 0)),
     ('least-squares', 'univ', 'async-single-server'):
         (24.10756800665969, 242, 26, (4, 3, 3, 3, 4, 3, 3, 3, 2, 0)),
+    ('least-squares', 'univ', 'async-uniform-per-iteration'):
+        (6.0, 230, 25, (3, 4, 3, 3, 3, 3, 3, 2, 2, 0)),
 }
 
 GOLDEN_DOMAINS = {

@@ -631,6 +631,32 @@ def test_fused_least_squares_oracle_agrees_on_both_sides_of_its_guard():
         assert grad.tobytes() == p._subgradient(x).tobytes()
 
 
+def test_piecewise_max_far_finite_point_is_a_typed_error_without_warnings():
+    p = make_piecewise_max_problem(6, 20, seed=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # Past the guard, A x is still finite: the reference path answers.
+        x = np.full(6, 1e308)
+        assert p.evaluate(x).value == p.value(x) == p._value(x) < math.inf
+        # Here A x overflows.
+        x = np.full(6, 1.7e308)
+        with pytest.raises(NonFiniteValueError):
+            p.evaluate(x)
+        with pytest.raises(NonFiniteValueError):
+            p.value(x)
+
+
+def test_fused_piecewise_max_oracle_agrees_on_both_sides_of_its_guard():
+    p = make_piecewise_max_problem(4, 9, seed=5)
+    u = np.array([1.0, -1.0, 1.0, 1.0]) / 2.0  # a unit vector
+    for factor in (0.5, 0.999, 1.001, 2.0):
+        x = math.sqrt(factor * p._near_sq) * u  # ||x||**2 = factor * the guard
+        value, grad = p._oracle(x)
+        assert math.isfinite(value)
+        assert value.hex() == p._value(x).hex()
+        assert grad.tobytes() == p._subgradient(x).tobytes()
+
+
 def _misses_of_the_fast_path(base: np.ndarray) -> dict:
     strided = np.empty(2 * base.size)
     strided[::2] = base
