@@ -93,7 +93,10 @@ def _k_fast_gradient(lead: float, M: float, nu: float, delta: float, eps_bar: fl
     which scales every rounding step exactly.
     """
     p = 2.0 / (1.0 + 3.0 * nu)
-    return math.floor(lead * delta ** ((1.0 + nu) * p) * (M / eps_bar) ** p)
+    k = lead * delta ** ((1.0 + nu) * p) * (M / eps_bar) ** p
+    if not math.isfinite(k):  # inf, or nan from 0 * inf
+        raise OverflowError(f"per-epoch budget {k} is beyond the float range")
+    return math.floor(k)
 
 
 def _log2_or_zero(coefficient: float, base: float) -> float:
@@ -250,6 +253,8 @@ def _report(which: str, metadata: GrowthMetadata, nb: int, staged: bool,
             )
         terms.append(("initial-distance add-on", add_on(metadata.dist_x0_to_opt)))
     total = float(sum(value for _, value in terms))
+    if not math.isfinite(total):
+        raise OverflowError(f"bound_{which}: total {total} is beyond the float range")
     return BoundReport(which, nb, total, terms,
                        REGIME_STAGED if staged else REGIME_ADD_ON, assumptions_ok)
 

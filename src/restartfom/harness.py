@@ -384,38 +384,25 @@ class RunSummary:
         return {column: getattr(self, column) for column in CSV_COLUMNS}
 
 
-def _format_csv_value(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_summaries_csv(path, summaries) -> None:
-    """Write the fixed-column CSV; one row per cell."""
+    """Write the fixed-column CSV; one row per cell, each cell the JSON
+    encoding of its value, except that text stays bare and None is empty."""
 
     with open(path, "w", newline="") as handle:
         writer = csv.DictWriter(handle, fieldnames=list(CSV_COLUMNS))
         writer.writeheader()
         for summary in summaries:
-            writer.writerow({column: _format_csv_value(value)
+            writer.writerow({column: "" if value is None else
+                             value if isinstance(value, str) else json.dumps(value)
                              for column, value in summary.csv_record().items()})
 
 
 def read_summaries_csv(path) -> list[dict]:
-    """Parse the fixed-column CSV back into typed records (lossless); each
-    column's parser, and whether it may be empty, come from its
-    :class:`RunSummary` annotation."""
+    """Parse the fixed-column CSV back into typed records (lossless); a cell
+    whose value does not fit its :class:`RunSummary` annotation is a
+    :class:`ConfigError` at ``path:row.column``."""
 
     annotations = _field_types(RunSummary)
-    columns = []
-    for column in CSV_COLUMNS:
-        kind, *optional = typing.get_args(annotations[column]) or (annotations[column],)
-        parse = {"true": True, "false": False}.__getitem__ if kind is bool else kind
-        columns.append((column, parse, not optional))
     rows: list[dict] = []
     with open(path, newline="") as handle:
         reader = csv.DictReader(handle)
@@ -423,19 +410,17 @@ def read_summaries_csv(path) -> list[dict]:
             raise ConfigError(str(path), f"unexpected CSV columns {reader.fieldnames}")
         for index, raw in enumerate(reader):
             record: dict = {}
-            for column, parse, required in columns:
-                text = raw[column]
-                if text == "":
-                    if required:
-                        raise ConfigError(f"{path}:{index + 2}.{column}",
-                                          "required column is empty")
-                    record[column] = None
-                    continue
+            for column in CSV_COLUMNS:
+                text, annotation = raw[column], annotations[column]
                 try:
-                    record[column] = parse(text)
-                except (ValueError, KeyError) as exc:
+                    value = json.loads(text) if text and annotation is not str else text or None
+                except ValueError:
+                    value = text  # no typed column holds a string: fails the check below
+                if not _has_json_type(value, annotation):
                     raise ConfigError(f"{path}:{index + 2}.{column}",
-                                      f"cannot parse {text!r}") from exc
+                                      f"cannot parse {text!r}" if text
+                                      else "required column is empty")
+                record[column] = value
             rows.append(record)
     return rows
 
@@ -504,17 +489,26 @@ def _cell_bounds(problem: ProblemInstance, x0: np.ndarray, config: ExperimentCon
     return theorem, corollary
 
 
-def _compliance(time_to_eps: float | None, complete: bool, budget: float,
-                totals: list[float]) -> bool | None:
-    if not totals:
-        return None
-    if complete and time_to_eps is not None:
-        return all(time_to_eps <= total for total in totals)
-    # Incomplete cell: the budget itself witnesses a violation when it
-    # already exceeds some guarantee; otherwise the comparison is unknown.
-    if any(budget >= total for total in totals):
-        return False
-    return None
+def _labelled_bounds(scheme: str, method: str, *totals: float | None) -> list[tuple[str, float]]:
+    theorem = "async theorem bound" if scheme == "async" else "sync theorem bound"
+    return [(name, total) for name, total in zip((theorem, f"{method} corollary bound"), totals)
+            if total is not None]
+
+
+def _verdict(time_to_eps: float | None, complete: bool, bounds: list[tuple[str, float]],
+             overdue: float) -> tuple[str, tuple[str, float] | None]:
+    """A cell's status ("pass", "fail" or "unverifiable") against labelled
+    ``(name, total)`` bounds, and the tightest bound it violates.  A complete
+    cell is judged by its time; an incomplete one fails the bounds that
+    ``overdue``, the time its engine covered, reaches, and is otherwise unverifiable."""
+
+    if not bounds:
+        return "unverifiable", None
+    timed = complete and time_to_eps is not None
+    violated = [(name, total) for name, total in bounds
+                if (time_to_eps > total if timed else overdue >= total)]
+    status = "fail" if violated else "pass" if timed else "unverifiable"
+    return status, min(violated, key=lambda bound: bound[1], default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -585,8 +579,10 @@ def run_cell(config: ExperimentConfig, eps: float, seed: int,
                        else None)
     if bound_theorem is not None and scheme == "sync-sequential":
         bound_theorem *= N + 2  # one lockstep period is N + 2 single-copy slots
-    compliant = _compliance(summary["time_to_eps"], summary["complete"], float(config.budget),
-                            [t for t in (bound_theorem, bound_corollary) if t is not None])
+    # A sync engine runs int(budget) whole periods (or slots); async runs to the budget.
+    status, _ = _verdict(summary["time_to_eps"], summary["complete"],
+                         _labelled_bounds(scheme, spec.kind, bound_theorem, bound_corollary),
+                         float(config.budget) if scheme == "async" else summary["periods"])
 
     trace_path: str | None = None
     error: str | None = None
@@ -599,8 +595,8 @@ def run_cell(config: ExperimentConfig, eps: float, seed: int,
 
     return RunSummary(
         eps=eps, seed=seed, **{name: summary[name] for name in _ENGINE_FIELDS},
-        bound_theorem=bound_theorem, bound_corollary=bound_corollary, compliant=compliant,
-        growth_d=problem.metadata.d,
+        bound_theorem=bound_theorem, bound_corollary=bound_corollary,
+        compliant={"pass": True, "fail": False}.get(status), growth_d=problem.metadata.d,
         bound_reports={"theorem": theorem and theorem.to_json(),
                        "corollary": corollary and corollary.to_json()},
         trace_path=trace_path, error=error,
@@ -681,12 +677,6 @@ class VerifyReport:
         return body
 
 
-def _bound_label(scheme: str, method: str, which: str) -> str:
-    if which == "theorem":
-        return "async theorem bound" if scheme == "async" else "sync theorem bound"
-    return f"{method} corollary bound"
-
-
 def verify_bounds(summaries) -> VerifyReport:
     """Compare measured times against stored bound totals; no re-simulation."""
 
@@ -694,21 +684,11 @@ def verify_bounds(summaries) -> VerifyReport:
     for index, summary in enumerate(summaries):
         if isinstance(summary, dict):
             summary = RunSummary.from_json(summary, f"summaries[{index}]")
-        bounds = [(_bound_label(summary.scheme, summary.method, which), total)
-                  for which, total in (("theorem", summary.bound_theorem),
-                                       ("corollary", summary.bound_corollary))
-                  if total is not None]
-        if summary.error is not None or not bounds or summary.compliant is None:
-            status, tightest = "unverifiable", None
-        elif summary.time_to_eps is not None and summary.complete:
-            violated = [(name, total) for name, total in bounds
-                        if summary.time_to_eps > total]
-            status = "fail" if violated else "pass"
-            tightest = min(violated, key=lambda pair: pair[1]) if violated else None
-        elif summary.compliant is False:
-            status, tightest = "fail", min(bounds, key=lambda pair: pair[1])
-        else:
-            status, tightest = "unverifiable", None
+        bounds = [] if summary.error is not None else _labelled_bounds(
+            summary.scheme, summary.method, summary.bound_theorem, summary.bound_corollary)
+        # An incomplete cell's stored verdict is the record of the time its engine covered.
+        status, tightest = _verdict(summary.time_to_eps, summary.complete, bounds,
+                                    math.inf if summary.compliant is False else -math.inf)
         verdicts.append(CellVerdict(
             eps=summary.eps, seed=summary.seed, scheme=summary.scheme,
             method=summary.method, status=status,

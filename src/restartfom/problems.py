@@ -427,7 +427,7 @@ class PiecewiseMaxProblem(ProblemInstance):
         return float(z[idx]), self.A[idx].copy()
 
     def distance_to_opt(self, x) -> float:
-        return float(np.linalg.norm(self._check_point(x) - self.minimizer))
+        return _norm(self._check_point(x) - self.minimizer)[0]
 
     def point_at_gap(self, gap: float, *, rng) -> np.ndarray:
         if gap < 0:

@@ -51,9 +51,10 @@ class LadderCopy:
     restart_count: int = 0
 
     def fulfills(self, value: float) -> bool:
-        """Whether ``value`` accomplishes the task (non-strict threshold)."""
+        """Whether ``value`` accomplishes the task: at most ``reference - decrement``,
+        and below ``reference`` even where that difference rounds back to it."""
 
-        return value <= self.reference - self.decrement
+        return value <= self.reference - self.decrement and value < self.reference
 
 
 class Message(NamedTuple):

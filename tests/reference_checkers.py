@@ -43,7 +43,7 @@ def check_restart_decrements(trace: SchemeTrace, eps: float) -> list[str]:
             key = (event.copy, kind)
             before = previous.get(key, f_x0)
             dec = _decrement(event.copy, eps)
-            if event.value > before - dec:
+            if event.value > before - dec or event.value >= before:
                 found.setdefault(key, []).append(
                     f"copy {event.copy}: {kind} value {event.value!r} at t={event.t} "
                     f"exceeds {before!r} - {dec!r}"

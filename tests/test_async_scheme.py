@@ -461,6 +461,22 @@ def test_metadata_free_runs_until_events_drain():
     assert set(last_value.values()) == {0.0}
 
 
+def test_an_arrival_at_an_idle_copy_is_logged_and_starts_no_pause():
+    def run():
+        return run_async(_WithoutMetadata(make_norm_power_problem(1, 1.0, 1.0)), "subgrad", 0.25,
+                         x0=np.array([1.0]), budget=10.0,
+                         delay_model=DelayModel(tau_transit=1.5))
+
+    trace, summary = run()
+    # Copy 1 restarts at the minimizer at t = 2 and goes idle; copy 2's
+    # message reaches it at t = 2.5.
+    assert [(ev.t, ev.value) for ev in trace.of_kind("restart", copy=1)][-1] == (2.0, 0.0)
+    assert [(ev.t, ev.sender) for ev in trace.of_kind("arrival", copy=1)] == [(2.5, 2)]
+    assert trace.of_kind("pause-end", copy=1) == []
+    assert check_trace(trace, eps=0.25, N=summary["N"], f_star=0.0) == []
+    assert run()[0] == trace
+
+
 def test_async_trace_jsonl_round_trip(tmp_path):
     model = DelayModel(tau_transit=1.5, tau_pause=0.25)
     trace, summary = run_async(ABS, "subgrad", 0.25, x0=np.array([4.0]),

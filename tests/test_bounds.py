@@ -79,6 +79,11 @@ def test_budget_input_validation():
         t_univ(1.0, 1.0, 1.0, 0.0, 1.0)
 
 
+def test_a_budget_of_zero_times_inf_overflows():
+    with pytest.raises(OverflowError):
+        k_accel(1e300, 0.0, 1e-300)
+
+
 def test_c_const_examples():
     assert c_const(1.0, 1.0, 1.0, 1.0, 1.0) == pytest.approx(4.0)
     assert c_const(1.0, 1.0, 1.0, 4.0, 1.0) == pytest.approx(6.0)
@@ -215,6 +220,14 @@ def test_sync_theorem_add_on_regime():
 def test_sync_theorem_add_on_requires_distance():
     with pytest.raises(UnsupportedQueryError):
         bound_sync_theorem(SHARP, 30.0, 1.0, 0, sharp_k)
+
+
+def test_a_total_beyond_the_float_range_overflows():
+    md = dataclasses.replace(SHARP, dist_x0_to_opt=math.inf)
+    with pytest.raises(OverflowError, match="sync_theorem"):
+        bound_sync_theorem(md, 30.0, 1.0, 0, lambda delta, eps_bar: float(delta))
+    with pytest.raises(OverflowError, match="cor_subgrad"):
+        bound_cor_subgrad(md, 30.0, 1.0, 0)
 
 
 def test_sync_theorem_requires_metadata_and_valid_gap():

@@ -423,3 +423,25 @@ def test_a_guarantee_that_overflows_leaves_its_cell_unverifiable(tmp_path, capsy
     assert record["bound_theorem"] is None and record["bound_corollary"] is None
     assert record["error"] is None
     assert main(["verify", "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("problem, method, eps", [
+    # delta**p underflows to 0 while (L/eps_bar)**p overflows: the epoch budget is nan.
+    pytest.param({"family": "least-squares", "dimension": 3, "num_rows": 4,
+                  "sigma_range": [1e-150, 1e150], "gap": 1.0},
+                 {"kind": "accel", "L": 1e300}, 1e-300, id="nan-epoch-budget"),
+    # The distance to the optimum squares beyond the float range: the totals are inf.
+    pytest.param({"family": "piecewise-max", "dimension": 4, "num_pieces": 12, "gap": 1e300},
+                 "subgrad", 0.5, id="infinite-distance"),
+])
+def test_a_guarantee_beyond_the_float_range_leaves_its_cell_unverifiable(
+        tmp_path, capsys, problem, method, eps):
+    config = write_config(tmp_path, problem=problem, method=method, eps=[eps], budget=3)
+    out = tmp_path / "out"
+    assert main(["grid", "--config", str(config), "--out", str(out)]) == 0
+    assert "0 pass, 0 fail, 1 unverifiable" in capsys.readouterr().out
+    (record,) = json.loads((out / "summaries.json").read_text(),
+                           parse_constant=_refuse_constant)["summaries"]
+    assert record["error"] is None and record["compliant"] is None
+    assert record["bound_theorem"] is None
+    assert main(["verify", "--out", str(out)]) == 0

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from restartfom import harness
 from restartfom.async_scheme import DelayModel
+from restartfom.bounds import BoundReport
 from restartfom.errors import ConfigError, ParameterError
 from restartfom.harness import (
     CSV_COLUMNS,
@@ -647,6 +649,34 @@ def test_verify_bounds_incomplete_violation():
     assert verdict.status == "fail"
     assert verdict.tightest_violated == ("sync theorem bound", 150.0)
     assert "incomplete run" in verdict.line()
+
+
+def _overdue_cell(monkeypatch, budget: float) -> RunSummary:
+    # A 2.5-period guarantee on a cell that cannot reach eps in under 3 periods.
+    monkeypatch.setattr(harness, "bound_sync_theorem", lambda *args: BoundReport(
+        "sync_theorem", 0, 2.5, [("startup", 2.5)], "below-5-2^N", True))
+    problem = {"family": "norm-power", "dimension": 1, "mu": 1.0, "d": 1.0, "gap": 1e6}
+    config = parse_config(minimal_config(problem=problem, eps=[1e-3], budget=budget))
+    summary = run_cell(config, 1e-3, 0)
+    assert not summary.complete and summary.bound_theorem == 2.5
+    return summary
+
+
+def test_an_incomplete_cell_is_judged_by_the_periods_it_ran(monkeypatch):
+    # Budget 2.9 runs 2 whole periods: they do not reach the 2.5-period bound.
+    summary = _overdue_cell(monkeypatch, 2.9)
+    assert summary.compliant is None
+    [verdict] = verify_bounds([summary]).verdicts
+    assert verdict.status == "unverifiable" and verdict.tightest_violated is None
+
+
+def test_an_incomplete_cell_fails_a_bound_its_periods_reach(monkeypatch):
+    summary = _overdue_cell(monkeypatch, 3)
+    assert summary.compliant is False
+    [verdict] = verify_bounds([summary]).verdicts
+    assert verdict.status == "fail"
+    assert verdict.tightest_violated == ("sync theorem bound", 2.5)
+    assert "[FAIL]" in verdict.line() and "incomplete run" in verdict.line()
 
 
 def test_verify_report_summary_line(tmp_path):

@@ -56,6 +56,22 @@ def test_fulfills_boundary():
     assert copy.fulfills(0.0)
 
 
+def test_fulfills_needs_strict_progress_below_the_float_spacing():
+    # 1e20 - 0.25 rounds back to 1e20: the reference itself does not fulfill.
+    copy = LadderCopy(0, reference=1e20, decrement=0.25, method=None)
+    assert copy.reference - copy.decrement == copy.reference
+    assert not copy.fulfills(1e20)
+    assert copy.fulfills(np.nextafter(1e20, 0.0))
+
+
+@pytest.mark.parametrize("run", [run_sync, run_async])
+def test_a_decrement_below_the_float_spacing_sends_nothing(run):
+    # At x0 = 1e20 no step moves f = |x| by a representable amount.
+    trace, summary = run(abs_problem(), "subgrad", 0.25, x0=np.array([1e20]), budget=20)
+    assert summary["messages_total"] == 0
+    assert check_trace(trace, eps=0.25, N=summary["N"], f_star=0.0) == []
+
+
 @pytest.mark.parametrize("run", [run_sync, run_async])
 def test_eps_whose_bottom_decrement_underflows_is_refused(run):
     # The smallest subnormal is positive, but eps / 2 rounds to 0.
@@ -285,6 +301,16 @@ def test_checker_flags_small_restart_decrement():
         _ev(1, -1, "restart", 2.9),  # needs <= 3.0 - 0.5
     ])
     assert check_restart_decrements(trace, 1.0) != []
+
+
+def test_checker_flags_a_restart_without_progress():
+    # 1e20 - 0.5 rounds back to 1e20, so only the strict test sees the stall.
+    trace = SchemeTrace([
+        _ev(0, -1, "init", 1e20),
+        _ev(1, -1, "restart", 1e20),
+    ])
+    assert check_restart_decrements(trace, 1.0) == [
+        "copy -1: restart value 1e+20 at t=1.0 exceeds 1e+20 - 0.5"]
 
 
 def test_checker_flags_bad_topology():
