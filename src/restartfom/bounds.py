@@ -164,17 +164,12 @@ def l0_admissible(M_nu: float, nu: float, eps_bar: float, L0: float) -> bool:
 
 
 def default_N(eps: float) -> int:
-    """Default ladder height ``max(-1, ceil(log2(1/eps)))``."""
+    """Default ladder height: the smallest ``k >= -1`` with ``2**(-k) <= eps``,
+    that is ``max(-1, ceil(log2(1/eps)))``."""
     if not (EPS_MIN <= eps < math.inf):
         raise ParameterError(f"eps must be finite and at least {EPS_MIN!r}, got {eps!r}")
-    # Integer-exact: the smallest k >= -1 with 2**(-k) <= eps, robust to log
-    # rounding; starting at -1 or above keeps 2**(-k) from overflowing.
-    k = max(-1, math.ceil(math.log2(1.0 / eps)))
-    while 2.0 ** (-k) > eps:
-        k += 1
-    while k > -1 and 2.0 ** (-(k - 1)) <= eps:
-        k -= 1
-    return k
+    # eps = m * 2**e with 0.5 <= m < 1, so 2**(e-1) <= eps < 2**e: k = 1 - e, exactly.
+    return max(-1, 1 - math.frexp(eps)[1])
 
 
 def n_bar(f_x0_gap: float, eps: float) -> int:
@@ -392,8 +387,6 @@ def bound_cor_univ(
     if metadata.M_nu is None or metadata.nu is None:
         raise UnsupportedQueryError("bound_cor_univ: metadata lacks Hölder constants")
     M_nu, nu, mu, d = metadata.M_nu, metadata.nu, metadata.mu, metadata.d
-    if d < 1.0 + nu - 1e-15:
-        raise ParameterError(f"bound_cor_univ: requires d >= 1 + nu, got d={d}, nu={nu}")
     gap, nb, staged, top = _ladder(metadata, f_x0, eps, N, "cor_univ")
     q = 1.0 + 3.0 * nu
     lead = 2.0 ** ((3.0 + 5.0 * nu) / q)

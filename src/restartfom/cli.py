@@ -20,7 +20,6 @@ from restartfom.harness import (
     load_summaries,
     parse_config,
     resolve_output_dir,
-    run_cell,
     run_grid,
     verify_bounds,
 )
@@ -74,12 +73,16 @@ def _output_dir(args) -> Path:
     return resolve_output_dir(_read_config(args.config) if args.config else None, args.out)
 
 
+def _exit_code(report) -> int:
+    if any(verdict.summary.error is not None for verdict in report.verdicts):
+        return 2
+    return 0 if report.all_compliant else 1
+
+
 def _report_exit(report) -> int:
     for line in report.lines():
         print(line)
-    if any(verdict.error is not None for verdict in report.verdicts):
-        return 2
-    return 0 if report.all_compliant else 1
+    return _exit_code(report)
 
 
 def cmd_run(args) -> int:
@@ -89,14 +92,11 @@ def cmd_run(args) -> int:
     if len(config.seeds) != 1:
         raise ConfigError("seeds", "the run command expects exactly one seed; "
                                    "--seed selects one, or use grid")
-    directory = resolve_output_dir(config, args.out)
-    directory.mkdir(parents=True, exist_ok=True)
-    summary = run_cell(config, config.eps[0], config.seeds[0], out_dir=directory)
+    [summary] = run_grid(config, out_dir=args.out)
     print(json.dumps(summary.to_json(), indent=2))
     if summary.error is not None:
         print(f"cell failed: {summary.error}", file=sys.stderr)
-        return 2
-    return 1 if summary.compliant is False else 0
+    return _exit_code(verify_bounds([summary]))
 
 
 def cmd_grid(args) -> int:

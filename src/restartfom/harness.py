@@ -397,34 +397,6 @@ def write_summaries_csv(path, summaries) -> None:
                              for column, value in summary.csv_record().items()})
 
 
-def read_summaries_csv(path) -> list[dict]:
-    """Parse the fixed-column CSV back into typed records (lossless); a cell
-    whose value does not fit its :class:`RunSummary` annotation is a
-    :class:`ConfigError` at ``path:row.column``."""
-
-    annotations = _field_types(RunSummary)
-    rows: list[dict] = []
-    with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames != list(CSV_COLUMNS):
-            raise ConfigError(str(path), f"unexpected CSV columns {reader.fieldnames}")
-        for index, raw in enumerate(reader):
-            record: dict = {}
-            for column in CSV_COLUMNS:
-                text, annotation = raw[column], annotations[column]
-                try:
-                    value = json.loads(text) if text and annotation is not str else text or None
-                except ValueError:
-                    value = text  # no typed column holds a string: fails the check below
-                if not _has_json_type(value, annotation):
-                    raise ConfigError(f"{path}:{index + 2}.{column}",
-                                      f"cannot parse {text!r}" if text
-                                      else "required column is empty")
-                record[column] = value
-            rows.append(record)
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # Bound evaluation per cell
 # ---------------------------------------------------------------------------
@@ -626,24 +598,21 @@ def run_grid(config: ExperimentConfig, out_dir=None) -> list[RunSummary]:
 class CellVerdict:
     """Per-cell verification outcome."""
 
-    eps: float
-    seed: int | None
-    scheme: str
-    method: str
+    summary: RunSummary
     status: str  # "pass" | "fail" | "unverifiable"
-    measured: float | None
     tightest_violated: tuple[str, float] | None
-    error: str | None = None  # why the cell failed to run
 
     def line(self) -> str:
-        key = f"eps={self.eps!r}" + (f" seed={self.seed}" if self.seed is not None else "")
-        if self.error is not None:
-            return f"[----] {key}: unverifiable (cell failed: {self.error})"
+        summary = self.summary
+        key = f"eps={summary.eps!r} seed={summary.seed}"
+        if summary.error is not None:
+            return f"[----] {key}: unverifiable (cell failed: {summary.error})"
         if self.status == "pass":
-            return f"[pass] {key}: time {self.measured!r} within every bound"
+            return f"[pass] {key}: time {summary.time_to_eps!r} within every bound"
         if self.status == "fail":
             name, value = self.tightest_violated
-            measured = "incomplete run" if self.measured is None else repr(self.measured)
+            measured = ("incomplete run" if summary.time_to_eps is None
+                        else repr(summary.time_to_eps))
             return f"[FAIL] {key}: {measured} exceeds {name} = {value!r}"
         return f"[----] {key}: unverifiable (no metadata-backed bound)"
 
@@ -677,23 +646,17 @@ class VerifyReport:
         return body
 
 
-def verify_bounds(summaries) -> VerifyReport:
+def verify_bounds(summaries: list[RunSummary]) -> VerifyReport:
     """Compare measured times against stored bound totals; no re-simulation."""
 
     verdicts: list[CellVerdict] = []
-    for index, summary in enumerate(summaries):
-        if isinstance(summary, dict):
-            summary = RunSummary.from_json(summary, f"summaries[{index}]")
+    for summary in summaries:
         bounds = [] if summary.error is not None else _labelled_bounds(
             summary.scheme, summary.method, summary.bound_theorem, summary.bound_corollary)
         # An incomplete cell's stored verdict is the record of the time its engine covered.
         status, tightest = _verdict(summary.time_to_eps, summary.complete, bounds,
                                     math.inf if summary.compliant is False else -math.inf)
-        verdicts.append(CellVerdict(
-            eps=summary.eps, seed=summary.seed, scheme=summary.scheme,
-            method=summary.method, status=status,
-            measured=summary.time_to_eps, tightest_violated=tightest, error=summary.error,
-        ))
+        verdicts.append(CellVerdict(summary, status, tightest))
     return VerifyReport(verdicts)
 
 

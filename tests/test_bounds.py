@@ -159,6 +159,17 @@ def test_default_N_dyadic_exact():
         assert default_N(2.0 ** (-n)) == n
 
 
+@given(st.floats(EPS_MIN, sys.float_info.max))
+@example(EPS_MIN)
+@example(math.nextafter(1.0, 0.0))
+@example(sys.float_info.max)
+def test_default_N_is_the_smallest_k_with_its_rung_below_eps(eps):
+    # The definition: the smallest k >= -1 with 2**(-k) <= eps (powers of two are exact).
+    k = default_N(eps)
+    assert k >= -1 and math.ldexp(1.0, -k) <= eps
+    assert k == -1 or math.ldexp(1.0, 1 - k) > eps
+
+
 def test_n_bar_examples():
     assert n_bar(3.0, 1.0) == 0
     assert n_bar(2.0, 1.0) == -1

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from restartfom.cli import main
-from restartfom.harness import OUTPUT_DIR_ENV, read_summaries_csv
+from restartfom.harness import OUTPUT_DIR_ENV, load_summaries
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -50,6 +50,19 @@ def test_run_prints_single_cell_summary(tmp_path, capsys):
     assert record["eps"] == 0.5
     assert record["compliant"] is True
     assert (out / record["trace_path"]).exists()
+
+
+def test_run_writes_a_one_cell_grid_that_verify_reads(tmp_path, capsys):
+    config = write_config(tmp_path, eps=[0.5])
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+    assert main(["grid", "--config", str(config), "--out", str(tmp_path / "grid")]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--out", str(tmp_path / "run")]) == 0
+    assert "1 pass, 0 fail, 0 unverifiable" in capsys.readouterr().out
+    files = sorted(path.name for path in (tmp_path / "grid").iterdir())
+    assert files == ["summaries.json", "summary.csv", "trace-eps0.5-seed0.jsonl"]
+    for name in files:
+        assert (tmp_path / "run" / name).read_bytes() == (tmp_path / "grid" / name).read_bytes()
 
 
 def test_run_requires_single_eps(tmp_path, capsys):
@@ -197,8 +210,8 @@ def test_module_entry_point_runs_in_subprocess(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert "wrote 1 cells" in result.stdout
-    rows = read_summaries_csv(out / "summary.csv")
-    assert rows[0]["compliant"] is True
+    [summary] = load_summaries(out)
+    assert summary.compliant is True
 
 
 def test_subnormal_eps_is_a_config_error(tmp_path, capsys):
