@@ -73,16 +73,13 @@ def _output_dir(args) -> Path:
     return resolve_output_dir(_read_config(args.config) if args.config else None, args.out)
 
 
-def _exit_code(report) -> int:
+def _report_exit(report, echo=True) -> int:
+    if echo:
+        for line in report.lines():
+            print(line)
     if any(verdict.summary.error is not None for verdict in report.verdicts):
         return 2
     return 0 if report.all_compliant else 1
-
-
-def _report_exit(report) -> int:
-    for line in report.lines():
-        print(line)
-    return _exit_code(report)
 
 
 def cmd_run(args) -> int:
@@ -96,7 +93,7 @@ def cmd_run(args) -> int:
     print(json.dumps(summary.to_json(), indent=2))
     if summary.error is not None:
         print(f"cell failed: {summary.error}", file=sys.stderr)
-    return _exit_code(verify_bounds([summary]))
+    return _report_exit(verify_bounds([summary]), echo=False)
 
 
 def cmd_grid(args) -> int:

@@ -318,19 +318,16 @@ def univ_step(state: UnivState, problem: ProblemInstance) -> int:
         calls += 1
         state._offer(x_t, out_x.value, out_x.subgradient)
         g = out_x.subgradient
-        grad_sq = float(np.vdot(g, g))
-        if grad_sq == 0.0:
+        if _is_zero(g):
             # x_t is optimal; commit to it and idle from here on.
             state.L_hat, state.A, state.y = L_hat, A_plus, x_t
             state.current_iterate = x_t
             state.iterate_index += 1
             state.converged = True
             return calls
-        if a * a * grad_sq < math.inf:  # no entry of a * g overflows
+        # At a tiny L_hat, a * g may overflow: evaluate(y_t) below refuses a non-finite point.
+        with np.errstate(over="ignore", invalid="ignore"):
             x_hat = problem.project(x0c - lsum - a * g)
-        else:  # a * g may overflow: evaluate(y_t) below refuses a non-finite point
-            with np.errstate(over="ignore", invalid="ignore"):
-                x_hat = problem.project(x0c - lsum - a * g)
         y_t = tau * x_hat + (1.0 - tau) * y
         out_y = problem.evaluate(y_t)
         calls += 1

@@ -65,6 +65,20 @@ def test_run_writes_a_one_cell_grid_that_verify_reads(tmp_path, capsys):
         assert (tmp_path / "run" / name).read_bytes() == (tmp_path / "grid" / name).read_bytes()
 
 
+def test_run_into_a_grid_directory_replaces_its_records(tmp_path, capsys):
+    # Like grid, run rewrites summaries.json and summary.csv; other cells' traces stay.
+    out = tmp_path / "out"
+    assert main(["grid", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 0
+    single = write_config(tmp_path, name="single.json", eps=[0.25])
+    assert main(["run", "--config", str(single), "--out", str(out)]) == 0
+    assert [summary.eps for summary in load_summaries(out)] == [0.25]
+    capsys.readouterr()
+    assert main(["verify", "--out", str(out)]) == 0
+    assert "1 pass, 0 fail, 0 unverifiable" in capsys.readouterr().out
+    assert sorted(path.name for path in out.glob("trace-*")) == [
+        "trace-eps0.25-seed0.jsonl", "trace-eps0.5-seed0.jsonl"]
+
+
 def test_run_requires_single_eps(tmp_path, capsys):
     config = write_config(tmp_path)  # two accuracies
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
