@@ -15,8 +15,15 @@ Interrupted oracle calls are suspended and resume with their remaining
 duration if the epoch survives the pause; they are discarded outright on a
 restart, so no unspent oracle work is ever credited.  Simulated work charges
 every oracle call when it is issued, including calls whose results end up
-discarded.  A copy whose method reaches a zero subgradient goes idle: it is
-at a global minimizer, so arrivals are logged but cannot improve it.
+discarded, but a call is evaluated only when it completes: the method steps
+in place then.  That is sound because a call in flight never sees its copy's
+method state change: a pause leaves the state alone, and a restart replaces
+it and voids the completion.  So a discarded call, or one still in flight
+when the run ends, is charged but never evaluated.  ``univ`` is the
+exception: its line search learns its call count only by running, so it
+steps a clone when the call is issued, and a restart drops the clone.
+A copy whose method reaches a zero subgradient goes idle: it is at a global
+minimizer, so arrivals are logged but cannot improve it.
 A copy's state is ``idle``, ``pause_candidate`` (paused while set) and its
 call in flight.  It has at most one live completion, pause end or epoch
 start, stamped with its ``version``; ``schedule`` is the one writer of
@@ -37,9 +44,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from restartfom.errors import ParameterError
-# method_init, method_restart, prime and step run in the shared Ladder; they
-# stay bound here because bench/layers.py wraps the same four names in both engines.
-from restartfom.methods import MethodState, method_init, method_restart, prime, step  # noqa: F401
+# bench/layers.py wraps method_init, method_restart, prime and step where each engine
+# binds them; the first two run in the shared Ladder but stay bound here for that.
+from restartfom.methods import (  # noqa: F401
+    MethodState, calls_ahead, method_init, method_restart, prime, step)
 from restartfom.problems import ProblemInstance
 from restartfom.sync_scheme import DEFAULT_BUDGET, Ladder, LadderCopy, Message
 from restartfom.traces import SchemeTrace
@@ -205,11 +213,14 @@ class _AsyncEngine(Ladder):
     def begin_iteration(self, copy: AsyncCopy, now: float) -> None:
         if copy.method.converged:
             copy.idle = True
-            copy.inflight_state = None
             return
-        nxt = copy.method.clone()
-        calls = self.iterate(nxt)
-        copy.inflight_state = nxt
+        calls = calls_ahead(copy.method)
+        if calls is None:
+            # Only running the step tells its calls: step a clone, which a restart drops.
+            copy.inflight_state = copy.method.clone()
+            calls = self.iterate(copy.inflight_state)
+        else:
+            self.oracle_calls += calls  # charged now, evaluated in on_complete
         self.resume(copy, now + (1.0 if self.delay_model.iteration_cost == "per-iteration"
                                  else float(calls)))
 
@@ -234,8 +245,12 @@ class _AsyncEngine(Ladder):
     # -- handlers: run() calls each only for its copy's live event -------------
 
     def on_complete(self, now: float, copy: AsyncCopy, version: int) -> None:
-        copy.method = copy.inflight_state
-        copy.inflight_state = None
+        if copy.inflight_state is None:
+            if copy.method.needs_prime:
+                prime(copy.method, self.problem)
+            step(copy.method, self.problem)
+        else:
+            copy.method, copy.inflight_state = copy.inflight_state, None
         self.trace.record(now, copy.index, "iterate", copy.method.best_value)
         if self.solved(now, copy.method.best_value):
             return

@@ -25,10 +25,12 @@ Ownership rule: :func:`method_init` and :func:`method_restart` copy the
 caller's point once (and a known gradient).  Past that, nothing copies: the
 problem's ``evaluate`` and ``project`` pass a float64 array of the right
 shape through as it is (``AllSpace.project`` returns its argument), and
-states and their shallow ``clone()`` (for the asynchronous engine's
-discard-on-restart) share arrays.  That is safe because no step writes into
-an array; each one rebinds fields to new arrays.  Each state is exclusively
-owned by one scheme copy.
+states and their shallow ``clone()`` share arrays.  That is safe because no
+step writes into an array; each one rebinds fields to new arrays.  Each state
+is exclusively owned by one scheme copy.  ``clone()`` serves only
+``univ``'s discard-on-restart in the asynchronous engine: :func:`calls_ahead`
+knows the other methods' calls before they step, so that engine steps them
+in place when their call completes.
 """
 
 from __future__ import annotations
@@ -229,6 +231,14 @@ def prime(state: MethodState, problem: ProblemInstance) -> int:
     if grad_sq == 0.0:
         state.converged = True
     return 1
+
+
+def calls_ahead(state: MethodState) -> int | None:
+    """The oracle calls that priming (when due) and one step of ``state`` will
+    make, known before they run; None for ``univ``, whose line search decides."""
+    if state.spec.kind == "univ":
+        return None
+    return 1 + state.needs_prime
 
 
 def _require_primed(state: MethodState) -> None:

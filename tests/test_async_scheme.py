@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from restartfom.async_scheme import DelayModel, ServerQueue, run_async
-from restartfom.errors import ParameterError
+from restartfom.async_scheme import (
+    _PRIO_COMPLETE, DelayModel, ServerQueue, _AsyncEngine, run_async)
+from restartfom.errors import NonFiniteValueError, ParameterError
 from restartfom.methods import MethodSpec
 from restartfom.problems import (
     CountingProblem,
@@ -174,12 +175,25 @@ def test_degenerate_single_copy():
     assert updates[-1] == (29.0, 0.375)
 
 
-def test_async_oracle_accounting_includes_discarded_calls():
+def _charged_and_evaluated(method_kind) -> tuple[int, int]:
     counting = CountingProblem(make_norm_power_problem(1, 1.0, 1.0))
     model = DelayModel(tau_transit=1.5, tau_pause=0.25)
-    _, summary = run_async(counting, "subgrad", 0.25, x0=np.array([4.0]),
+    _, summary = run_async(counting, method_kind, 0.25, x0=np.array([4.0]),
                            N=2, delay_model=model)
-    assert summary["oracle_calls_total"] == counting.evaluate_calls == 26
+    return summary["oracle_calls_total"], counting.evaluate_calls
+
+
+def test_async_oracle_accounting_includes_discarded_calls():
+    # subgrad evaluates a call when it completes: the 9 calls discarded by a
+    # restart or still in flight at the end are charged but never evaluated.
+    assert _charged_and_evaluated(MethodSpec("subgrad")) == (26, 17)
+
+
+def test_async_univ_evaluates_every_charged_call():
+    # univ steps when it issues a call, so the calls of the 4 iterations that
+    # never complete here (1 discarded by a restart, 3 in flight at the end)
+    # are evaluated as well as charged.
+    assert _charged_and_evaluated(MethodSpec("univ", L0=1.0)) == (38, 38)
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +445,135 @@ def test_every_delay_model_keeps_the_invariants_and_reproduces(case, eps, model)
                        tau_pause=model.tau_pause,
                        tau_transit=model.effective_tau_transit(N)) == []
     assert run() == (trace, summary)
+
+
+# ---------------------------------------------------------------------------
+# Lazy stepping: calls are charged when issued and evaluated at completion
+# ---------------------------------------------------------------------------
+
+class _EagerEngine(_AsyncEngine):
+    """The reference for the lazy engine: every method clones its state and
+    steps it when the call is issued, as univ still does."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.inflight_calls: dict[int, int] = {}
+        self.committed_calls = 0
+
+    def begin_iteration(self, copy, now):
+        if copy.method.converged:
+            copy.idle = True
+            return
+        copy.inflight_state = copy.method.clone()
+        calls = self.inflight_calls[copy.index] = self.iterate(copy.inflight_state)
+        self.resume(copy, now + (1.0 if self.delay_model.iteration_cost == "per-iteration"
+                                 else float(calls)))
+
+    def resume(self, copy, completes_at):
+        copy.inflight_completes_at = completes_at
+        self.schedule(copy, completes_at, _PRIO_COMPLETE, _EagerEngine.on_complete)
+
+    def on_complete(self, now, copy, version):
+        self.committed_calls += self.inflight_calls[copy.index]
+        super().on_complete(now, copy, version)
+
+
+def run_eager(problem, spec, eps, *, x0, delay_model, budget):
+    """``run_async`` on the eager reference; also returns the engine."""
+
+    engine = _EagerEngine(problem, spec, eps, None, budget, delay_model)
+    engine.spin_up(x0)
+    if engine.time_to_eps is None:
+        engine.run()
+    return engine, engine.trace, engine.summary(
+        "async", delay_model.describe(engine.N), periods=None, sim_time=engine.sim_time)
+
+
+LAZY_CASES = {
+    "norm-power-subgrad": (lambda seed: make_norm_power_problem(3, 1.0, 1.0),
+                           MethodSpec("subgrad")),
+    "norm-power-accel": (lambda seed: make_norm_power_problem(3, 1.0, 2.0), MethodSpec("accel")),
+    "piecewise-max-subgrad": (lambda seed: make_piecewise_max_problem(6, 18, seed=seed),
+                              MethodSpec("subgrad")),
+    "piecewise-max-accel": (lambda seed: make_piecewise_max_problem(6, 18, seed=seed),
+                            MethodSpec("accel", L=4.0)),
+    "least-squares-subgrad": (lambda seed: make_least_squares_problem(5, 8, seed=seed),
+                              MethodSpec("subgrad")),
+    "least-squares-accel": (lambda seed: make_least_squares_problem(5, 8, seed=seed),
+                            MethodSpec("accel")),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=st.sampled_from(sorted(LAZY_CASES)),
+       seed=st.integers(0, 2 ** 16),
+       eps=st.sampled_from([0.5, 0.125, 2.0 ** -6]),
+       budget=st.sampled_from([30.0, 2000.0]),
+       model=st.builds(DelayModel,
+                       transit_kind=st.sampled_from(["deterministic", "uniform", "single-server"]),
+                       tau_transit=TAUS,
+                       pause_kind=st.sampled_from(["deterministic", "uniform"]),
+                       tau_pause=TAUS,
+                       service_time=TAUS,
+                       seed=st.integers(0, 2 ** 32 - 1),
+                       iteration_cost=st.sampled_from(["per-call", "per-iteration"])))
+def test_lazy_steps_match_the_eager_reference(case, seed, eps, budget, model):
+    factory, spec = LAZY_CASES[case]
+    lazy_problem, eager_problem = CountingProblem(factory(seed)), CountingProblem(factory(seed))
+    x0 = lazy_problem.point_at_gap(20.0, rng=np.random.default_rng(seed))
+    trace, summary = run_async(lazy_problem, spec, eps, x0=x0, delay_model=model, budget=budget)
+    engine, eager_trace, eager_summary = run_eager(eager_problem, spec, eps, x0=x0,
+                                                   delay_model=model, budget=budget)
+    assert trace.events == eager_trace.events
+    assert summary == eager_summary
+    assert eager_problem.evaluate_calls == engine.oracle_calls
+    # Discarded: charged in an iteration that a restart or the run's end cut short.
+    discarded = engine.oracle_calls - len(engine.copies) - engine.committed_calls
+    assert lazy_problem.evaluate_calls == eager_problem.evaluate_calls - discarded
+
+
+class _PoisonedAt:
+    """A problem whose ``evaluate`` refuses one point, as an overflow would."""
+
+    def __init__(self, inner, point):
+        self._inner = inner
+        self.point = np.array(point)
+
+    def evaluate(self, x):
+        if np.array_equal(x, self.point):
+            raise NonFiniteValueError(f"poisoned point {self.point}")
+        return self._inner.evaluate(x)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+def poisoned_run(point):
+    problem = _PoisonedAt(make_norm_power_problem(2, 1.0, 1.0), point)
+    return run_async(problem, "subgrad", 0.25, x0=np.array([3.0, -4.0]),
+                     delay_model=DelayModel(tau_transit=1.5, tau_pause=0.25))
+
+
+def test_an_oracle_error_in_a_discarded_step_does_not_end_the_run():
+    # Copy 0 restarts at its own point at t = 3.25 and issues a step to the
+    # poisoned point; its inbox restart at t = 3.75, two ulp away at
+    # (2.4000000000000004, -3.2), discards that step.  No other step reaches
+    # the point, so the run never evaluates it.
+    trace, summary = poisoned_run([2.4000000000000004, -3.1999999999999993])
+    restarts = trace.of_kind("restart", copy=0)
+    assert [(ev.t, ev.source, ev.point) for ev in restarts[2:]] == [
+        (3.25, "own", (2.5500000000000003, -3.3999999999999995)),
+        (3.75, "inbox", (2.4000000000000004, -3.2))]
+    assert summary["complete"] is True
+    assert (trace, summary) == poisoned_run([np.inf, np.inf])
+
+
+def test_an_oracle_error_in_a_committed_step_still_ends_the_run():
+    trace, _ = poisoned_run([np.inf, np.inf])
+    # Copy 0's step that completed at t = 3.25 reached its restart point.
+    committed = trace.of_kind("restart", copy=0)[2].point
+    with pytest.raises(NonFiniteValueError, match="poisoned point"):
+        poisoned_run(committed)
 
 
 # ---------------------------------------------------------------------------

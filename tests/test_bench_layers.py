@@ -12,6 +12,7 @@ import numpy as np
 
 from restartfom import harness
 from restartfom.async_scheme import DelayModel
+from restartfom.methods import MethodSpec
 from restartfom.problems import make_norm_power_problem
 
 LAYERS = Path(__file__).resolve().parent.parent / "bench" / "layers.py"
@@ -42,10 +43,14 @@ def test_traced_engines_call_through_the_patched_names():
     try:
         harness.run_sync(problem, "subgrad", 0.25, x0=x0)
         harness.run_async(problem, "subgrad", 0.25, x0=x0, delay_model=DelayModel())
+        # Only univ steps a clone when it issues a call; subgrad steps in place.
+        harness.run_async(problem, MethodSpec("univ", L0=1.0), 0.25, x0=x0,
+                          delay_model=DelayModel())
     finally:
         tracer.remove()
+    assert tracer.calls("sync_scheme.run") == 1
+    assert tracer.calls("async_scheme.run") == 2
     for engine in ("sync_scheme.run", "async_scheme.run"):
-        assert tracer.calls(engine) == 1
         for layer in ("methods.init", "methods.step", "methods.restart"):
             assert tracer.calls(layer, engine) > 0, (layer, engine)
     assert tracer.calls("methods.clone", "async_scheme.run") > 0
