@@ -8,7 +8,11 @@ class RestartFomError(Exception):
 
 
 class ParameterError(RestartFomError, ValueError):
-    """A scalar argument is outside its documented range."""
+    """A scalar argument is outside its documented range; ``field`` names its record field."""
+
+    def __init__(self, message: str, field: str | None = None):
+        self.field = field
+        super().__init__(message)
 
 
 class DimensionMismatchError(RestartFomError, ValueError):

@@ -15,6 +15,7 @@ import functools
 import json
 import math
 import os
+import types
 import typing
 from pathlib import Path
 
@@ -37,17 +38,13 @@ from restartfom.bounds import (
 )
 from restartfom.errors import (
     ConfigError,
+    NonFiniteValueError,
     ParameterError,
     RestartFomError,
     UnsupportedQueryError,
 )
 from restartfom.methods import MethodSpec, resolve_L
-from restartfom.problems import (
-    ProblemInstance,
-    make_least_squares_problem,
-    make_norm_power_problem,
-    make_piecewise_max_problem,
-)
+from restartfom.problems import PROBLEM_FAMILIES, ProblemInstance, ProblemSpec, finite_float
 from restartfom.sync_scheme import DEFAULT_BUDGET, run_sync
 
 SCHEMES = ("sync-lockstep", "sync-sequential", "async")
@@ -78,7 +75,8 @@ DEFAULT_OUTPUT_DIR = "runs"
 class ExperimentConfig:
     """A validated experiment description with defaults applied."""
 
-    problem: dict
+    problem: ProblemSpec
+    gap: float  # the start point's f(x0) - f_star
     method: MethodSpec
     scheme: str
     eps: tuple[float, ...]
@@ -102,18 +100,12 @@ def _reject_unknown(mapping: dict, allowed: set[str], path: str) -> None:
             raise ConfigError(where, "unknown key")
 
 
-# Value parsers: parse(value, path, spec) as in ProblemFamily; only cross-field rules read spec.
-
-def _as_number(value, path: str, spec: dict | None = None, *, positive: bool = False,
+def _as_number(value, path: str, *, positive: bool = False,
                minimum: float | None = None) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(path, f"expected a number, got {value!r}")
     try:
-        number = float(value)
-    except OverflowError:
-        number = math.inf
-    if not math.isfinite(number):
-        raise ConfigError(path, f"expected a finite number, got {value!r}")
+        number = finite_float(value, path)
+    except ParameterError as exc:
+        raise ConfigError(path, str(exc)) from exc
     if positive and not number > 0.0:
         raise ConfigError(path, f"expected a positive number, got {value!r}")
     if minimum is not None and number < minimum:
@@ -121,7 +113,7 @@ def _as_number(value, path: str, spec: dict | None = None, *, positive: bool = F
     return number
 
 
-def _as_int(value, path: str, spec: dict | None = None, *, minimum: int | None = None) -> int:
+def _as_int(value, path: str, *, minimum: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(path, f"expected an integer, got {value!r}")
     if minimum is not None and value < minimum:
@@ -129,94 +121,14 @@ def _as_int(value, path: str, spec: dict | None = None, *, minimum: int | None =
     return value
 
 
-_positive = functools.partial(_as_number, positive=True)
-_degree = functools.partial(_as_number, minimum=1.0)
-_count = functools.partial(_as_int, minimum=1)
-
-
-def _numbers(value, path: str, length: int) -> list[float]:
-    if not isinstance(value, list) or len(value) != length:
-        raise ConfigError(path, f"expected a list of {length} numbers")
-    return [_as_number(v, path) for v in value]
-
-
-def _center(value, path: str, spec: dict) -> list[float]:
-    return _numbers(value, path, spec["dimension"])
-
-
-def _num_rows(value, path: str, spec: dict) -> int:
-    return _as_int(value, path, minimum=spec["dimension"])
-
-
-def _num_pieces(value, path: str, spec: dict) -> int:
-    return _as_int(value, path, minimum=spec["dimension"] + 1)
-
-
-def _rank(value, path: str, spec: dict) -> int:
-    rank = _as_int(value, path, minimum=1)
-    if rank > spec["dimension"]:
-        raise ConfigError(path, f"rank {rank} exceeds dimension {spec['dimension']}")
-    return rank
-
-
-def _sigma_range(value, path: str, spec: dict) -> list[float]:
-    lo, hi = _numbers(value, path, 2)
-    if not (0.0 < lo <= hi):
-        raise ConfigError(path, f"expected 0 < lo <= hi, got [{lo}, {hi}]")
-    return [lo, hi]
-
-
-class ProblemFamily(typing.NamedTuple):
-    """A problem family's config fields after ``dimension``, in parsing order,
-    each ``name: (parse, required)`` where ``parse(value, path, spec)`` sees
-    the fields parsed before it; and ``build(spec, seed)``, which makes the
-    seeded instance."""
-
-    fields: dict
-    build: typing.Callable[[dict, int], ProblemInstance]
-
-
-PROBLEM_FAMILIES = {
-    "norm-power": ProblemFamily(
-        {"mu": (_positive, True), "d": (_degree, True), "center": (_center, False),
-         "gap": (_positive, True)},
-        lambda spec, seed: make_norm_power_problem(spec["dimension"], spec["mu"], spec["d"],
-                                                   center=spec.get("center"))),
-    "piecewise-max": ProblemFamily(
-        {"num_pieces": (_num_pieces, True), "gap": (_positive, True)},
-        lambda spec, seed: make_piecewise_max_problem(spec["dimension"], spec["num_pieces"],
-                                                      seed)),
-    "least-squares": ProblemFamily(
-        {"num_rows": (_num_rows, True), "rank": (_rank, False),
-         "sigma_range": (_sigma_range, False), "gap": (_positive, True)},
-        lambda spec, seed: make_least_squares_problem(
-            spec["dimension"], spec["num_rows"], seed, rank=spec.get("rank"),
-            sigma_range=tuple(spec.get("sigma_range", (1.0, 2.0))))),
-}
-
-
-def _parse_problem(document, path: str = "problem") -> dict:
-    if not isinstance(document, dict):
-        raise ConfigError(path, "expected an object with a 'family' key")
-    family = _require(document, "family", path)
-    names = tuple(PROBLEM_FAMILIES)
-    if family not in names:
-        raise ConfigError(f"{path}.family", f"unknown family {family!r}, expected one of {names}")
-    fields = {"dimension": (_count, True), **PROBLEM_FAMILIES[family].fields}
-    _reject_unknown(document, {"family", *fields}, path)
-    spec: dict = {"family": family}
-    for name, (parse, required) in fields.items():
-        if required or name in document:
-            spec[name] = parse(_require(document, name, path), f"{path}.{name}", spec)
-    return spec
-
-
 def _has_json_type(value, annotation) -> bool:
     """Whether a JSON value fits a field's annotation: an int is also a
-    float, and a bool is neither."""
+    float, a list fits a generic sequence, and a bool is neither."""
+    union = isinstance(annotation, types.UnionType)
     return any(isinstance(value, bool) == (kind is bool)
-               and isinstance(value, (int, float) if kind is float else kind)
-               for kind in typing.get_args(annotation) or (annotation,))
+               and isinstance(value, (int, float) if kind is float
+                              else list if typing.get_origin(kind) in (list, tuple) else kind)
+               for kind in (typing.get_args(annotation) if union else (annotation,)))
 
 
 _field_types = functools.cache(typing.get_type_hints)  # resolved per class on first use
@@ -225,39 +137,51 @@ _field_types = functools.cache(typing.get_type_hints)  # resolved per class on f
 def _build_record(cls, record: dict, where: str):
     """The dataclass ``cls`` built from the fields of a JSON object; other
     keys are ignored.  A field whose JSON type does not fit its annotation,
-    or that holds NaN, is a :class:`ConfigError` at ``where.field``; a
-    missing field, or a value ``cls`` refuses or cannot hold as a float, one
-    at ``where``."""
+    that holds NaN, or that ``cls`` refuses by name, is a :class:`ConfigError`
+    at ``where.field``; a missing field, or another value ``cls`` refuses or
+    cannot hold as a float, one at ``where``."""
 
     annotations = _field_types(cls)
     fields = {name: value for name, value in record.items() if name in annotations}
     for name, value in fields.items():
         if not _has_json_type(value, annotations[name]):
             raise ConfigError(f"{where}.{name}",
-                              f"expected {cls.__annotations__[name]}, got {value!r}")
+                              f"expected {cls.__dataclass_fields__[name].type}, got {value!r}")
         if isinstance(value, float) and math.isnan(value):
             raise ConfigError(f"{where}.{name}", "NaN is not a number here")
     try:
         return cls(**fields)
-    except (ParameterError, TypeError, OverflowError) as exc:  # TypeError: a field is missing
+    except ParameterError as exc:
+        raise ConfigError(where if exc.field is None else f"{where}.{exc.field}",
+                          str(exc)) from exc
+    except (TypeError, OverflowError) as exc:  # TypeError: a field is missing
         raise ConfigError(where, str(exc)) from exc
 
 
 def _parse_record(cls, document, path: str, expected: str):
+    """:func:`_build_record` on a config object, whose unknown keys and
+    missing fields are refused at ``path.key``."""
     if not isinstance(document, dict):
         raise ConfigError(path, expected)
     _reject_unknown(document, set(_field_types(cls)), path)
+    for field in dataclasses.fields(cls):
+        if field.default is field.default_factory is dataclasses.MISSING:
+            _require(document, field.name, path)
     return _build_record(cls, document, path)
 
 
-def _parse_method(document, path: str = "method") -> MethodSpec:
-    if isinstance(document, str):
-        document = {"kind": document}
-    spec = _parse_record(MethodSpec, document, path,
-                         "expected a method name or an object with a 'kind' key")
-    if spec.kind == "univ" and spec.L0 is None:
-        raise ConfigError(f"{path}.L0", "the univ method requires an initial curvature guess")
-    return spec
+def _parse_problem(document, path: str = "problem") -> tuple[ProblemSpec, float]:
+    """The problem spec and the gap of the start point."""
+    expected = "expected an object with a 'family' key"
+    if not isinstance(document, dict):
+        raise ConfigError(path, expected)
+    family = _require(document, "family", path)
+    names = tuple(PROBLEM_FAMILIES)
+    if family not in names:
+        raise ConfigError(f"{path}.family", f"unknown family {family!r}, expected one of {names}")
+    fields = {name: value for name, value in document.items() if name not in ("family", "gap")}
+    spec = _parse_record(PROBLEM_FAMILIES[family], fields, path, expected)
+    return spec, _as_number(_require(document, "gap", path), f"{path}.gap", positive=True)
 
 
 def parse_config(document) -> ExperimentConfig:
@@ -277,8 +201,10 @@ def parse_config(document) -> ExperimentConfig:
     _reject_unknown(document, {"problem", "method", "scheme", "eps", "N",
                                "delay", "seed", "seeds", "budget", "out"}, "")
 
-    problem = _parse_problem(_require(document, "problem", ""))
-    method = _parse_method(_require(document, "method", ""))
+    problem, gap = _parse_problem(_require(document, "problem", ""))
+    method = _require(document, "method", "")
+    method = _parse_record(MethodSpec, {"kind": method} if isinstance(method, str) else method,
+                           "method", "expected a method name or an object with a 'kind' key")
 
     scheme = _require(document, "scheme", "")
     if scheme not in SCHEMES:
@@ -328,7 +254,7 @@ def parse_config(document) -> ExperimentConfig:
     if out is not None and not isinstance(out, str):
         raise ConfigError("out", f"expected a directory name, got {out!r}")
 
-    return ExperimentConfig(problem=problem, method=method, scheme=scheme,
+    return ExperimentConfig(problem=problem, gap=gap, method=method, scheme=scheme,
                             eps=eps, N=N, delay=delay, seeds=seeds,
                             budget=budget, out=out)
 
@@ -336,10 +262,8 @@ def parse_config(document) -> ExperimentConfig:
 def build_problem(config: ExperimentConfig, seed: int) -> tuple[ProblemInstance, np.ndarray]:
     """Materialize the configured problem and its seeded start point."""
 
-    spec = config.problem
-    problem = PROBLEM_FAMILIES[spec["family"]].build(spec, seed)
-    x0 = problem.point_at_gap(spec["gap"], rng=np.random.default_rng(seed))
-    return problem, x0
+    problem = config.problem.build(seed)
+    return problem, problem.point_at_gap(config.gap, rng=np.random.default_rng(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +486,7 @@ def run_cell(config: ExperimentConfig, eps: float, seed: int,
         try:
             trace.write_jsonl(Path(out_dir) / trace_name, summary=summary)
             trace_path = trace_name
-        except OSError as exc:
+        except (OSError, NonFiniteValueError) as exc:
             error = f"trace write failed: {exc}"
 
     return RunSummary(

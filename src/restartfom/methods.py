@@ -74,6 +74,8 @@ class MethodSpec:
             raise ParameterError(f"smoothness constant L must be finite and positive, got {self.L}")
         if self.L0 is not None and not (self.L0 > 0 and math.isfinite(self.L0)):
             raise ParameterError(f"curvature guess L0 must be finite and positive, got {self.L0}")
+        if self.kind == "univ" and self.L0 is None:
+            raise ParameterError("the univ method requires an initial curvature guess L0", "L0")
 
 
 @dataclasses.dataclass
@@ -172,8 +174,6 @@ def _fresh_epoch(spec: MethodSpec, problem: ProblemInstance, start: np.ndarray,
     if spec.kind == "accel":
         return AccelState(**common, L=resolve_L(spec, problem), t=1.0, x_prev=start,
                           y=start, grad_y=grad)
-    if spec.L0 is None:
-        raise ParameterError("univ needs an initial curvature guess L0")
     return UnivState(**common, L_hat=spec.L0, A=0.0, lsum=np.zeros(problem.dimension),
                      y=start, prox_center=start)
 

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -160,9 +162,9 @@ class GrowthMetadata:
 
     def __post_init__(self):
         if not (self.mu > 0):
-            raise ParameterError(f"growth constant mu must be positive, got {self.mu}")
+            raise ParameterError(f"growth constant mu must be positive, got {self.mu}", "mu")
         if self.d < 1:
-            raise ParameterError(f"growth degree must be >= 1, got {self.d}")
+            raise ParameterError(f"growth degree must be >= 1, got {self.d}", "d")
         if self.nu is not None:
             if not (0.0 <= self.nu <= 1.0):
                 raise ParameterError(f"Hölder exponent must lie in [0, 1], got {self.nu}")
@@ -208,8 +210,6 @@ class ProblemInstance:
         domain: Domain | None = None,
         metadata: GrowthMetadata | None = None,
     ):
-        if dimension < 1:
-            raise ParameterError(f"dimension must be a positive integer, got {dimension}")
         self.name = name
         self.dimension = int(dimension)
         self.domain = domain if domain is not None else AllSpace()
@@ -317,9 +317,9 @@ class NormPowerProblem(ProblemInstance):
         metadata = GrowthMetadata(mu=mu, d=d, f_star=0.0, M=M, L=L, M_nu=M_nu, nu=nu)
         super().__init__(f"norm-power(d={d:g})", dimension, domain, metadata)
         if center.shape != (self.dimension,):
-            raise ParameterError("center dimension mismatch")
+            raise ParameterError(f"center must have {self.dimension} coordinates", "center")
         if not self.domain.contains(center):
-            raise ParameterError("center must be feasible")
+            raise ParameterError("center must be feasible", "center")
         self.center = center
         # While every |center_i| < 2**970, half an ulp of the largest float,
         # x - center overflows at no x, and _oracle needs no np.errstate.
@@ -524,21 +524,52 @@ class LeastSquaresProblem(ProblemInstance):
 
 
 # ---------------------------------------------------------------------------
-# Generators (deterministic in an explicit seed)
+# Problem specs: one frozen record per family, built deterministically in a seed
 # ---------------------------------------------------------------------------
 
 
-def make_norm_power_problem(
-    dimension: int,
-    mu: float,
-    d: float,
-    center=None,
-    domain: Domain | None = None,
-) -> NormPowerProblem:
-    """Radial test problem ``f(x) = mu*||x - center||**d`` (default center 0)."""
-    if center is None:
-        center = np.zeros(dimension)
-    return NormPowerProblem(dimension, mu, d, center, domain)
+def finite_float(value, field: str) -> float:
+    """``value`` as a float if it is a finite real number (no bool), else a ParameterError."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real)
+                                       and abs(value) <= sys.float_info.max):
+        raise ParameterError(f"expected a finite number, got {value!r}", field)
+    return float(value)
+
+
+@dataclasses.dataclass(frozen=True)
+class ProblemSpec:
+    """A problem family's parameters, each rule on them checked once at construction (a
+    :class:`ParameterError` names the field it refuses); ``build(seed)`` makes the instance."""
+
+    dimension: int
+
+    def __post_init__(self):
+        if not self.dimension >= 1:
+            raise ParameterError(f"dimension must be positive, got {self.dimension}", "dimension")
+
+
+@dataclasses.dataclass(frozen=True)
+class NormPowerSpec(ProblemSpec):
+    """Radial test problem ``f(x) = mu*||x - center||**d`` (default center 0);
+    the :class:`NormPowerProblem` that construction builds checks its rules."""
+
+    mu: float
+    d: float
+    center: tuple[float, ...] | None = None
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "mu", finite_float(self.mu, "mu"))
+        object.__setattr__(self, "d", finite_float(self.d, "d"))
+        if self.center is not None:
+            center = tuple(finite_float(x, "center") for x in self.center)
+            object.__setattr__(self, "center", center)
+        self.build()
+
+    def build(self, seed: int | None = None, domain: Domain | None = None) -> NormPowerProblem:
+        """The instance on ``domain`` (all of space by default); no seed enters it."""
+        center = np.zeros(self.dimension) if self.center is None else self.center
+        return NormPowerProblem(self.dimension, self.mu, self.d, center, domain)
 
 
 def _regular_simplex_directions(dimension: int) -> np.ndarray:
@@ -551,7 +582,8 @@ def _regular_simplex_directions(dimension: int) -> np.ndarray:
     return coords / np.linalg.norm(coords, axis=1, keepdims=True)
 
 
-def make_piecewise_max_problem(dimension: int, num_pieces: int, seed: int) -> PiecewiseMaxProblem:
+@dataclasses.dataclass(frozen=True)
+class PiecewiseMaxSpec(ProblemSpec):
     """Random polyhedral sharp-growth instance with certified constants.
 
     The active core is a rotated, scaled cross-polytope (``2*dimension``
@@ -561,74 +593,111 @@ def make_piecewise_max_problem(dimension: int, num_pieces: int, seed: int) -> Pi
     the minimizer, and never undercut the core, so the recorded constants are
     valid by construction for every seed.
     """
-    if num_pieces < dimension + 1:
-        raise ParameterError(
-            f"need at least dimension + 1 = {dimension + 1} pieces, got {num_pieces}"
-        )
-    rng = np.random.default_rng(seed)
-    scale = float(rng.uniform(0.5, 2.0))
-    center = rng.normal(size=dimension)
-    raw = rng.normal(size=(dimension, dimension))
-    rotation, upper = np.linalg.qr(raw)
-    rotation = rotation * np.sign(np.diag(upper))  # canonical sign choice
 
-    if num_pieces >= 2 * dimension:
-        axes = rotation.T  # rows are the rotated coordinate directions
-        core = scale * np.vstack([axes, -axes])
-        mu = scale / math.sqrt(dimension)
-    else:
-        core = scale * (_regular_simplex_directions(dimension) @ rotation.T)
-        mu = scale / dimension
+    num_pieces: int
 
-    extras = num_pieces - core.shape[0]
-    if extras > 0:
-        directions = rng.normal(size=(extras, dimension))
-        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-        directions *= scale * rng.uniform(0.2, 1.0, size=(extras, 1))
-        offsets = scale * rng.uniform(0.1, 1.0, size=extras)
-        A = np.vstack([core, directions])
-        b = np.concatenate([-core @ center, -directions @ center - offsets])
-    else:
-        A = core
-        b = -core @ center
+    def __post_init__(self):
+        super().__post_init__()
+        if self.num_pieces < self.dimension + 1:
+            raise ParameterError(f"need at least dimension + 1 = {self.dimension + 1} pieces, "
+                                 f"got {self.num_pieces}", "num_pieces")
 
-    return PiecewiseMaxProblem(A, b, center, mu, name=f"piecewise-max(seed={seed})")
+    def build(self, seed: int) -> PiecewiseMaxProblem:
+        dimension, num_pieces = self.dimension, self.num_pieces
+        rng = np.random.default_rng(seed)
+        scale = float(rng.uniform(0.5, 2.0))
+        center = rng.normal(size=dimension)
+        raw = rng.normal(size=(dimension, dimension))
+        rotation, upper = np.linalg.qr(raw)
+        rotation = rotation * np.sign(np.diag(upper))  # canonical sign choice
+
+        if num_pieces >= 2 * dimension:
+            axes = rotation.T  # rows are the rotated coordinate directions
+            core = scale * np.vstack([axes, -axes])
+            mu = scale / math.sqrt(dimension)
+        else:
+            core = scale * (_regular_simplex_directions(dimension) @ rotation.T)
+            mu = scale / dimension
+
+        extras = num_pieces - core.shape[0]
+        if extras > 0:
+            directions = rng.normal(size=(extras, dimension))
+            directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+            directions *= scale * rng.uniform(0.2, 1.0, size=(extras, 1))
+            offsets = scale * rng.uniform(0.1, 1.0, size=extras)
+            A = np.vstack([core, directions])
+            b = np.concatenate([-core @ center, -directions @ center - offsets])
+        else:
+            A = core
+            b = -core @ center
+
+        return PiecewiseMaxProblem(A, b, center, mu, name=f"piecewise-max(seed={seed})")
 
 
-def make_least_squares_problem(
-    dimension: int,
-    num_rows: int,
-    seed: int,
-    *,
-    rank: int | None = None,
-    sigma_range: tuple[float, float] = (1.0, 2.0),
-) -> LeastSquaresProblem:
+@dataclasses.dataclass(frozen=True)
+class LeastSquaresSpec(ProblemSpec):
     """Random consistent least-squares instance with controlled spectrum.
 
     Singular values are drawn uniformly from ``sigma_range`` (the extremes are
     always included, so ``L`` and ``mu`` are exactly the endpoints squared);
-    ``rank < dimension`` makes the optimal set a proper affine subspace.
+    ``rank < dimension`` (default: the dimension) makes the optimal set a
+    proper affine subspace.
     """
-    if num_rows < dimension:
-        raise ParameterError("num_rows must be at least the dimension")
-    if rank is None:
-        rank = dimension
-    if not (1 <= rank <= dimension):
-        raise ParameterError(f"rank must lie in [1, {dimension}], got {rank}")
-    lo, hi = sigma_range
-    if not (0 < lo <= hi):
-        raise ParameterError("sigma_range must satisfy 0 < lo <= hi")
-    rng = np.random.default_rng(seed)
-    left, _ = np.linalg.qr(rng.normal(size=(num_rows, num_rows)))
-    right, _ = np.linalg.qr(rng.normal(size=(dimension, dimension)))
-    sigma = np.sort(rng.uniform(lo, hi, size=rank))[::-1]
-    if rank >= 2:
-        sigma[0], sigma[-1] = hi, lo
-    else:
-        sigma[0] = hi
-    A = left[:, :rank] @ np.diag(sigma) @ right[:, :rank].T
-    x_sol = rng.normal(size=dimension)
-    return LeastSquaresProblem(A, A @ x_sol, name=f"least-squares(seed={seed})")
+
+    num_rows: int
+    rank: int | None = None
+    sigma_range: tuple[float, float] = (1.0, 2.0)
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.num_rows < self.dimension:
+            raise ParameterError(f"num_rows must be at least {self.dimension}", "num_rows")
+        if self.rank is not None and not 1 <= self.rank <= self.dimension:
+            raise ParameterError(f"rank must lie in [1, {self.dimension}], got {self.rank}", "rank")
+        sigma_range = tuple(finite_float(x, "sigma_range") for x in self.sigma_range)
+        if len(sigma_range) != 2 or not 0 < sigma_range[0] <= sigma_range[1]:
+            raise ParameterError(f"expected [lo, hi] with 0 < lo <= hi, got {list(sigma_range)}",
+                                 "sigma_range")
+        object.__setattr__(self, "sigma_range", sigma_range)
+
+    def build(self, seed: int) -> LeastSquaresProblem:
+        dimension, num_rows = self.dimension, self.num_rows
+        rank = dimension if self.rank is None else self.rank
+        lo, hi = self.sigma_range
+        rng = np.random.default_rng(seed)
+        left, _ = np.linalg.qr(rng.normal(size=(num_rows, num_rows)))
+        right, _ = np.linalg.qr(rng.normal(size=(dimension, dimension)))
+        sigma = np.sort(rng.uniform(lo, hi, size=rank))[::-1]
+        if rank >= 2:
+            sigma[0], sigma[-1] = hi, lo
+        else:
+            sigma[0] = hi
+        A = left[:, :rank] @ np.diag(sigma) @ right[:, :rank].T
+        x_sol = rng.normal(size=dimension)
+        return LeastSquaresProblem(A, A @ x_sol, name=f"least-squares(seed={seed})")
+
+
+PROBLEM_FAMILIES = {"norm-power": NormPowerSpec, "piecewise-max": PiecewiseMaxSpec,
+                    "least-squares": LeastSquaresSpec}
+
+
+def make_norm_power_problem(dimension: int, mu: float, d: float, center=None,
+                            domain: Domain | None = None) -> NormPowerProblem:
+    """See :class:`NormPowerSpec`."""
+    return NormPowerSpec(dimension, mu, d, center).build(domain=domain)
+
+
+def make_piecewise_max_problem(dimension: int, num_pieces: int, seed: int) -> PiecewiseMaxProblem:
+    """See :class:`PiecewiseMaxSpec`."""
+    return PiecewiseMaxSpec(dimension, num_pieces).build(seed)
+
+
+def make_least_squares_problem(dimension: int, num_rows: int, seed: int, *,
+                               rank: int | None = None,
+                               sigma_range: tuple[float, float] = (1.0, 2.0)
+                               ) -> LeastSquaresProblem:
+    """See :class:`LeastSquaresSpec`."""
+    return LeastSquaresSpec(dimension, num_rows, rank, sigma_range).build(seed)
 
 
 # ---------------------------------------------------------------------------

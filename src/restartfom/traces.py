@@ -218,7 +218,8 @@ class SchemeTrace:
         return [e.point for e in self.of_kind("restart", copy)]
 
     def write_jsonl(self, path, summary: dict | None = None) -> None:
-        """Write the format-5 file: point table header, event blocks, summary."""
+        """Write the format-5 file: point table header, event blocks, summary;
+        a summary that is no JSON is refused before the file is opened."""
 
         c = self.columns()
         for floats in (c.t, c.value, self.points):
@@ -226,14 +227,14 @@ class SchemeTrace:
                 bad = floats[~np.isfinite(floats)][0]
                 raise NonFiniteValueError(f"a trace holds finite floats only, not {bad}")
         points = {"shape": list(self.points.shape), "b64": _b64(self.points)}
+        last = "" if summary is None else _dumps({"summary": summary}) + "\n"
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(_dumps({"format": 5, "points": points}) + "\n")
             for start in range(0, len(c.t), BLOCK_EVENTS):
                 block = [column[start:start + BLOCK_EVENTS] for column in c]
                 handle.write(f'{{"events":{len(block[0])}' + "".join(
                     f',"{name}":"{_b64(column)}"' for name, column in zip(DTYPES, block)) + "}\n")
-            if summary is not None:
-                handle.write(_dumps({"summary": summary}) + "\n")
+            handle.write(last)
 
     @classmethod
     def read_jsonl(cls, path) -> tuple["SchemeTrace", dict | None]:

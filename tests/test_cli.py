@@ -472,3 +472,22 @@ def test_a_guarantee_beyond_the_float_range_leaves_its_cell_unverifiable(
     assert record["error"] is None and record["compliant"] is None
     assert record["bound_theorem"] is None
     assert main(["verify", "--out", str(out)]) == 0
+
+
+def test_a_transit_bound_beyond_the_float_range_is_a_cell_error_without_a_trace(
+        tmp_path, capsys):
+    # (N + 2) * service_time is inf, so the trace's summary line is no JSON.
+    config = write_config(
+        tmp_path, problem={"family": "norm-power", "dimension": 2, "mu": 1.0, "d": 2.0,
+                           "gap": 30.0},
+        scheme="async", eps=[0.25],
+        delay={"transit_kind": "single-server", "service_time": 1e308})
+    out = tmp_path / "out"
+    assert main(["grid", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "trace write failed" in err and "Traceback" not in err
+    assert not list(out.glob("trace-*"))
+    (record,) = json.loads((out / "summaries.json").read_text(),
+                           parse_constant=_refuse_constant)["summaries"]
+    assert record["trace_path"] is None and "trace write failed" in record["error"]
+    assert main(["verify", "--out", str(out)]) == 2

@@ -34,6 +34,11 @@ from restartfom.harness import (
     write_summaries_csv,
 )
 from restartfom.harness import _delay_for_cell, _trace_filename
+from restartfom.problems import (
+    make_least_squares_problem,
+    make_norm_power_problem,
+    make_piecewise_max_problem,
+)
 
 
 def minimal_config(**overrides) -> dict:
@@ -72,7 +77,7 @@ def test_parse_minimal_config_fills_defaults():
     assert config.budget == DEFAULT_BUDGET
     assert config.out is None
     assert config.method.kind == "subgrad"
-    assert config.problem["family"] == "norm-power"
+    assert type(config.problem) is PROBLEM_FAMILIES["norm-power"]
 
 
 def test_parse_config_accepts_json_text():
@@ -165,7 +170,7 @@ def test_parse_problem_piecewise_max():
     document["problem"] = {"family": "piecewise-max", "dimension": 3,
                            "num_pieces": 8, "gap": 2.0}
     config = parse_config(document)
-    assert config.problem["num_pieces"] == 8
+    assert config.problem.num_pieces == 8
 
 
 def test_parse_problem_least_squares_rank_and_sigma():
@@ -174,8 +179,8 @@ def test_parse_problem_least_squares_rank_and_sigma():
                            "num_rows": 6, "gap": 2.0, "rank": 3,
                            "sigma_range": [1.0, 5.0]}
     config = parse_config(document)
-    assert config.problem["rank"] == 3
-    assert config.problem["sigma_range"] == [1.0, 5.0]
+    assert config.problem.rank == 3
+    assert config.problem.sigma_range == (1.0, 5.0)
 
     document["problem"]["rank"] = 9
     with pytest.raises(ConfigError) as err:
@@ -193,15 +198,16 @@ def test_parse_problem_least_squares_rank_and_sigma():
 FIELD_SAMPLES = {"dimension": 3, "mu": 1.5, "d": 1.5, "center": [0.5, -1.0, 2.0], "gap": 2.5,
                  "num_pieces": 8, "num_rows": 5, "rank": 2, "sigma_range": [0.5, 2.0]}
 
-FAMILY_FIELDS = [(family, name, required)
-                 for family, entry in PROBLEM_FAMILIES.items()
-                 for name, (_, required) in {"dimension": (None, True), **entry.fields}.items()]
+FAMILY_FIELDS = [(family, field.name, field.default is dataclasses.MISSING)
+                 for family, spec in PROBLEM_FAMILIES.items()
+                 for field in dataclasses.fields(spec)]
+FAMILY_FIELDS += [(family, "gap", True) for family in PROBLEM_FAMILIES]  # ExperimentConfig.gap
 
 
 def minimal_problem(family: str) -> dict:
-    fields = PROBLEM_FAMILIES[family].fields
-    return {"family": family, "dimension": FIELD_SAMPLES["dimension"],
-            **{name: FIELD_SAMPLES[name] for name, (_, required) in fields.items() if required}}
+    return {"family": family, **{name: FIELD_SAMPLES[name]
+                                 for kind, name, required in FAMILY_FIELDS
+                                 if kind == family and required}}
 
 
 @pytest.mark.parametrize("family, name", [(family, name)
@@ -223,6 +229,53 @@ def test_a_bool_in_any_problem_field_is_refused_there(family, name, flag):
     with pytest.raises(ConfigError) as err:
         parse_config(minimal_config(problem=problem))
     assert err.value.path == f"problem.{name}"
+
+
+# One broken rule per field: the generator refuses it by name, and parse_config,
+# which builds the same spec, locates that refusal at the field.
+RULE_CASES = [
+    ("dimension", lambda: make_least_squares_problem(0, 3, seed=0),
+     {"family": "least-squares", "dimension": 0, "num_rows": 3}),
+    ("mu", lambda: make_norm_power_problem(2, mu=0.0, d=1.0),
+     {"family": "norm-power", "dimension": 2, "mu": 0.0, "d": 1.0}),
+    ("d", lambda: make_norm_power_problem(2, mu=1.0, d=0.5),
+     {"family": "norm-power", "dimension": 2, "mu": 1.0, "d": 0.5}),
+    ("center", lambda: make_norm_power_problem(2, mu=1.0, d=1.0, center=[1.0]),
+     {"family": "norm-power", "dimension": 2, "mu": 1.0, "d": 1.0, "center": [1.0]}),
+    ("num_pieces", lambda: make_piecewise_max_problem(3, 3, seed=0),
+     {"family": "piecewise-max", "dimension": 3, "num_pieces": 3}),
+    ("num_rows", lambda: make_least_squares_problem(4, 3, seed=0),
+     {"family": "least-squares", "dimension": 4, "num_rows": 3}),
+    ("rank", lambda: make_least_squares_problem(4, 6, seed=0, rank=5),
+     {"family": "least-squares", "dimension": 4, "num_rows": 6, "rank": 5}),
+    ("sigma_range", lambda: make_least_squares_problem(4, 6, seed=0, sigma_range=(2.0, 1.0)),
+     {"family": "least-squares", "dimension": 4, "num_rows": 6, "sigma_range": [2.0, 1.0]}),
+]
+
+
+@pytest.mark.parametrize("field, generate, problem", RULE_CASES,
+                         ids=[field for field, _, _ in RULE_CASES])
+def test_each_problem_rule_is_checked_once_and_located_at_its_field(field, generate, problem):
+    with pytest.raises(ParameterError) as refused:
+        generate()
+    assert refused.value.field == field
+    with pytest.raises(ConfigError) as err:
+        parse_config(minimal_config(problem={**problem, "gap": 2.0}))
+    assert err.value.path == f"problem.{field}"
+    assert type(err.value.__cause__) is ParameterError
+    assert err.value.__cause__.field == field
+
+
+def test_an_int_in_a_float_field_is_held_as_a_float(tmp_path):
+    config = parse_config(minimal_config(
+        problem={"family": "norm-power", "dimension": 2, "mu": 2, "d": 2, "center": [1, -1],
+                 "gap": 8}, eps=[0.5]))
+    spec = config.problem
+    assert type(spec.mu) is float and type(spec.d) is float and type(config.gap) is float
+    assert spec.center == (1.0, -1.0) and all(type(x) is float for x in spec.center)
+    (summary,) = run_grid(config, tmp_path)
+    assert type(summary.growth_d) is float
+    assert '"growth_d": 2.0,' in (tmp_path / "summaries.json").read_text()
 
 
 @pytest.mark.parametrize("family", list(PROBLEM_FAMILIES))
@@ -915,5 +968,5 @@ def test_piecewise_max_needs_more_pieces_than_dimensions():
         parse_config(minimal_config(problem=problem))
     assert err.value.path == "problem.num_pieces"
     config = parse_config(minimal_config(problem={**problem, "num_pieces": 4}))
-    assert config.problem["num_pieces"] == 4
+    assert config.problem.num_pieces == 4
 

@@ -282,6 +282,13 @@ def test_non_finite_event_value_is_refused(tmp_path, bad):
                     ).write_jsonl(tmp_path / "trace.jsonl")
 
 
+def test_a_summary_that_is_no_json_is_refused_before_the_file_exists(tmp_path):
+    trace = SchemeTrace([TraceEvent(0.0, 0, "init", 1.0)])
+    with pytest.raises(NonFiniteValueError):
+        trace.write_jsonl(tmp_path / "trace.jsonl", {"effective_tau_transit": math.inf})
+    assert not (tmp_path / "trace.jsonl").exists()
+
+
 def test_trace_dump_prints_points_of_a_format_two_file(tmp_path, capsys):
     trace, summary = lockstep_run()
     path = tmp_path / "trace.jsonl"
