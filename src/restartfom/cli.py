@@ -58,14 +58,13 @@ def _read_config(path):
 
 def _load_config(args):
     config = _read_config(args.config)
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError("--seed", f"expected a nonnegative seed, got {args.seed}")
-        config = dataclasses.replace(config, seeds=(args.seed,))
-    if args.budget is not None:
-        if not 0 < args.budget < 2 ** 1024:  # a larger int overflows float()
-            raise ConfigError("--budget", f"expected a positive budget, got {args.budget}")
-        config = dataclasses.replace(config, budget=float(args.budget))
+    seeds = None if args.seed is None else (args.seed,)
+    for flag, field, value in (("--seed", "seeds", seeds), ("--budget", "budget", args.budget)):
+        if value is not None:
+            try:
+                config = dataclasses.replace(config, **{field: value})
+            except ParameterError as exc:  # replace runs the config's rules again
+                raise ConfigError(flag, str(exc)) from exc
     return config
 
 

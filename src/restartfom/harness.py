@@ -73,52 +73,72 @@ DEFAULT_OUTPUT_DIR = "runs"
 
 @dataclasses.dataclass(frozen=True)
 class ExperimentConfig:
-    """A validated experiment description with defaults applied."""
+    """An experiment description whose rules are checked once at construction,
+    and again by ``dataclasses.replace``; a broken one raises
+    :class:`ParameterError` naming its field."""
 
     problem: ProblemSpec
-    gap: float  # the start point's f(x0) - f_star
+    gap: float  # the start point's f(x0) - f_star; problem.gap in a config document
     method: MethodSpec
     scheme: str
     eps: tuple[float, ...]
-    N: int | None  # None means: use default_N(eps) per cell
-    delay: DelayModel | None
-    seeds: tuple[int, ...]
-    budget: float
-    out: str | None
+    N: int | None = None  # None means: use default_N(eps) per cell
+    delay: DelayModel | None = None
+    seeds: tuple[int, ...] = (0,)
+    budget: float = DEFAULT_BUDGET
+    out: str | None = None
+
+    def __post_init__(self):
+        gap = _positive(self.gap, "gap")
+        if self.scheme not in SCHEMES:
+            raise ParameterError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}",
+                                 "scheme")
+        if not self.eps:
+            raise ParameterError("expected a nonempty list of accuracies", "eps")
+        for i, value in enumerate(self.eps):
+            if not finite_float(value, f"eps[{i}]") >= EPS_MIN:
+                raise ParameterError(f"expected at least {EPS_MIN!r}, got {value!r}", f"eps[{i}]")
+        eps = tuple(map(float, self.eps))
+        if len(set(eps)) != len(eps):
+            raise ParameterError("accuracies must be distinct", "eps")
+        if self.N is not None and not (type(self.N) is int and self.N >= -1):
+            raise ParameterError(f"expected an integer >= -1, got {self.N!r}", "N")
+        if (self.delay is None) == (self.scheme == "async"):
+            raise ParameterError("the async scheme requires a delay model" if self.delay is None
+                                 else "delay model applies only to the async scheme", "delay")
+        if not self.seeds:
+            raise ParameterError("expected a nonempty list of integers", "seeds")
+        for i, seed in enumerate(self.seeds):
+            if not (type(seed) is int and seed >= 0):
+                raise ParameterError(f"expected an integer >= 0, got {seed!r}", f"seeds[{i}]")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ParameterError("seeds must be distinct", "seeds")
+        budget = _positive(self.budget, "budget")
+        self.__dict__.update(gap=gap, eps=eps, seeds=tuple(self.seeds), budget=budget)
+
+
+def _positive(value, field: str) -> float:
+    number = finite_float(value, field)
+    if not number > 0.0:
+        raise ParameterError(f"expected a positive number, got {value!r}", field)
+    return number
+
+
+def _join(path: str, key) -> str:
+    """The path of ``key`` in the entry at ``path``; the document's root is ``""``."""
+    return f"{path}.{key}" if path else str(key)
 
 
 def _require(mapping: dict, key: str, path: str):
     if key not in mapping:
-        raise ConfigError(f"{path}.{key}" if path else key, "missing required key")
+        raise ConfigError(_join(path, key), "missing required key")
     return mapping[key]
 
 
 def _reject_unknown(mapping: dict, allowed: set[str], path: str) -> None:
     for key in mapping:
         if key not in allowed:
-            where = f"{path}.{key}" if path else str(key)
-            raise ConfigError(where, "unknown key")
-
-
-def _as_number(value, path: str, *, positive: bool = False,
-               minimum: float | None = None) -> float:
-    try:
-        number = finite_float(value, path)
-    except ParameterError as exc:
-        raise ConfigError(path, str(exc)) from exc
-    if positive and not number > 0.0:
-        raise ConfigError(path, f"expected a positive number, got {value!r}")
-    if minimum is not None and number < minimum:
-        raise ConfigError(path, f"expected at least {minimum!r}, got {value!r}")
-    return number
-
-
-def _as_int(value, path: str, *, minimum: int | None = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(path, f"expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(path, f"expected an integer >= {minimum}, got {value}")
-    return value
+            raise ConfigError(_join(path, key), "unknown key")
 
 
 def _has_json_type(value, annotation) -> bool:
@@ -134,31 +154,34 @@ def _has_json_type(value, annotation) -> bool:
 _field_types = functools.cache(typing.get_type_hints)  # resolved per class on first use
 
 
-def _build_record(cls, record: dict, where: str):
+def _build_record(cls, record: dict, where: str, at: dict | None = None):
     """The dataclass ``cls`` built from the fields of a JSON object; other
     keys are ignored.  A field whose JSON type does not fit its annotation,
     that holds NaN, or that ``cls`` refuses by name, is a :class:`ConfigError`
-    at ``where.field``; a missing field, or another value ``cls`` refuses or
+    at ``where.field``, or at ``at[field]`` where the document keeps that field
+    (or entry) elsewhere; a missing field, or another value ``cls`` refuses or
     cannot hold as a float, one at ``where``."""
+
+    def locate(field: str) -> str:
+        return (at or {}).get(field) or _join(where, field)
 
     annotations = _field_types(cls)
     fields = {name: value for name, value in record.items() if name in annotations}
     for name, value in fields.items():
         if not _has_json_type(value, annotations[name]):
-            raise ConfigError(f"{where}.{name}",
+            raise ConfigError(locate(name),
                               f"expected {cls.__dataclass_fields__[name].type}, got {value!r}")
         if isinstance(value, float) and math.isnan(value):
-            raise ConfigError(f"{where}.{name}", "NaN is not a number here")
+            raise ConfigError(locate(name), "NaN is not a number here")
     try:
         return cls(**fields)
     except ParameterError as exc:
-        raise ConfigError(where if exc.field is None else f"{where}.{exc.field}",
-                          str(exc)) from exc
+        raise ConfigError(where if exc.field is None else locate(exc.field), str(exc)) from exc
     except (TypeError, OverflowError) as exc:  # TypeError: a field is missing
         raise ConfigError(where, str(exc)) from exc
 
 
-def _parse_record(cls, document, path: str, expected: str):
+def _parse_record(cls, document, path: str, expected: str, at: dict | None = None):
     """:func:`_build_record` on a config object, whose unknown keys and
     missing fields are refused at ``path.key``."""
     if not isinstance(document, dict):
@@ -167,28 +190,17 @@ def _parse_record(cls, document, path: str, expected: str):
     for field in dataclasses.fields(cls):
         if field.default is field.default_factory is dataclasses.MISSING:
             _require(document, field.name, path)
-    return _build_record(cls, document, path)
-
-
-def _parse_problem(document, path: str = "problem") -> tuple[ProblemSpec, float]:
-    """The problem spec and the gap of the start point."""
-    expected = "expected an object with a 'family' key"
-    if not isinstance(document, dict):
-        raise ConfigError(path, expected)
-    family = _require(document, "family", path)
-    names = tuple(PROBLEM_FAMILIES)
-    if family not in names:
-        raise ConfigError(f"{path}.family", f"unknown family {family!r}, expected one of {names}")
-    fields = {name: value for name, value in document.items() if name not in ("family", "gap")}
-    spec = _parse_record(PROBLEM_FAMILIES[family], fields, path, expected)
-    return spec, _as_number(_require(document, "gap", path), f"{path}.gap", positive=True)
+    return _build_record(cls, document, path, at)
 
 
 def parse_config(document) -> ExperimentConfig:
-    """Validate a configuration document and apply defaults.
+    """The :class:`ExperimentConfig` of a configuration document (a dict or
+    its JSON text), with defaults applied.
 
-    Accepts a dict or a JSON string.  Unknown keys and out-of-range values
-    raise ConfigError carrying the offending entry's path.
+    The document nests the problem's ``gap`` in ``problem`` and allows four
+    shorthands: a single ``eps`` number, ``"N": "default"``, one ``seed``,
+    and a method given by name.  A refused entry raises ConfigError carrying
+    its path.
     """
 
     if isinstance(document, str):
@@ -198,65 +210,36 @@ def parse_config(document) -> ExperimentConfig:
             raise ConfigError("", f"not valid JSON: {exc}") from exc
     if not isinstance(document, dict):
         raise ConfigError("", "config must be a JSON object")
-    _reject_unknown(document, {"problem", "method", "scheme", "eps", "N",
-                               "delay", "seed", "seeds", "budget", "out"}, "")
+    _reject_unknown(document, set(_field_types(ExperimentConfig)) - {"gap"} | {"seed"}, "")
 
-    problem, gap = _parse_problem(_require(document, "problem", ""))
+    problem = _require(document, "problem", "")
+    expected = "expected an object with a 'family' key"
+    if not isinstance(problem, dict):
+        raise ConfigError("problem", expected)
+    family = _require(problem, "family", "problem")
+    names = tuple(PROBLEM_FAMILIES)
+    if family not in names:
+        raise ConfigError("problem.family", f"unknown family {family!r}, expected one of {names}")
+    spec = {name: value for name, value in problem.items() if name not in ("family", "gap")}
+    spec = _parse_record(PROBLEM_FAMILIES[family], spec, "problem", expected)
+    fields = {**document, "problem": spec, "gap": _require(problem, "gap", "problem")}
     method = _require(document, "method", "")
-    method = _parse_record(MethodSpec, {"kind": method} if isinstance(method, str) else method,
-                           "method", "expected a method name or an object with a 'kind' key")
-
-    scheme = _require(document, "scheme", "")
-    if scheme not in SCHEMES:
-        raise ConfigError("scheme", f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
-
-    raw_eps = _require(document, "eps", "")
-    if isinstance(raw_eps, (int, float)) and not isinstance(raw_eps, bool):
-        raw_eps = [raw_eps]
-    if not isinstance(raw_eps, list) or not raw_eps:
-        raise ConfigError("eps", "expected a nonempty list of accuracies")
-    eps = tuple(_as_number(value, f"eps[{i}]", minimum=EPS_MIN)
-                for i, value in enumerate(raw_eps))
-    if len(set(eps)) != len(eps):
-        raise ConfigError("eps", "accuracies must be distinct")
-
-    N: int | None = None
-    if "N" in document and document["N"] != "default":
-        N = _as_int(document["N"], "N", minimum=-1)
-
-    delay: DelayModel | None = None
-    if scheme == "async":
-        if "delay" not in document:
-            raise ConfigError("delay", "the async scheme requires a delay model")
-        delay = _parse_record(DelayModel, document["delay"], "delay",
-                              "expected an object of delay-model fields")
-    elif "delay" in document:
-        raise ConfigError("delay", "delay model applies only to the async scheme")
-
-    if "seed" in document and "seeds" in document:
-        raise ConfigError("seeds", "give either 'seed' or 'seeds', not both")
-    if "seeds" in document:
-        raw_seeds = document["seeds"]
-        if not isinstance(raw_seeds, list) or not raw_seeds:
-            raise ConfigError("seeds", "expected a nonempty list of integers")
-        seeds = tuple(_as_int(s, f"seeds[{i}]", minimum=0)
-                      for i, s in enumerate(raw_seeds))
-    elif "seed" in document:
-        seeds = (_as_int(document["seed"], "seed", minimum=0),)
-    else:
-        seeds = (0,)
-
-    budget = DEFAULT_BUDGET
-    if "budget" in document:
-        budget = _as_number(document["budget"], "budget", positive=True)
-
-    out = document.get("out")
-    if out is not None and not isinstance(out, str):
-        raise ConfigError("out", f"expected a directory name, got {out!r}")
-
-    return ExperimentConfig(problem=problem, gap=gap, method=method, scheme=scheme,
-                            eps=eps, N=N, delay=delay, seeds=seeds,
-                            budget=budget, out=out)
+    fields["method"] = _parse_record(
+        MethodSpec, {"kind": method} if isinstance(method, str) else method,
+        "method", "expected a method name or an object with a 'kind' key")
+    if "delay" in document:
+        fields["delay"] = _parse_record(DelayModel, document["delay"], "delay",
+                                        "expected an object of delay-model fields")
+    if type(document.get("eps")) in (int, float):
+        fields["eps"] = [document["eps"]]
+    if document.get("N") == "default":
+        fields["N"] = None
+    at = {"gap": "problem.gap"}
+    if "seed" in document:
+        if "seeds" in document:
+            raise ConfigError("seeds", "give either 'seed' or 'seeds', not both")
+        fields["seeds"], at["seeds[0]"] = [fields.pop("seed")], "seed"
+    return _parse_record(ExperimentConfig, fields, "", "", at)
 
 
 def build_problem(config: ExperimentConfig, seed: int) -> tuple[ProblemInstance, np.ndarray]:
@@ -429,7 +412,7 @@ def _trace_filename(eps: float, seed: int) -> str:
 
 
 def _delay_for_cell(config: ExperimentConfig, seed: int) -> DelayModel:
-    # parse_config gives every async config a delay model; a pinned seed wins.
+    # Every async config has a delay model; a pinned seed wins.
     if config.delay.seed is None:
         return dataclasses.replace(config.delay, seed=seed)
     return config.delay

@@ -261,8 +261,12 @@ def subgrad_step(state: SubgradState, problem: ProblemInstance) -> int:
         state.iterate_index += 1
         state._offer(state.current_iterate, out.value, out.subgradient)
         return 1
-    x_new = problem.project(
-        state.current_iterate - (state.target_accuracy / g_norm_sq) * g)
+    target = state.target_accuracy
+    if g_norm_sq == math.inf:  # g·g overflowed: the same step, from g over its largest entry
+        scale = float(np.abs(g).max())
+        g, target = g / scale, target / scale
+        g_norm_sq = float(np.vdot(g, g))
+    x_new = problem.project(state.current_iterate - (target / g_norm_sq) * g)
     out = problem.evaluate(x_new)
     g = out.subgradient
     state.current_iterate = x_new

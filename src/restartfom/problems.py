@@ -315,6 +315,8 @@ class NormPowerProblem(ProblemInstance):
         if d == 2:
             L = 2.0 * mu
         metadata = GrowthMetadata(mu=mu, d=d, f_star=0.0, M=M, L=L, M_nu=M_nu, nu=nu)
+        if not math.isfinite(mu * d):  # the gradient's norm at distance 1 from the center
+            raise ParameterError(f"mu * d must be a finite float, got mu = {mu!r}", "mu")
         super().__init__(f"norm-power(d={d:g})", dimension, domain, metadata)
         if center.shape != (self.dimension,):
             raise ParameterError(f"center must have {self.dimension} coordinates", "center")
@@ -341,9 +343,16 @@ class NormPowerProblem(ProblemInstance):
         offset = x - self.center
         r, direction = _norm(offset)
         if direction is None:
-            return (self.mu * self.d * r ** (self.d - 2.0)) * offset
+            return self._gradient(offset, r)
         # Near the center; at it, 0 is a valid subgradient for every d >= 1.
         return (self.mu * self.d * r ** (self.d - 1.0)) * direction
+
+    def _gradient(self, offset: np.ndarray, r: float) -> np.ndarray:
+        # Where the factor overflows (a tiny r at d < 2), the same gradient from offset / r.
+        factor = self.mu * self.d * r ** (self.d - 2.0)
+        if factor == math.inf:
+            return (self.mu * self.d * r ** (self.d - 1.0)) * (offset / r)
+        return factor * offset
 
     def _oracle(self, x: np.ndarray) -> tuple[float, np.ndarray | None]:
         if not self._exact_offset:
@@ -361,7 +370,7 @@ class NormPowerProblem(ProblemInstance):
             value = math.inf
         if not math.isfinite(value):
             return value, None
-        return value, (self.mu * self.d * r ** (self.d - 2.0)) * offset
+        return value, self._gradient(offset, r)
 
     def distance_to_opt(self, x) -> float:
         return _norm(self._check_point(x) - self.center)[0]
@@ -479,7 +488,7 @@ class LeastSquaresProblem(ProblemInstance):
         # cannot overflow, and _oracle needs no np.errstate.
         self._near_sq = 1e300 / L
         residual = float(np.linalg.norm(A @ (self._pinv @ b) - b))
-        if residual > 1e-8 * max(1.0, float(np.linalg.norm(b))):
+        if residual > 1e-8 * max(1.0, math.sqrt(np.vdot(b, b))):  # vdot does not warn at inf
             raise ParameterError("b must lie in the range of A (consistent system)")
 
     def _value(self, x: np.ndarray) -> float:
@@ -655,9 +664,10 @@ class LeastSquaresSpec(ProblemSpec):
         if self.rank is not None and not 1 <= self.rank <= self.dimension:
             raise ParameterError(f"rank must lie in [1, {self.dimension}], got {self.rank}", "rank")
         sigma_range = tuple(finite_float(x, "sigma_range") for x in self.sigma_range)
-        if len(sigma_range) != 2 or not 0 < sigma_range[0] <= sigma_range[1]:
-            raise ParameterError(f"expected [lo, hi] with 0 < lo <= hi, got {list(sigma_range)}",
-                                 "sigma_range")
+        # hi <= 1e154 keeps L = hi**2, with room for the SVD's rounding, a float.
+        if len(sigma_range) != 2 or not 0 < sigma_range[0] <= sigma_range[1] <= 1e154:
+            raise ParameterError(f"expected [lo, hi] with 0 < lo <= hi <= 1e154, "
+                                 f"got {list(sigma_range)}", "sigma_range")
         object.__setattr__(self, "sigma_range", sigma_range)
 
     def build(self, seed: int) -> LeastSquaresProblem:

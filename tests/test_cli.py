@@ -356,6 +356,36 @@ def test_a_number_too_large_for_a_float_exits_2_without_a_traceback(
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--budget", "0")])
+def test_a_flag_that_breaks_a_config_rule_exits_2_at_the_flag(tmp_path, capsys, flag, value):
+    config = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["grid", "--config", str(config), "--out", str(out), flag, value]) == 2
+    assert f"error: {flag}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("problem, method, where", [
+    ({"family": "least-squares", "dimension": 3, "num_rows": 4, "sigma_range": [1, 1e200],
+      "gap": 1}, "subgrad", "problem.sigma_range"),
+    ({"family": "norm-power", "dimension": 2, "mu": 1.7e308, "d": 2, "gap": 1}, "subgrad",
+     "problem.mu"),
+    ({"family": "norm-power", "dimension": 2, "mu": 1.7e308, "d": 3, "gap": 1}, "subgrad",
+     "problem.mu"),
+    ({"family": "norm-power", "dimension": 2, "mu": 1.7e308, "d": 2, "gap": 1}, "accel",
+     "problem.mu"),
+], ids=["least-squares-L", "norm-power-d2-subgrad", "norm-power-d3-subgrad",
+        "norm-power-accel"])
+def test_a_constant_beyond_the_float_range_exits_2_at_its_field(tmp_path, capsys, problem,
+                                                                method, where):
+    # Once each cell ran and warned: hi**2 and mu * d are not floats.
+    config = write_config(tmp_path, problem=problem, method=method, eps=[0.5])
+    out = tmp_path / "out"
+    assert main(["grid", "--config", str(config), "--out", str(out)]) == 2
+    assert f"error: {where}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_too_few_pieces_exit_2_at_num_pieces(tmp_path, capsys):
     config = write_config(tmp_path, problem={"family": "piecewise-max", "dimension": 3,
                                              "num_pieces": 2, "gap": 2.0})

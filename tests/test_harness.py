@@ -400,6 +400,63 @@ def test_parse_seed_and_seeds_are_exclusive():
     assert err.value.path == "seed"
 
 
+def test_a_non_integer_N_or_seed_and_an_empty_seed_list_are_refused_at_their_entry():
+    for overrides, where in [({"N": 1.5}, "N"), ({"N": True}, "N"), ({"seeds": [0, 1.5]}, "seeds[1]"),
+                             ({"seeds": [0, True]}, "seeds[1]"), ({"seeds": []}, "seeds"),
+                             ({"seed": 2.0}, "seed")]:
+        with pytest.raises(ConfigError) as err:
+            parse_config(minimal_config(**overrides))
+        assert err.value.path == where, overrides
+
+
+def test_duplicate_seeds_are_refused_at_seeds():
+    with pytest.raises(ConfigError) as err:
+        parse_config(minimal_config(seeds=[1, 2, 1]))
+    assert err.value.path == "seeds"
+    assert "distinct" in err.value.message
+
+
+def test_the_config_defaults_are_the_dataclass_defaults():
+    config = parse_config(minimal_config())
+    assert ExperimentConfig(config.problem, config.gap, config.method, config.scheme,
+                            config.eps) == config
+
+
+# A broken rule: the change to a built config, the same change in a document, and
+# where parse_config locates it.  The field is the path, but for gap's.
+BROKEN_RULES = [
+    ({"seeds": (-1,)}, {"seeds": [-1]}, "seeds[0]"),
+    ({"seeds": (1, 1)}, {"seeds": [1, 1]}, "seeds"),
+    ({"budget": 0}, {"budget": 0}, "budget"),
+    ({"budget": 10 ** 400}, {"budget": 10 ** 400}, "budget"),
+    ({"N": -2}, {"N": -2}, "N"),
+    ({"eps": (0.5, 0.5)}, {"eps": [0.5, 0.5]}, "eps"),
+    ({"eps": (0.5, 1e-320)}, {"eps": [0.5, 1e-320]}, "eps[1]"),
+    ({"scheme": "async"}, {"scheme": "async"}, "delay"),
+    ({"scheme": "parallel"}, {"scheme": "parallel"}, "scheme"),
+    ({"gap": -1.0}, {"problem": {**minimal_config()["problem"], "gap": -1.0}}, "problem.gap"),
+]
+
+
+@pytest.mark.parametrize("change, document, where", BROKEN_RULES,
+                         ids=[where for _, _, where in BROKEN_RULES])
+def test_a_rule_is_checked_alike_when_built_replaced_or_parsed(change, document, where):
+    config = parse_config(minimal_config())
+    field = "gap" if where == "problem.gap" else where
+    fields = {name: getattr(config, name) for name in ("problem", "gap", "method", "scheme",
+                                                        "eps")}
+    with pytest.raises(ParameterError) as built:
+        ExperimentConfig(**{**fields, **change})
+    assert built.value.field == field
+    with pytest.raises(ParameterError) as replaced:
+        dataclasses.replace(config, **change)
+    assert replaced.value.field == field
+    with pytest.raises(ConfigError) as parsed:
+        parse_config(minimal_config(**document))
+    assert parsed.value.path == where
+    assert str(parsed.value.__cause__) == str(built.value)
+
+
 def test_parse_budget_and_out():
     config = parse_config(minimal_config(budget=500, out="results"))
     assert config.budget == 500.0
@@ -586,6 +643,22 @@ def test_a_subgradient_whose_square_overflows_warns_nothing(method):
         assert summary.error is None
     else:  # the extrapolated point's value is inf
         assert summary.error.startswith("NonFiniteValueError: ")
+
+
+@pytest.mark.parametrize("scheme", ["sync-lockstep", "async"])
+@pytest.mark.parametrize("mu, gap, passed", [(1e155, 1.0, 1), (1.7e308, 1.0, 1),
+                                             (1.7e308, 1e300, 0)])
+def test_copies_move_when_the_subgradient_squared_overflows(scheme, mu, gap, passed):
+    # ||g|| = mu: g·g overflows, and a zero step once left every copy in place.
+    # At gap 1e300 the gradient's factor mu / r overflows too; that cell runs
+    # its budget out, without a warning.
+    problem = {"family": "norm-power", "dimension": 2, "mu": mu, "d": 1.0, "gap": gap}
+    delay = {"delay": {}} if scheme == "async" else {}
+    config = parse_config(minimal_config(problem=problem, scheme=scheme, eps=[0.5], budget=200,
+                                         **delay))
+    summary = run_cell(config, 0.5, 0)
+    assert summary.error is None
+    assert verify_bounds([summary]).passed == passed
 
 
 @pytest.mark.parametrize("problem", [

@@ -229,6 +229,18 @@ def test_subgrad_zero_gradient_converges_without_division():
     assert state.current_iterate == pytest.approx([0.0])
 
 
+@pytest.mark.parametrize("mu, scale", [(1e155, 1e-155), (1.7e308, 1e-300)])
+def test_subgrad_step_takes_its_step_when_g_g_overflows(mu, scale):
+    # ||g|| = mu, so g·g is beyond the float range; the step is still
+    # target / ||g|| along -g, here half way to the center.
+    p = make_norm_power_problem(2, mu, 1.0)
+    x = np.array([3.0, 4.0]) * scale
+    state = method_init(MethodSpec("subgrad"), p, x, p.value(x) / 2.0)
+    assert state.grad_sq == math.inf
+    subgrad_step(state, p)
+    assert state.current_iterate / scale == pytest.approx([1.5, 2.0], rel=1e-12)
+
+
 def test_subgrad_certificate_exact():
     # Some iterate among the first K_subgrad(delta, eps) has gap <= eps,
     # exactly, with the step's descent recursion giving strict slack.

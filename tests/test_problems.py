@@ -532,6 +532,42 @@ def test_norm_power_far_finite_point_is_a_typed_error_without_warnings(dimension
             p.value(x)
 
 
+@pytest.mark.parametrize("d", [1.0, 1.5])
+def test_norm_power_gradient_is_finite_where_its_factor_overflows(d):
+    # At r = 5e-9 the factor mu * d * r**(d - 2) overflows, though the
+    # gradient's norm mu * d * r**(d - 1) is at most mu * d.
+    mu, x = 1e308, np.array([3e-9, 4e-9])
+    assert mu * d * 5e-9 ** (d - 2.0) == math.inf
+    p = make_norm_power_problem(2, mu, d)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grad = p.evaluate(x).subgradient
+        assert grad.tobytes() == p._subgradient(x).tobytes()
+        norm = math.hypot(*grad)
+    assert norm == pytest.approx(mu * d * 5e-9 ** (d - 1.0), rel=1e-12)
+    assert grad / norm == pytest.approx([0.6, 0.8], rel=1e-12)
+
+
+@pytest.mark.parametrize("d", [2.0, 3.0])
+def test_a_norm_power_gradient_constant_beyond_the_float_range_is_refused_at_mu(d):
+    with pytest.raises(ParameterError) as err:
+        make_norm_power_problem(2, 1.7e308, d)
+    assert err.value.field == "mu"
+    assert make_norm_power_problem(2, 1.7e308, 1.0).metadata.M == 1.7e308
+
+
+def test_a_least_squares_smoothness_constant_beyond_the_float_range_is_refused():
+    with pytest.raises(ParameterError) as err:
+        make_least_squares_problem(3, 4, seed=0, sigma_range=(1.0, 1e200))
+    assert err.value.field == "sigma_range"
+    # At the top of the range every seed builds without a warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in range(20):
+            assert make_least_squares_problem(3, 4, seed=seed,
+                                              sigma_range=(1.0, 1e154)).metadata.L < math.inf
+
+
 class _NanOracle(ProblemInstance):
     """An oracle that answers NaN at every point."""
 
