@@ -487,7 +487,8 @@ class LeastSquaresProblem(ProblemInstance):
         # Below this ||x||**2, ||A x|| <= sqrt(L) ||x|| < 1e150: the residual
         # cannot overflow, and _oracle needs no np.errstate.
         self._near_sq = 1e300 / L
-        residual = float(np.linalg.norm(A @ (self._pinv @ b) - b))
+        basis = np.linalg.svd(A, full_matrices=False)[0][:, :positive.size]  # spans A's range
+        residual = float(np.linalg.norm(b - basis @ (basis.T @ b)))
         if residual > 1e-8 * max(1.0, math.sqrt(np.vdot(b, b))):  # vdot does not warn at inf
             raise ParameterError("b must lie in the range of A (consistent system)")
 

@@ -2,9 +2,9 @@
 
 Copies FOM_n for n = -1..N all start from the same point; copy n works on
 the task of improving its reference value by 2^n * eps and hands every
-fulfilling point down to copy n - 1.  :class:`Ladder` owns that rule and the
-bookkeeping around it; an engine only decides when copies iterate and when
-messages become readable.
+fulfilling point down to copy n - 1.  :class:`Ladder` owns that rule, and its
+trace is the run's only tally; an engine only decides when copies iterate and
+when messages become readable.
 
 The top copy never restarts: when its best value fulfills the task it
 moves its reference there, sends the point downward, and keeps iterating.
@@ -31,24 +31,20 @@ from restartfom.bounds import default_N, n_bar
 from restartfom.errors import ParameterError
 from restartfom.methods import MethodSpec, MethodState, method_init, method_restart, prime, step
 from restartfom.problems import ProblemInstance
-from restartfom.traces import SchemeTrace
+from restartfom.traces import SchemeTrace, summarize
 
 DEFAULT_BUDGET = 100_000.0  # periods, slots or simulated time units
 
 
 @dataclass
 class LadderCopy:
-    """One copy of the method, its task, and its restart tally.
-
-    The task is to beat ``reference``, the value the copy was last
-    (re)started from, by ``decrement`` = 2^index * eps.
-    """
+    """One copy of the method and its task: to beat ``reference``, the value
+    the copy was last (re)started from, by ``decrement`` = 2^index * eps."""
 
     index: int
     reference: float
     decrement: float
     method: MethodState
-    restart_count: int = 0
 
     def fulfills(self, value: float) -> bool:
         """Whether ``value`` accomplishes the task: at most ``reference - decrement``,
@@ -97,9 +93,7 @@ class Ladder:
         self.trace = SchemeTrace()
         self.copies: dict[int, LadderCopy] = {}
         self.oracle_calls = 0
-        self.messages_sent = 0
         self.f_star = problem.metadata.f_star if problem.metadata is not None else None
-        self.f_x0: float | None = None
         self.time_to_eps: float | None = None
 
     def spin_up(self, x0) -> None:
@@ -112,10 +106,8 @@ class Ladder:
             self.oracle_calls += 1
             self.copies[n] = self.copy_class(n, state.best_value, decrement, state)
             self.trace.record(0.0, n, "init", state.best_value)
-            if n == self.N:
-                self.f_x0 = state.best_value
-                if self.solved(0.0, self.f_x0):
-                    return
+            if n == self.N and self.solved(0.0, state.best_value):
+                return
 
     def solved(self, now: float, best_value: float) -> bool:
         """Whether ``best_value`` is within eps of f*; records ``now`` if so.
@@ -137,7 +129,6 @@ class Ladder:
         receiver = copy.index - 1 if copy.index > -1 else None
         self.trace.record(now, copy.index, kind, value, point, receiver=receiver, source=source)
         if receiver is not None:
-            self.messages_sent += 1
             self.deliver(copy, Message(point, value, copy.index), now)
 
     def update_top(self, copy: LadderCopy, now: float) -> None:
@@ -154,7 +145,6 @@ class Ladder:
 
         copy.reference = value
         copy.method = method_restart(copy.method, self.problem, point, value, known_grad)
-        copy.restart_count += 1
         self.log_action(copy, "restart", point, value, now, source)
 
     def restart_at_best(self, copy: LadderCopy, candidate: Message | None,
@@ -185,24 +175,14 @@ class Ladder:
     def summary(self, scheme: str, delay_model: dict | None, **timing) -> dict:
         """The run's summary record; ``timing`` holds the scheme's own clocks."""
 
-        gap = None if self.f_star is None else self.f_x0 - self.f_star
-        return {
-            "scheme": scheme,
-            "method": self.spec.kind,
-            "eps": self.eps,
-            "N": self.N,
-            "n_bar": n_bar(gap, self.eps) if gap is not None and gap > 0.0 else None,
-            **timing,
-            "time_to_eps": self.time_to_eps,
-            "oracle_calls_total": self.oracle_calls,
-            "restarts_per_copy": {
-                str(n): self.copies[n].restart_count for n in sorted(self.copies)
-            },
-            "messages_total": self.messages_sent,
-            "complete": self.time_to_eps is not None,
-            "f_x0": self.f_x0,
-            "delay_model": delay_model,
-        }
+        tally = summarize(self.trace, self.f_star, self.eps)
+        gap = None if self.f_star is None else tally["f_x0"] - self.f_star
+        return {"scheme": scheme, "method": self.spec.kind, "eps": self.eps, "N": self.N,
+                "n_bar": n_bar(gap, self.eps) if gap is not None and gap > 0.0 else None,
+                **timing, "time_to_eps": tally["time_to_eps"],
+                "oracle_calls_total": self.oracle_calls,
+                **tally,  # time_to_eps keeps its place; the other four follow in order
+                "delay_model": delay_model}
 
 
 @dataclass

@@ -15,8 +15,9 @@ index ``KINDS`` and ``SOURCES`` (-1 for no source), and ``point_id`` is a row
 of the table (-1 for no point).  A file without the format-5 header, such as
 one of formats 1-4, is refused.  A trace read from a file holds the columns
 it stored and refuses a record, and the checkers validate the messaging and
-restart discipline of a finished run from those alone, each as numpy passes
-(``tests/reference_checkers.py`` keeps the loops they replaced).
+restart discipline of a finished run from those alone, and :func:`summarize`
+reduces them to the record fields the events determine, all as numpy passes
+(``tests/reference_checkers.py`` keeps the loops the checkers replaced).
 
 Event kinds
 -----------
@@ -42,6 +43,7 @@ from __future__ import annotations
 import base64
 import json
 import math
+from collections import Counter
 from itertools import repeat
 from typing import Iterable, NamedTuple
 
@@ -277,6 +279,21 @@ class SchemeTrace:
         trace._columns = TraceColumns(*map(np.concatenate, zip(*blocks)))
         trace._recorded = None  # the columns were read, not recorded
         return trace, summary
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def summarize(trace: SchemeTrace, f_star: float | None, eps: float) -> dict:
+    """The record fields a run's events determine: the first time a value lay
+    within ``eps`` of ``f_star``, restarts per started copy, sends and f(x0)."""
+
+    c = trace.columns()
+    solved = [] if f_star is None else c.t[c.value - f_star <= eps][:1].tolist()
+    restarts = Counter(c.copy[c.kind == _RESTART].tolist())
+    started = np.unique(c.copy[c.kind == _INIT]).tolist()
+    return {"time_to_eps": solved[0] if solved else None,
+            "restarts_per_copy": {str(n): restarts[n] for n in started},
+            "messages_total": int(np.count_nonzero(c.receiver != NO_COPY)),
+            "complete": bool(solved), "f_x0": trace.initial_value()}
 
 
 # ---------------------------------------------------------------------------

@@ -366,6 +366,25 @@ def test_least_squares_rejects_bad_parameters():
         make_least_squares_problem(4, 6, seed=0, sigma_range=(2.0, 1.0))
 
 
+@pytest.mark.parametrize("rank", [None, 2])
+@pytest.mark.parametrize("hi", [1e9, 1e10, 1e12])
+def test_an_ill_conditioned_least_squares_instance_builds_and_an_off_range_b_is_refused(hi, rank):
+    # The consistency check projects b onto an orthonormal basis of A's range,
+    # whose rounding does not grow with the condition number as pinv's does.
+    for seed in range(20):
+        p = make_least_squares_problem(3, 4, seed=seed, rank=rank, sigma_range=(1.0, hi))
+        assert p.metadata.L == pytest.approx(hi ** 2)
+        # Four rows and a rank of at most 3: the last left singular vector
+        # is orthogonal to the range.
+        off_range = np.linalg.svd(p.A)[0][:, -1]
+        with pytest.raises(ParameterError, match="consistent"):
+            LeastSquaresProblem(p.A, p.b + 1e-6 * np.linalg.norm(p.b) * off_range)
+        if rank is not None:  # rank 2: the third left singular vector is off the range too
+            with pytest.raises(ParameterError, match="consistent"):
+                LeastSquaresProblem(p.A, p.b + 1e-6 * np.linalg.norm(p.b)
+                                    * np.linalg.svd(p.A)[0][:, 2])
+
+
 # ---------------------------------------------------------------------------
 # Growth metadata and envelope
 # ---------------------------------------------------------------------------
