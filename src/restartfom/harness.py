@@ -276,6 +276,7 @@ class RunSummary:
     bound_reports: dict = dataclasses.field(default_factory=dict)
     trace_path: str | None = None
     error: str | None = None
+    budget: float | None = None  # the engine's: whole periods or slots (sync), time (async)
 
     def to_json(self) -> dict:
         return dataclasses.asdict(self)
@@ -368,25 +369,22 @@ def _cell_bounds(problem: ProblemInstance, x0: np.ndarray, config: ExperimentCon
     return theorem, corollary
 
 
-def _labelled_bounds(scheme: str, method: str, *totals: float | None) -> list[tuple[str, float]]:
-    theorem = "async theorem bound" if scheme == "async" else "sync theorem bound"
-    return [(name, total) for name, total in zip((theorem, f"{method} corollary bound"), totals)
-            if total is not None]
+def _judge(summary: RunSummary) -> tuple[str, tuple[str, float] | None]:
+    """A cell's status ("pass", "fail" or "unverifiable") and the tightest
+    ``(name, total)`` bound it violates, from its record alone.  A complete
+    cell is judged by its time; an incomplete one fails the bounds its
+    ``budget`` reaches, and is otherwise unverifiable, as is a failed cell."""
 
-
-def _verdict(time_to_eps: float | None, complete: bool, bounds: list[tuple[str, float]],
-             overdue: float) -> tuple[str, tuple[str, float] | None]:
-    """A cell's status ("pass", "fail" or "unverifiable") against labelled
-    ``(name, total)`` bounds, and the tightest bound it violates.  A complete
-    cell is judged by its time; an incomplete one fails the bounds that
-    ``overdue``, the time its engine covered, reaches, and is otherwise unverifiable."""
-
-    if not bounds:
+    theorem = "async theorem bound" if summary.scheme == "async" else "sync theorem bound"
+    bounds = [(name, total) for name, total in ((theorem, summary.bound_theorem),
+                                                (f"{summary.method} corollary bound",
+                                                 summary.bound_corollary)) if total is not None]
+    timed = summary.complete and summary.time_to_eps is not None
+    if summary.error is not None or not timed and summary.budget is None:
         return "unverifiable", None
-    timed = complete and time_to_eps is not None
     violated = [(name, total) for name, total in bounds
-                if (time_to_eps > total if timed else overdue >= total)]
-    status = "fail" if violated else "pass" if timed else "unverifiable"
+                if (summary.time_to_eps > total if timed else summary.budget >= total)]
+    status = "fail" if violated else "pass" if timed and bounds else "unverifiable"
     return status, min(violated, key=lambda bound: bound[1], default=None)
 
 
@@ -433,23 +431,22 @@ def run_cell(config: ExperimentConfig, eps: float, seed: int,
 
     N = config.N if config.N is not None else default_N(eps)
     scheme, spec = config.scheme, config.method
-    trace_name = _trace_filename(eps, seed)
+    # A sync engine runs int(budget) whole periods (or slots); async runs to the budget.
+    budget = float(config.budget) if scheme == "async" else int(config.budget)
     try:
         problem, x0 = build_problem(config, seed)
         if scheme == "async":
             trace, summary = run_async(problem, spec, eps, x0=x0, N=N,
-                                       delay_model=_delay_for_cell(config, seed),
-                                       budget=float(config.budget))
+                                       delay_model=_delay_for_cell(config, seed), budget=budget)
         else:
             mode = "lockstep" if scheme == "sync-lockstep" else "sequential"
-            trace, summary = run_sync(problem, spec, eps, x0=x0, N=N, mode=mode,
-                                      budget=int(config.budget))
+            trace, summary = run_sync(problem, spec, eps, x0=x0, N=N, mode=mode, budget=budget)
     except RestartFomError as exc:
         return RunSummary(
             eps=eps, N=N, n_bar=None, scheme=scheme, method=spec.kind,
             time_to_eps=None, oracle_calls_total=0, bound_theorem=None,
             bound_corollary=None, compliant=None, seed=seed, complete=False,
-            messages_total=0, error=f"{type(exc).__name__}: {exc}",
+            messages_total=0, error=f"{type(exc).__name__}: {exc}", budget=budget,
         )
 
     theorem, corollary = _cell_bounds(problem, x0, config, spec, summary["f_x0"], eps, N)
@@ -458,28 +455,30 @@ def run_cell(config: ExperimentConfig, eps: float, seed: int,
                        else None)
     if bound_theorem is not None and scheme == "sync-sequential":
         bound_theorem *= N + 2  # one lockstep period is N + 2 single-copy slots
-    # A sync engine runs int(budget) whole periods (or slots); async runs to the budget.
-    status, _ = _verdict(summary["time_to_eps"], summary["complete"],
-                         _labelled_bounds(scheme, spec.kind, bound_theorem, bound_corollary),
-                         float(config.budget) if scheme == "async" else summary["periods"])
+        if bound_theorem == math.inf:  # a total beyond the float range is absent
+            bound_theorem = None
 
     trace_path: str | None = None
     error: str | None = None
     if out_dir is not None:
+        trace_name = _trace_filename(eps, seed)
         try:
             trace.write_jsonl(Path(out_dir) / trace_name, summary=summary)
             trace_path = trace_name
         except (OSError, NonFiniteValueError) as exc:
             error = f"trace write failed: {exc}"
 
-    return RunSummary(
+    cell = RunSummary(
         eps=eps, seed=seed, **{name: summary[name] for name in _ENGINE_FIELDS},
-        bound_theorem=bound_theorem, bound_corollary=bound_corollary,
-        compliant={"pass": True, "fail": False}.get(status), growth_d=problem.metadata.d,
+        bound_theorem=bound_theorem, bound_corollary=bound_corollary, compliant=None,
+        growth_d=problem.metadata.d,
         bound_reports={"theorem": theorem and theorem.to_json(),
                        "corollary": corollary and corollary.to_json()},
-        trace_path=trace_path, error=error,
+        trace_path=trace_path, budget=budget,
     )
+    # Judged before a write error is attached: the run itself happened.
+    return dataclasses.replace(cell, compliant={"pass": True, "fail": False}.get(_judge(cell)[0]),
+                               error=error)
 
 
 def run_grid(config: ExperimentConfig, out_dir=None) -> list[RunSummary]:
@@ -512,8 +511,6 @@ class CellVerdict:
     def line(self) -> str:
         summary = self.summary
         key = f"eps={summary.eps!r} seed={summary.seed}"
-        if summary.error is not None:
-            return f"[----] {key}: unverifiable (cell failed: {summary.error})"
         if self.status == "pass":
             return f"[pass] {key}: time {summary.time_to_eps!r} within every bound"
         if self.status == "fail":
@@ -521,7 +518,15 @@ class CellVerdict:
             measured = ("incomplete run" if summary.time_to_eps is None
                         else repr(summary.time_to_eps))
             return f"[FAIL] {key}: {measured} exceeds {name} = {value!r}"
-        return f"[----] {key}: unverifiable (no metadata-backed bound)"
+        if summary.error is not None:
+            reason = f"cell failed: {summary.error}"
+        elif summary.bound_theorem is None and summary.bound_corollary is None:
+            reason = "no metadata-backed bound"
+        elif summary.budget is None:
+            reason = "incomplete run, no budget recorded"
+        else:
+            reason = f"incomplete run, budget {summary.budget!r} is below every bound"
+        return f"[----] {key}: unverifiable ({reason})"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -554,17 +559,10 @@ class VerifyReport:
 
 
 def verify_bounds(summaries: list[RunSummary]) -> VerifyReport:
-    """Compare measured times against stored bound totals; no re-simulation."""
+    """Judge each cell from its record alone, without re-simulating it or
+    reading its stored ``compliant``."""
 
-    verdicts: list[CellVerdict] = []
-    for summary in summaries:
-        bounds = [] if summary.error is not None else _labelled_bounds(
-            summary.scheme, summary.method, summary.bound_theorem, summary.bound_corollary)
-        # An incomplete cell's stored verdict is the record of the time its engine covered.
-        status, tightest = _verdict(summary.time_to_eps, summary.complete, bounds,
-                                    math.inf if summary.compliant is False else -math.inf)
-        verdicts.append(CellVerdict(summary, status, tightest))
-    return VerifyReport(verdicts)
+    return VerifyReport([CellVerdict(summary, *_judge(summary)) for summary in summaries])
 
 
 FIT_FIELDS = ("time_to_eps", "bound_theorem", "bound_corollary",

@@ -504,6 +504,74 @@ def test_a_guarantee_beyond_the_float_range_leaves_its_cell_unverifiable(
     assert main(["verify", "--out", str(out)]) == 0
 
 
+def test_a_sequential_theorem_total_that_overflows_is_absent(tmp_path, capsys):
+    # The theorem total 8.1e307 is finite; N + 2 = 3 slots a period put it beyond the range.
+    config = write_config(
+        tmp_path, problem={"family": "norm-power", "dimension": 2, "mu": 1.0, "d": 3.0,
+                           "gap": 3e153},
+        scheme="sync-sequential", eps=[0.5], budget=2)
+    out = tmp_path / "out"
+    assert main(["grid", "--config", str(config), "--out", str(out)]) == 0
+    assert "0 pass, 0 fail, 1 unverifiable" in capsys.readouterr().out
+    (record,) = json.loads((out / "summaries.json").read_text(),
+                           parse_constant=_refuse_constant)["summaries"]
+    total = record["bound_reports"]["theorem"]["total"]
+    assert record["N"] == 1 and math.isfinite(total) and total * 3 == math.inf
+    assert record["bound_theorem"] is None and record["compliant"] is None
+    header, row = (out / "summary.csv").read_text().splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert cells["bound_theorem"] == ""
+    for column, text in cells.items():
+        if text and column not in ("scheme", "method"):
+            json.loads(text, parse_constant=_refuse_constant)
+
+
+def _overdue_record(**fields) -> dict:
+    # Budget 3 ran past a 2.5-period guarantee without reaching eps.
+    record = {"eps": 0.5, "N": 1, "n_bar": None, "scheme": "sync-lockstep",
+              "method": "subgrad", "time_to_eps": None, "oracle_calls_total": 9,
+              "bound_theorem": 2.5, "bound_corollary": None, "compliant": False, "seed": 0,
+              "complete": False, "messages_total": 0, "budget": 3}
+    record.update(fields)
+    return record
+
+
+@pytest.mark.parametrize("compliant", [False, None, True])
+def test_verify_fails_an_overdue_incomplete_cell_whatever_its_stored_verdict(
+        tmp_path, capsys, compliant):
+    (tmp_path / "summaries.json").write_text(
+        json.dumps({"summaries": [_overdue_record(compliant=compliant)]}))
+    assert main(["verify", "--out", str(tmp_path)]) == 1
+    assert ("[FAIL] eps=0.5 seed=0: incomplete run exceeds sync theorem bound = 2.5"
+            in capsys.readouterr().out)
+
+
+def test_a_record_written_without_a_budget_leaves_an_incomplete_cell_unverifiable(
+        tmp_path, capsys):
+    record = _overdue_record()
+    del record["budget"]
+    (tmp_path / "summaries.json").write_text(json.dumps({"summaries": [record]}))
+    assert load_summaries(tmp_path)[0].budget is None
+    assert main(["verify", "--out", str(tmp_path)]) == 0
+    assert ("[----] eps=0.5 seed=0: unverifiable (incomplete run, no budget recorded)"
+            in capsys.readouterr().out)
+
+
+def test_verify_names_the_budget_of_an_incomplete_cell_below_its_bounds(tmp_path, capsys):
+    config = write_config(
+        tmp_path, problem={"family": "norm-power", "dimension": 3, "mu": 1.0, "d": 1.0,
+                           "gap": 30.0},
+        eps=[2.0 ** -6], budget=5)
+    out = tmp_path / "out"
+    assert main(["grid", "--config", str(config), "--out", str(out)]) == 0
+    capsys.readouterr()
+    [summary] = load_summaries(out)
+    assert summary.bound_theorem == summary.bound_corollary == 1507.0
+    assert main(["verify", "--out", str(out)]) == 0
+    assert ("[----] eps=0.015625 seed=0: unverifiable (incomplete run, budget 5 is below "
+            "every bound)" in capsys.readouterr().out)
+
+
 def test_a_transit_bound_beyond_the_float_range_is_a_cell_error_without_a_trace(
         tmp_path, capsys):
     # (N + 2) * service_time is inf, so the trace's summary line is no JSON.

@@ -784,7 +784,7 @@ def test_verify_bounds_incomplete_violation():
     # Budget 200 overran a promised total of 150 without reaching eps.
     overdue = sample_summary(time_to_eps=None, complete=False,
                              bound_theorem=150.0, bound_corollary=None,
-                             compliant=False)
+                             compliant=False, budget=200)
     report = verify_bounds([overdue])
     [verdict] = report.verdicts
     assert verdict.status == "fail"
@@ -818,6 +818,40 @@ def test_an_incomplete_cell_fails_a_bound_its_periods_reach(monkeypatch):
     assert verdict.status == "fail"
     assert verdict.tightest_violated == ("sync theorem bound", 2.5)
     assert "[FAIL]" in verdict.line() and "incomplete run" in verdict.line()
+
+
+def test_a_cell_records_the_budget_its_engine_ran_under():
+    # Sync engines run whole periods (or slots); async runs to the budget's time.
+    lockstep = run_cell(parse_config(minimal_config(budget=2.9)), 0.5, 0)
+    assert lockstep.budget == 2 and type(lockstep.budget) is int
+    timed = run_cell(parse_config(async_config(budget=2.5)), 0.5, 0)
+    assert timed.budget == 2.5 and type(timed.budget) is float
+
+
+@pytest.mark.parametrize("cell, compliant", [("complete", True), ("incomplete", None),
+                                             ("overdue", False), ("failed", None),
+                                             ("write-failed", True)])
+def test_run_cell_takes_compliant_from_the_verify_judge(monkeypatch, tmp_path, cell, compliant):
+    if cell == "overdue":
+        summary = _overdue_cell(monkeypatch, 3)
+    elif cell == "write-failed":
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("occupied")
+        summary = run_cell(parse_config(minimal_config()), 0.5, 0, out_dir=blocker)
+    else:
+        document = {"complete": minimal_config(),
+                    "incomplete": minimal_config(problem={**minimal_config()["problem"],
+                                                          "gap": 30.0}, budget=2),
+                    "failed": minimal_config(method={"kind": "accel"})}[cell]
+        summary = run_cell(parse_config(document), 0.5, 0, out_dir=tmp_path)
+    assert summary.compliant is compliant
+    [verdict] = verify_bounds([summary]).verdicts
+    if cell == "write-failed":
+        # verify labels a cell with an error as failed; compliant is the verdict
+        # on the run's own measurements, given before the write error was attached.
+        assert verdict.status == "unverifiable" and "(cell failed: trace write" in verdict.line()
+        [verdict] = verify_bounds([dataclasses.replace(summary, error=None)]).verdicts
+    assert {"pass": True, "fail": False}.get(verdict.status) is compliant
 
 
 def test_verify_report_summary_line(tmp_path):
