@@ -181,6 +181,7 @@ class _AsyncEngine(Ladder):
                  N: int | None, budget: float, delay_model: DelayModel):
         super().__init__(problem, method_kind, eps, N, budget)
         self.delay_model = delay_model
+        self.per_iteration = delay_model.iteration_cost == "per-iteration"
         self.rng = np.random.default_rng(delay_model.seed)
         self.server = (
             ServerQueue(delay_model.service_time)
@@ -221,8 +222,7 @@ class _AsyncEngine(Ladder):
             calls = self.iterate(copy.inflight_state)
         else:
             self.oracle_calls += calls  # charged now, evaluated in on_complete
-        self.resume(copy, now + (1.0 if self.delay_model.iteration_cost == "per-iteration"
-                                 else float(calls)))
+        self.resume(copy, now + (1.0 if self.per_iteration else float(calls)))
 
     def deliver(self, copy: AsyncCopy, message: Message, now: float) -> None:
         if self.server is not None:
@@ -235,11 +235,11 @@ class _AsyncEngine(Ladder):
             started = [(arrive_at, message)]
         self.schedule_arrivals(started)
 
-    def restart(self, copy: AsyncCopy, point, value: float, known_grad,
+    def restart(self, copy: AsyncCopy, point, value: float, grad,
                 source: str, now: float) -> None:
         """Begin a new epoch at ``point``: restart, then resume iterating."""
 
-        super().restart(copy, point, value, known_grad, source, now)
+        super().restart(copy, point, value, grad, source, now)
         self.begin_iteration(copy, now)
 
     # -- handlers: run() calls each only for its copy's live event -------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -72,10 +73,20 @@ def _output_dir(args) -> Path:
     return resolve_output_dir(_read_config(args.config) if args.config else None, args.out)
 
 
+def _echo(lines) -> None:
+    """Print ``lines`` to stdout; a reader that closed the pipe early ends them quietly."""
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Later writes, and the flush at exit, go nowhere instead of failing again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _report_exit(report, echo=True) -> int:
     if echo:
-        for line in report.lines():
-            print(line)
+        _echo(report.lines())
     if any(verdict.summary.error is not None for verdict in report.verdicts):
         return 2
     return 0 if report.all_compliant else 1
@@ -89,7 +100,7 @@ def cmd_run(args) -> int:
         raise ConfigError("seeds", "the run command expects exactly one seed; "
                                    "--seed selects one, or use grid")
     [summary] = run_grid(config, out_dir=args.out)
-    print(json.dumps(summary.to_json(), indent=2))
+    _echo([json.dumps(summary.to_json(), indent=2)])
     if summary.error is not None:
         print(f"cell failed: {summary.error}", file=sys.stderr)
     return _report_exit(verify_bounds([summary]), echo=False)
@@ -102,7 +113,7 @@ def cmd_grid(args) -> int:
     for summary in failed:
         print(f"eps={summary.eps!r} seed={summary.seed}: {summary.error}", file=sys.stderr)
     directory = resolve_output_dir(config, args.out)
-    print(f"wrote {len(summaries)} cells to {directory}")
+    _echo([f"wrote {len(summaries)} cells to {directory}"])
     return _report_exit(verify_bounds(summaries))
 
 
@@ -112,22 +123,24 @@ def cmd_verify(args) -> int:
 
 def cmd_fit(args) -> int:
     summaries = load_summaries(_output_dir(args))
-    print(fit_rate(summaries, args.model, field=args.field).line())
+    _echo([fit_rate(summaries, args.model, field=args.field).line()])
     return 0
+
+
+def _event_line(event) -> str:
+    parts = [f"t={event.t:.6f}", f"copy={event.copy}", event.kind, f"value={event.value!r}"]
+    parts += [f"{name}={getattr(event, name)}" for name in ("source", "sender", "receiver")
+              if getattr(event, name) is not None]
+    if event.point is not None:
+        parts.append(f"point={list(event.point)!r}")
+    return " ".join(parts)
 
 
 def cmd_trace_dump(args) -> int:
     trace, summary = SchemeTrace.read_jsonl(args.trace)
-    for event in trace.events:
-        parts = [f"t={event.t:.6f}", f"copy={event.copy}", event.kind,
-                 f"value={event.value!r}"]
-        parts += [f"{name}={getattr(event, name)}" for name in ("source", "sender", "receiver")
-                  if getattr(event, name) is not None]
-        if event.point is not None:
-            parts.append(f"point={list(event.point)!r}")
-        print(" ".join(parts))
+    _echo(map(_event_line, trace.events))
     if summary is not None:
-        print("summary: " + json.dumps(summary))
+        _echo(["summary: " + json.dumps(summary)])
     return 0
 
 

@@ -421,12 +421,15 @@ _ENGINE_FIELDS = ("N", "n_bar", "scheme", "method", "time_to_eps", "oracle_calls
                   "complete", "messages_total", "restarts_per_copy", "f_x0")
 
 
-def run_cell(config: ExperimentConfig, eps: float, seed: int,
-             out_dir: Path | None = None) -> RunSummary:
+def run_cell(config: ExperimentConfig, eps: float, seed: int, out_dir: Path | None = None,
+             built: tuple[ProblemInstance, np.ndarray] | RestartFomError | None = None,
+             ) -> RunSummary:
     """Run one (eps, seed) cell and evaluate its guarantees.
 
-    Simulation or write failures are captured in the returned summary's
-    ``error`` field instead of propagating, so grids keep going.
+    ``built`` is the seed's ``build_problem`` result, or the error it raised;
+    without it the cell builds its own.  Build, simulation or write failures
+    are captured in the returned summary's ``error`` field instead of
+    propagating, so grids keep going.
     """
 
     N = config.N if config.N is not None else default_N(eps)
@@ -434,7 +437,9 @@ def run_cell(config: ExperimentConfig, eps: float, seed: int,
     # A sync engine runs int(budget) whole periods (or slots); async runs to the budget.
     budget = float(config.budget) if scheme == "async" else int(config.budget)
     try:
-        problem, x0 = build_problem(config, seed)
+        if isinstance(built, RestartFomError):
+            raise built
+        problem, x0 = build_problem(config, seed) if built is None else built
         if scheme == "async":
             trace, summary = run_async(problem, spec, eps, x0=x0, N=N,
                                        delay_model=_delay_for_cell(config, seed), budget=budget)
@@ -486,8 +491,16 @@ def run_grid(config: ExperimentConfig, out_dir=None) -> list[RunSummary]:
 
     directory = resolve_output_dir(config, str(out_dir) if out_dir is not None else None)
     directory.mkdir(parents=True, exist_ok=True)
-    summaries = [run_cell(config, eps, seed, out_dir=directory)
-                 for eps in config.eps for seed in config.seeds]
+    cells = {}
+    for seed in config.seeds:  # one seed's problem alive at a time, built once
+        try:
+            built = build_problem(config, seed)
+        except RestartFomError as exc:
+            built = exc
+        for eps in config.eps:
+            cells[eps, seed] = run_cell(config, eps, seed, out_dir=directory, built=built)
+        del built
+    summaries = [cells[eps, seed] for eps in config.eps for seed in config.seeds]
     write_summaries_csv(directory / "summary.csv", summaries)
     with open(directory / "summaries.json", "w") as handle:
         json.dump({"summaries": [summary.to_json() for summary in summaries]},

@@ -11,21 +11,27 @@ engine:
 
 Oracle accounting contract: :func:`method_init` makes exactly one oracle call
 (the evaluation at the start point); :func:`method_restart` makes none (the
-restart value arrives with the restart point); :func:`prime` makes one call
+restart value arrives with the restart point); :func:`prime` charges one call
 only when a method that steps from a gradient was restarted at a point whose
-gradient nobody has computed yet.  :func:`prime` and :func:`step` each return
-the oracle calls they made, an int, so over any run
+gradient its copy has not computed: a point it received.  :func:`prime` and
+:func:`step` each return the oracle calls they charged, an int, so over any run
 
-    total evaluate() calls == inits + sum(prime returns) + sum(step returns).
+    charged calls == inits + sum(prime returns) + sum(step returns),
+    evaluate() calls == inits + primes that ran evaluate + sum(step returns).
+
+A prime whose restart point arrived with its sender's gradient is charged but
+not evaluated: it reads that gradient, which is ``evaluate(point).subgradient``
+because a state's ``best_grad`` is None or the gradient at its ``best_point``.
 
 State is typed: :class:`MethodState` holds what every method keeps, and
 :class:`SubgradState`, :class:`AccelState` and :class:`UnivState` add each
 method's own recursion; one constructor builds the state of every (re)start.
 Ownership rule: :func:`method_init` and :func:`method_restart` copy the
-caller's point once (and a known gradient).  Past that, nothing copies: the
-problem's ``evaluate`` and ``project`` pass a float64 array of the right
-shape through as it is (``AllSpace.project`` returns its argument), and
-states and their shallow ``clone()`` share arrays.  That is safe because no
+caller's point once (and a known gradient; a sent one stays the sender's
+array).  Past that, nothing copies: the problem's ``evaluate`` and ``project``
+pass a float64 array of the right shape through as it is (on an ``AllSpace``
+instance ``project`` returns its argument), and states and their shallow
+``clone()`` share arrays.  That is safe because no
 step writes into an array; each one rebinds fields to new arrays.  Each state
 is exclusively owned by one scheme copy.  ``clone()`` serves only
 ``univ``'s discard-on-restart in the asynchronous engine: :func:`calls_ahead`
@@ -153,9 +159,11 @@ def resolve_L(spec: MethodSpec, problem: ProblemInstance) -> float:
 
 
 def _fresh_epoch(spec: MethodSpec, problem: ProblemInstance, start: np.ndarray,
-                 value: float, grad: np.ndarray | None, target_accuracy: float) -> MethodState:
+                 value: float, grad: np.ndarray | None, target_accuracy: float,
+                 sent_grad: np.ndarray | None = None) -> MethodState:
     """The state of every (re)start: ``start`` is the state's own array, its
-    value is known, and ``grad`` is None when nobody has computed its gradient."""
+    value is known, and ``grad`` is None when the copy has not computed its
+    gradient; ``sent_grad``, the gradient a message brought, then serves the prime."""
     grad_sq = None if grad is None else float(np.vdot(grad, grad))
     common = dict(
         spec=spec,
@@ -163,7 +171,7 @@ def _fresh_epoch(spec: MethodSpec, problem: ProblemInstance, start: np.ndarray,
         current_iterate=start,
         best_point=start,
         best_value=value,
-        best_grad=grad,
+        best_grad=sent_grad if grad is None else grad,
         target_accuracy=target_accuracy,
         iterate_index=0,
         converged=grad_sq == 0.0,
@@ -200,33 +208,42 @@ def method_restart(
     new_start,
     known_value: float,
     known_grad=None,
+    sent_grad: np.ndarray | None = None,
 ) -> MethodState:
     """Fresh state at ``new_start`` whose value is already known: no oracle call.
 
     Momentum (accel) and the curvature estimate (univ, back to the original
     ``L0``) reset.  Methods that step from a gradient are flagged
     ``needs_prime`` when ``known_grad`` is not supplied; :func:`prime` then
-    spends the one call.
+    charges the one call.  ``sent_grad`` is the gradient at ``new_start``
+    that came with a received point: the state keeps it, shared, and the
+    prime reads it instead of evaluating, unless projecting moved the point.
     """
-    start = problem.project(np.asarray(new_start, dtype=float)).copy()
+    point = np.asarray(new_start, dtype=float)
+    start = problem.project(point)
+    if sent_grad is not None and start is not point and not np.array_equal(start, point):
+        sent_grad = None
     grad = None if known_grad is None else np.array(known_grad, dtype=float)
-    return _fresh_epoch(state.spec, problem, start, float(known_value), grad,
-                        state.target_accuracy)
+    return _fresh_epoch(state.spec, problem, start.copy(), float(known_value), grad,
+                        state.target_accuracy, sent_grad)
 
 
 def prime(state: MethodState, problem: ProblemInstance) -> int:
-    """Fetch the missing gradient at the restart point; returns calls made (0 or 1)."""
+    """Fetch the missing gradient at the restart point; returns calls charged
+    (0 or 1).  A gradient that came with the point is read, not evaluated."""
     if not state.needs_prime or state.converged:
         state.needs_prime = False
         return 0
-    out = problem.evaluate(state.current_iterate)
-    grad = out.subgradient
+    if state.best_grad is None:
+        value, grad = problem.evaluate(state.current_iterate)
+    else:
+        value, grad = state.best_value, state.best_grad
     grad_sq = float(np.vdot(grad, grad))
     if isinstance(state, SubgradState):
         state.grad, state.grad_sq = grad, grad_sq
     elif isinstance(state, AccelState):
         state.grad_y = grad
-    state.best_grad = grad if out.value <= state.best_value else state.best_grad
+    state.best_grad = grad if value <= state.best_value else state.best_grad
     state.needs_prime = False
     if grad_sq == 0.0:
         state.converged = True

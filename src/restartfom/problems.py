@@ -49,13 +49,16 @@ _NORMAL_MIN = 2.0 ** -1022  # the smallest normal float
 
 
 def _norm(offset: np.ndarray) -> tuple[float, np.ndarray | None]:
-    """||offset||; where offset·offset falls below the normal range, also its
-    direction (0 at 0), from the offset scaled by its largest entry."""
+    """||offset||; where offset·offset falls below the normal range or
+    overflows, also its direction (0 at 0), from the offset scaled by its
+    largest entry."""
 
     square = np.vdot(offset, offset)  # as in NormPowerProblem._oracle
-    if not square < _NORMAL_MIN:
+    if not square < _NORMAL_MIN and square != math.inf:
         return math.sqrt(square), None
     scale = float(np.abs(offset).max()) or 1.0
+    if scale == math.inf:
+        return scale, None
     unit = offset / scale
     length = math.sqrt(np.vdot(unit, unit))
     return scale * length, unit / (length or 1.0)
@@ -80,11 +83,7 @@ class AllSpace(Domain):
     """The unconstrained domain; projection is the identity."""
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        # A float64 ndarray is returned as is, which np.asarray would do at a
-        # higher price per call.
-        if type(x) is np.ndarray and x.dtype is _FLOAT64:
-            return x
-        return np.asarray(x, dtype=float)
+        return np.asarray(x, dtype=float)  # a float64 ndarray as is
 
     def contains(self, x: np.ndarray, tol: float = 1e-12) -> bool:
         return True
@@ -213,6 +212,7 @@ class ProblemInstance:
         self.name = name
         self.dimension = int(dimension)
         self.domain = domain if domain is not None else AllSpace()
+        self._unconstrained = type(self.domain) is AllSpace  # project is then the point check
         self.metadata = metadata
 
     # -- oracle ------------------------------------------------------------
@@ -260,7 +260,8 @@ class ProblemInstance:
     # -- geometry ----------------------------------------------------------
 
     def project(self, x) -> np.ndarray:
-        return self.domain.project(self._check_point(x))
+        x = self._check_point(x)
+        return x if self._unconstrained else self.domain.project(x)
 
     def distance_to_opt(self, x) -> float:
         """Exact Euclidean distance to the optimal set."""
@@ -344,7 +345,7 @@ class NormPowerProblem(ProblemInstance):
         r, direction = _norm(offset)
         if direction is None:
             return self._gradient(offset, r)
-        # Near the center; at it, 0 is a valid subgradient for every d >= 1.
+        # Near the center (at it, 0 is a valid subgradient for every d >= 1), or far out.
         return (self.mu * self.d * r ** (self.d - 1.0)) * direction
 
     def _gradient(self, offset: np.ndarray, r: float) -> np.ndarray:
@@ -361,8 +362,8 @@ class NormPowerProblem(ProblemInstance):
         # np.vdot raises no floating-point warning, and on a contiguous array
         # the square root has the bits of np.linalg.norm.
         square = np.vdot(offset, offset)
-        if square < _NORMAL_MIN:  # see _norm
-            return self._value(x), self._subgradient(x)
+        if square < _NORMAL_MIN or square == math.inf:  # see _norm
+            return super()._oracle(x)
         r = math.sqrt(square)
         try:
             value = self.mu * r ** self.d

@@ -27,6 +27,8 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+import numpy as np
+
 from restartfom.bounds import default_N, n_bar
 from restartfom.errors import ParameterError
 from restartfom.methods import MethodSpec, MethodState, method_init, method_restart, prime, step
@@ -54,11 +56,13 @@ class LadderCopy:
 
 
 class Message(NamedTuple):
-    """A point and its objective value in flight from ``sender`` downward."""
+    """A point, its objective value and, when the sender holds it, its
+    gradient, in flight from ``sender`` downward; the arrays are the sender's."""
 
-    point: tuple[float, ...]
+    point: np.ndarray
     value: float
     sender: int
+    grad: np.ndarray | None = None
 
 
 class Ladder:
@@ -120,32 +124,38 @@ class Ladder:
             return True
         return False
 
-    def log_action(self, copy: LadderCopy, kind: str, point, value: float, now: float,
-                   source: str | None = None) -> None:
+    def log_action(self, copy: LadderCopy, kind: str, point: np.ndarray, value: float,
+                   grad: np.ndarray | None, now: float, source: str | None = None) -> None:
         """Log a restart or task update; above copy -1 the same event records
-        the send of ``point`` to the receiver, copy index - 1."""
+        the send of ``point`` (with ``grad``) to the receiver, copy index - 1."""
 
-        point = point if isinstance(point, tuple) else tuple(point.tolist())  # shared, immutable
         receiver = copy.index - 1 if copy.index > -1 else None
-        self.trace.record(now, copy.index, kind, value, point, receiver=receiver, source=source)
+        self.trace.record(now, copy.index, kind, value, tuple(point.tolist()),
+                          receiver=receiver, source=source)
         if receiver is not None:
-            self.deliver(copy, Message(point, value, copy.index), now)
+            self.deliver(copy, Message(point, value, copy.index, grad), now)
 
     def update_top(self, copy: LadderCopy, now: float) -> None:
         """The top copy's rule: on a fulfilling value, move the reference there
         and send, no restart."""
 
-        if copy.fulfills(copy.method.best_value):
-            copy.reference = copy.method.best_value
-            self.log_action(copy, "task-update", copy.method.best_point, copy.reference, now)
+        method = copy.method
+        if copy.fulfills(method.best_value):
+            copy.reference = method.best_value
+            self.log_action(copy, "task-update", method.best_point, copy.reference,
+                            method.best_grad, now)
 
-    def restart(self, copy: LadderCopy, point, value: float, known_grad,
-                source: str, now: float) -> None:
-        """Restart ``copy`` at a fulfilling point and send the point down."""
+    def restart(self, copy: LadderCopy, point: np.ndarray, value: float,
+                grad: np.ndarray | None, source: str, now: float) -> None:
+        """Restart ``copy`` at a fulfilling point and send the point down.
+        ``grad`` is the gradient at ``point`` or None; a received point still
+        charges its prime, which reads ``grad`` instead of evaluating."""
 
         copy.reference = value
-        copy.method = method_restart(copy.method, self.problem, point, value, known_grad)
-        self.log_action(copy, "restart", point, value, now, source)
+        own = source == "own"
+        copy.method = method_restart(copy.method, self.problem, point, value,
+                                     grad if own else None, None if own else grad)
+        self.log_action(copy, "restart", point, value, grad, now, source)
 
     def restart_at_best(self, copy: LadderCopy, candidate: Message | None,
                         inbox_wins_tie: bool, now: float) -> bool:
@@ -157,7 +167,8 @@ class Ladder:
         if candidate is not None and (candidate.value <= own.best_value if inbox_wins_tie
                                       else candidate.value < own.best_value):
             if copy.fulfills(candidate.value):
-                self.restart(copy, candidate.point, candidate.value, None, "inbox", now)
+                self.restart(copy, candidate.point, candidate.value, candidate.grad,
+                             "inbox", now)
                 return True
         elif copy.fulfills(own.best_value):
             self.restart(copy, own.best_point, own.best_value, own.best_grad, "own", now)
@@ -241,7 +252,7 @@ def run_sync(
         # single copy's slot in sequential mode.
         ladder = [engine.copies[n] for n in range(engine.N, -2, -1)]
         width = len(ladder) if mode == "lockstep" else 1
-        while ticks < budget:
+        while ticks + 1 <= budget:  # int(budget) ticks
             ticks += 1
             now = float(ticks)
             start = (ticks - 1) * width % len(ladder)

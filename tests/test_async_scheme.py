@@ -1,16 +1,21 @@
 """Event-driven scheme: delay models, pauses, suspensions, and the lockstep limit."""
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from restartfom import async_scheme, sync_scheme
 from restartfom.async_scheme import (
     _PRIO_COMPLETE, DelayModel, ServerQueue, _AsyncEngine, run_async)
 from restartfom.errors import NonFiniteValueError, ParameterError
-from restartfom.methods import MethodSpec
+from restartfom.methods import MethodSpec, method_restart, prime
 from restartfom.problems import (
+    Ball,
+    Box,
     CountingProblem,
     make_least_squares_problem,
     make_norm_power_problem,
@@ -459,6 +464,11 @@ class _EagerEngine(_AsyncEngine):
         super().__init__(*args)
         self.inflight_calls: dict[int, int] = {}
         self.committed_calls = 0
+        self.served_primes = 0  # charged, and read from a sent gradient
+
+    def iterate(self, state):
+        self.served_primes += serves_from_a_sent_gradient(state)
+        return super().iterate(state)
 
     def begin_iteration(self, copy, now):
         if copy.method.converged:
@@ -476,6 +486,13 @@ class _EagerEngine(_AsyncEngine):
     def on_complete(self, now, copy, version):
         self.committed_calls += self.inflight_calls[copy.index]
         super().on_complete(now, copy, version)
+
+
+def serves_from_a_sent_gradient(state) -> bool:
+    """Whether ``prime(state)`` is charged but reads the gradient that came
+    with the restart point instead of evaluating."""
+
+    return state.needs_prime and not state.converged and state.best_grad is not None
 
 
 def run_eager(problem, spec, eps, *, x0, delay_model, budget):
@@ -521,15 +538,99 @@ def test_lazy_steps_match_the_eager_reference(case, seed, eps, budget, model):
     factory, spec = LAZY_CASES[case]
     lazy_problem, eager_problem = CountingProblem(factory(seed)), CountingProblem(factory(seed))
     x0 = lazy_problem.point_at_gap(20.0, rng=np.random.default_rng(seed))
-    trace, summary = run_async(lazy_problem, spec, eps, x0=x0, delay_model=model, budget=budget)
+    lazy_served = []
+
+    def counting_prime(state, problem):
+        lazy_served.append(serves_from_a_sent_gradient(state))
+        return prime(state, problem)
+
+    with mock.patch.object(async_scheme, "prime", counting_prime):
+        trace, summary = run_async(lazy_problem, spec, eps, x0=x0, delay_model=model,
+                                   budget=budget)
     engine, eager_trace, eager_summary = run_eager(eager_problem, spec, eps, x0=x0,
                                                    delay_model=model, budget=budget)
     assert trace.events == eager_trace.events
     assert summary == eager_summary
-    assert eager_problem.evaluate_calls == engine.oracle_calls
+    assert eager_problem.evaluate_calls == engine.oracle_calls - engine.served_primes
     # Discarded: charged in an iteration that a restart or the run's end cut short.
     discarded = engine.oracle_calls - len(engine.copies) - engine.committed_calls
-    assert lazy_problem.evaluate_calls == eager_problem.evaluate_calls - discarded
+    assert lazy_problem.evaluate_calls == engine.oracle_calls - discarded - sum(lazy_served)
+
+
+SENT_GRADIENT_CASES = {
+    "norm-power-subgrad": (lambda seed: make_norm_power_problem(3, 1.0, 1.0),
+                           MethodSpec("subgrad"), None),
+    "norm-power-accel": (lambda seed: make_norm_power_problem(3, 1.0, 2.0),
+                         MethodSpec("accel"), None),
+    "piecewise-max-subgrad": (lambda seed: make_piecewise_max_problem(6, 18, seed=seed),
+                              MethodSpec("subgrad"), None),
+    "piecewise-max-accel": (lambda seed: make_piecewise_max_problem(6, 18, seed=seed),
+                            MethodSpec("accel", L=4.0), None),
+    "least-squares-subgrad": (lambda seed: make_least_squares_problem(5, 8, seed=seed),
+                              MethodSpec("subgrad"), None),
+    "least-squares-accel": (lambda seed: make_least_squares_problem(5, 8, seed=seed),
+                            MethodSpec("accel"), None),
+    # Minimizers on the boundary, so that steps overshoot it and get projected back.
+    "ball-subgrad": (lambda seed: make_norm_power_problem(
+        3, 1.0, 1.0, center=np.array([1.32, 0.66, 0.1]),
+        domain=Ball(np.array([0.3, -0.7, 0.1]), 1.7)),
+        MethodSpec("subgrad"), [-0.7, -0.2, 0.6]),
+    "box-subgrad": (lambda seed: make_norm_power_problem(
+        3, 1.0, 1.0, center=np.array([2.0, 0.0, -1.0]),
+        domain=Box(np.full(3, -1.0), np.full(3, 2.0))),
+        MethodSpec("subgrad"), [-1.0, 1.5, 1.5]),
+}
+
+
+def _run_scheme(scheme, problem, spec, eps, x0, model):
+    if scheme == "async":
+        return run_async(problem, spec, eps, x0=x0, delay_model=model, budget=400.0)
+    return run_sync(problem, spec, eps, x0=x0, mode=scheme, budget=300)
+
+
+def _evaluating_restart(state, problem, new_start, known_value, known_grad=None,
+                        sent_grad=None):
+    """``method_restart`` as if no message carried a gradient: every prime evaluates."""
+
+    return method_restart(state, problem, new_start, known_value, known_grad)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=st.sampled_from(sorted(SENT_GRADIENT_CASES)),
+       scheme=st.sampled_from(["lockstep", "sequential", "async"]),
+       seed=st.integers(0, 2 ** 16),
+       eps=st.sampled_from([0.5, 0.125, 2.0 ** -6]),
+       model=st.builds(DelayModel,
+                       transit_kind=st.sampled_from(["deterministic", "uniform", "single-server"]),
+                       tau_transit=TAUS, tau_pause=TAUS, service_time=TAUS,
+                       seed=st.integers(0, 2 ** 32 - 1),
+                       iteration_cost=st.sampled_from(["per-call", "per-iteration"])))
+def test_a_prime_served_from_a_sent_gradient_is_the_one_evaluate_gives(case, scheme, seed,
+                                                                        eps, model):
+    factory, spec, x0 = SENT_GRADIENT_CASES[case]
+    problem, reference_problem, plain = (CountingProblem(factory(seed)),
+                                         CountingProblem(factory(seed)), factory(seed))
+    if x0 is None:
+        x0 = plain.point_at_gap(20.0, rng=np.random.default_rng(seed))
+    served = []
+
+    def checked_prime(state, problem):
+        if serves_from_a_sent_gradient(state):
+            value, grad = plain.evaluate(state.current_iterate)
+            assert value == state.best_value
+            assert grad.tobytes() == state.best_grad.tobytes()
+            served.append(state)
+        return prime(state, problem)
+
+    with mock.patch.object(sync_scheme, "prime", checked_prime), \
+            mock.patch.object(async_scheme, "prime", checked_prime):
+        trace, summary = _run_scheme(scheme, problem, spec, eps, x0, model)
+    with mock.patch.object(sync_scheme, "method_restart", _evaluating_restart):
+        reference_trace, reference_summary = _run_scheme(scheme, reference_problem, spec, eps,
+                                                         x0, model)
+    assert trace.events == reference_trace.events
+    assert summary == reference_summary
+    assert problem.evaluate_calls == reference_problem.evaluate_calls - len(served)
 
 
 class _PoisonedAt:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -226,6 +227,41 @@ def test_module_entry_point_runs_in_subprocess(tmp_path):
     assert "wrote 1 cells" in result.stdout
     [summary] = load_summaries(out)
     assert summary.compliant is True
+
+
+def _run_into_a_closed_pipe(argv, unbuffered: bool) -> subprocess.CompletedProcess:
+    """The CLI in a subprocess whose stdout reader is gone before it writes."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        return subprocess.run([sys.executable, "-m", "restartfom.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True,
+                              timeout=120, env=env)
+    finally:
+        os.close(write_end)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_a_reader_that_closes_the_pipe_early_ends_the_output_quietly(tmp_path, capsys,
+                                                                      unbuffered):
+    config = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["grid", "--config", str(config), "--out", str(out)]) == 0
+    [trace] = sorted(out.glob("trace-*.jsonl"))[:1]
+    for argv, code in ((["trace-dump", str(trace)], 0), (["verify", "--out", str(out)], 0),
+                       (["grid", "--config", str(config), "--out", str(out)], 0)):
+        result = _run_into_a_closed_pipe(argv, unbuffered)
+        assert (result.returncode, result.stderr) == (code, ""), argv
+    # verify keeps the exit code of its report.
+    store = out / "summaries.json"
+    document = json.loads(store.read_text())
+    document["summaries"][0]["bound_theorem"] = 0.5  # below any measured time
+    store.write_text(json.dumps(document))
+    result = _run_into_a_closed_pipe(["verify", "--out", str(out)], unbuffered)
+    assert (result.returncode, result.stderr) == (1, "")
 
 
 def test_subnormal_eps_is_a_config_error(tmp_path, capsys):

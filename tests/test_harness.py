@@ -601,6 +601,60 @@ def test_run_grid_same_seed_traces_are_byte_identical(tmp_path):
     assert first == second and first
 
 
+def _counting_builds(monkeypatch, fail_seed=None) -> list:
+    """Record each seed ``harness.build_problem`` is called with; ``fail_seed`` fails."""
+
+    seeds, build = [], harness.build_problem
+
+    def counting(config, seed):
+        seeds.append(seed)
+        if seed == fail_seed:
+            raise ParameterError("no instance at this seed", "seed")
+        return build(config, seed)
+
+    monkeypatch.setattr(harness, "build_problem", counting)
+    return seeds
+
+
+def test_run_grid_builds_each_seed_once_and_keeps_the_eps_major_order(tmp_path, monkeypatch):
+    config = parse_config(async_config(eps=[0.5, 0.25, 0.125], seeds=[3, 1]))
+    (tmp_path / "alone").mkdir()
+    alone = [run_cell(config, eps, seed, out_dir=tmp_path / "alone")
+             for eps in config.eps for seed in config.seeds]
+    built = _counting_builds(monkeypatch)
+    summaries = run_grid(config, out_dir=tmp_path / "grid")
+    assert built == [3, 1]
+    assert summaries == alone  # eps-major, and equal to cells that built their own
+    for summary in summaries:
+        assert ((tmp_path / "grid" / summary.trace_path).read_bytes()
+                == (tmp_path / "alone" / summary.trace_path).read_bytes())
+
+
+def test_a_failing_build_gives_each_of_its_cells_the_same_error_record(tmp_path, monkeypatch):
+    config = parse_config(minimal_config(eps=[0.5, 0.25, 0.125], seeds=[0, 1]))
+    built = _counting_builds(monkeypatch, fail_seed=1)
+    summaries = run_grid(config, out_dir=tmp_path)
+    assert built == [0, 1]
+    failed = [summary for summary in summaries if summary.seed == 1]
+    assert [summary.eps for summary in failed] == [0.5, 0.25, 0.125]
+    assert failed == [run_cell(config, eps, 1, out_dir=tmp_path) for eps in config.eps]
+    assert {summary.error for summary in failed} == {"ParameterError: no instance at this seed"}
+    assert all(summary.error is None for summary in summaries if summary.seed == 0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scheme", ["sync-lockstep", "async"])
+def test_a_start_whose_squared_distance_overflows_runs(tmp_path, scheme):
+    # ||x0 - center|| = 1e300: its square overflows, its value 1e300 does not.
+    problem = {"family": "norm-power", "dimension": 2, "mu": 1.0, "d": 1.0, "gap": 1e300}
+    document = minimal_config(problem=problem, scheme=scheme, eps=[0.5], budget=3)
+    if scheme == "async":
+        document["delay"] = {}
+    summary = run_cell(parse_config(document), 0.5, 0, out_dir=tmp_path)
+    assert summary.error is None and summary.f_x0 == 1e300
+    assert summary.complete is False and summary.oracle_calls_total > 0
+
+
 def test_run_grid_budget_limited_cell_is_flagged_not_fatal(tmp_path):
     document = minimal_config(eps=[0.5, 0.25], budget=2)
     document["problem"]["gap"] = 30.0

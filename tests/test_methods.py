@@ -111,6 +111,26 @@ def test_restart_with_known_gradient_skips_priming():
     assert p.evaluate_calls == 1
 
 
+def test_a_sent_gradient_serves_the_prime_only_at_the_point_it_belongs_to():
+    ball = Ball(np.array([0.3, -0.7]), 1.7)
+    p = CountingProblem(make_norm_power_problem(2, 1.0, 1.0, domain=ball))
+    state = method_init(MethodSpec("subgrad"), p, np.zeros(2), 0.5)
+    inside = np.array([1.0, -0.5])
+    value, grad = p.inner.evaluate(inside)
+    kept = method_restart(state, p, inside, value, sent_grad=grad)
+    assert kept.needs_prime and kept.best_grad is grad
+    assert prime(kept, p) == 1 and p.evaluate_calls == 1  # charged, not evaluated
+    assert kept.grad is grad and not kept.needs_prime
+    # Projecting this boundary point again moves it, so its gradient belongs to
+    # another point: the prime evaluates.
+    outside = ball.project(np.array([3.2, 0.5]))
+    assert not np.array_equal(ball.project(outside), outside)
+    value, grad = p.inner.evaluate(outside)
+    moved = method_restart(state, p, outside, value, sent_grad=grad)
+    assert moved.needs_prime and moved.best_grad is None
+    assert prime(moved, p) == 1 and p.evaluate_calls == 2
+
+
 def test_restart_at_best_point_keeps_value():
     state = method_init(MethodSpec("subgrad"), ABS, np.array([2.0]), 0.5)
     fresh = method_restart(state, ABS, state.best_point, state.best_value)

@@ -539,7 +539,7 @@ def test_public_oracles_reject_non_finite_points_without_warnings(family, bad):
 
 
 @pytest.mark.parametrize("dimension, d, scale", [(2, 2.0, 1e200), (3, 3.0, 1e120),
-                                                  (3, 1.0, 1e308)])
+                                                  (3, 1.0, 1.5e308)])
 def test_norm_power_far_finite_point_is_a_typed_error_without_warnings(dimension, d, scale):
     p = make_norm_power_problem(dimension, 1.0, d)
     x = np.full(dimension, scale)
@@ -549,6 +549,24 @@ def test_norm_power_far_finite_point_is_a_typed_error_without_warnings(dimension
             p.evaluate(x)
         with pytest.raises(NonFiniteValueError):
             p.value(x)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("dimension, d, scale", [(2, 1.0, 1e300), (3, 1.0, 1e308),
+                                                  (2, 1.5, 1e160), (4, 1.25, 1e200)])
+def test_norm_power_is_finite_where_the_squared_norm_overflows(dimension, d, scale):
+    # ||x - center||**2 overflows, though ||x - center|| and mu * r**d are floats.
+    p = make_norm_power_problem(dimension, 1.0, d)
+    x = np.full(dimension, scale)
+    assert np.vdot(x, x) == math.inf
+    r = scale * math.sqrt(dimension)
+    value, grad = p.evaluate(x)
+    assert value == pytest.approx(r ** d, rel=1e-15)
+    assert p.value(x) == value and p.distance_to_opt(x) == pytest.approx(r, rel=1e-15)
+    np.testing.assert_allclose(grad, np.full(dimension, d * r ** (d - 1.0) / math.sqrt(dimension)),
+                               rtol=1e-15)
+    fused, pair = p._oracle(x), (p._value(x), p._subgradient(x))
+    assert fused[0] == pair[0] and fused[1].tobytes() == pair[1].tobytes()
 
 
 @pytest.mark.parametrize("d", [1.0, 1.5])

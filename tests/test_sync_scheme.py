@@ -159,10 +159,22 @@ def test_reference_trace_details():
 
 def test_reference_oracle_accounting():
     p = CountingProblem(abs_problem())
-    _, summary = run_sync(p, "subgrad", 0.5, x0=np.array([3.0]), N=0)
-    # Init twice, one step per copy-period, plus one priming call for each
-    # of the three inbox restarts.
-    assert p.evaluate_calls == summary["oracle_calls_total"] == 15
+    trace, summary = run_sync(p, "subgrad", 0.5, x0=np.array([3.0]), N=0)
+    # Init twice, one step per copy-period, plus one priming call charged for
+    # each of the three inbox restarts.  Each of those primes reads the
+    # gradient its message brought: charged, not evaluated.
+    served = sum(event.source == "inbox" for event in trace.of_kind("restart"))
+    assert served == 3 and summary["oracle_calls_total"] == 15
+    assert p.evaluate_calls == summary["oracle_calls_total"] - served == 12
+
+
+@pytest.mark.parametrize("mode", ["lockstep", "sequential"])
+@pytest.mark.parametrize("budget", [2, 2.1, 2.9])
+def test_a_fractional_budget_runs_its_whole_ticks_only(mode, budget):
+    trace, summary = run_sync(abs_problem(), "subgrad", 1e-3, x0=np.array([1e6]), mode=mode,
+                              budget=budget)
+    assert summary["periods"] == 2 and summary["complete"] is False
+    assert max(event.t for event in trace.events) == 2.0
 
 
 def test_inbox_restart_follows_send_by_one_period():
